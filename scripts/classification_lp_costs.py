@@ -15,9 +15,7 @@ import sys
 
 import numpy as np
 
-from maxfs.classify import Dataset, classify_2e1, classify_2inf, classify_2k1, load_csv
-
-VARIANTS = (("2e1", classify_2e1), ("2inf", classify_2inf), ("2k1", classify_2k1))
+from maxfs.classify import VARIANTS, Dataset, classify, load_csv
 
 
 def gaussian_overlap(seed: int, points: int) -> Dataset:
@@ -31,8 +29,8 @@ def gaussian_overlap(seed: int, points: int) -> Dataset:
 def report(tag: str, ds: Dataset) -> dict[str, int]:
     counts = {}
     cells = []
-    for name, fn in VARIANTS:
-        rep = fn(ds)
+    for name in VARIANTS:
+        rep = classify(ds, name)
         counts[name] = rep.lp_count
         cells.append(f"{name}: acc={rep.accuracy:.4f} removed={len(rep.removed_points)}"
                      f" lp={rep.lp_count}")

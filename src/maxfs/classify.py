@@ -34,9 +34,6 @@ __all__ = [
     "Hyperplane",
     "build_constraints",
     "classify",
-    "classify_2e1",
-    "classify_2inf",
-    "classify_2k1",
     "load_csv",
 ]
 
@@ -213,15 +210,3 @@ def classify(
         removal_sizes=tuple(res.removal_sizes),
         seconds=time.perf_counter() - t0,
     )
-
-
-def classify_2e1(ds: Dataset, epsilon: float = 1.0) -> ClassificationReport:
-    return classify(ds, "2e1", epsilon)
-
-
-def classify_2inf(ds: Dataset, epsilon: float = 1.0) -> ClassificationReport:
-    return classify(ds, "2inf", epsilon)
-
-
-def classify_2k1(ds: Dataset, epsilon: float = 1.0) -> ClassificationReport:
-    return classify(ds, "2k1", epsilon)

@@ -7,27 +7,27 @@ elastic relaxation: the elastic objective Z measures total constraint
 violation, Z == 0 certifies feasibility, and each round deletes the row
 whose (tentative) removal shrinks Z the most.
 
-Two loop drivers are provided and shared with the sparse-recovery
-module, which runs the same search over variable pairs instead of rows:
+The search is shared with the sparse-recovery module, which runs it over
+variable pairs instead of rows.  Two pieces carry it:
 
-`run_probing_loop`
-    One candidate list per round.  Every candidate is probed: its
-    elastic costs are zeroed, the LP is re-solved warm, and Z is
-    recorded; the engine state is restored after each probe.  The best
-    prober is deleted for real by adopting its probe end-state, so the
-    adoption costs no extra LP solve.  If the whole candidate pool has
-    shrunk to one row, that row is the unique remaining cause and is
-    deleted without probing.
+`CostDeletionEnv`
+    One LP whose entities (rows, or variable pairs) each own a few cost
+    columns.  Deleting an entity only resets those costs, so every
+    re-solve restarts warm.  A probe deletes tentatively, re-solves and
+    puts the engine state back, keeping the end state so that adopting
+    the probed deletion costs no extra LP solve.
 
-`run_batch_loop`
-    No probing.  Each round solves once, ranks candidates by score, and
-    deletes the head group of the ranking, cut where the score sequence
-    first changes mean level (see `changepoint`).  One LP per round.
+`run_removal_loop`
+    The greedy rounds.  The choice step either probes every candidate
+    and deletes the best one (a one-row pool is deleted without probing:
+    that row is the unique remaining cause), or, with `batch`, solves
+    once per round and deletes the head group of the ranking, cut where
+    the score sequence first changes mean level (see `changepoint`).
 
-Both drivers support an early bulk-exit: when the candidate list has at
-most `e2_ell` entries, delete all of them and stop.  That step is a
-heuristic extrapolation and can overshoot, so it is off by default and,
-when enabled for the batch driver, usually restricted to the first
+An early bulk exit is available to both policies: when the candidate
+list has at most `e2_ell` entries, delete all of them and stop.  That
+step is a heuristic extrapolation and can overshoot, so it is off by
+default and, for the batch policy, usually restricted to the first
 round, where the list is still dominated by genuinely bad rows.
 
 Candidate rankings come in three flavours, all computed from the
@@ -43,17 +43,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import AbstractSet, Callable, Protocol, Sequence
 
 import numpy as np
 
 from .changepoint import first_mean_change
-from .simplex import LpSolution, LpStatus, SimplexSolver, SolverError
+from .simplex import LpProblem, LpSolution, LpStatus, SimplexSolver, SolverError
 from .systems import ElasticModel, LinearSystem, elasticize
 
 __all__ = [
     "Candidate",
     "CandidateKind",
+    "CostDeletionEnv",
     "ExitReason",
     "LoopTelemetry",
     "MaxFsResult",
@@ -63,8 +64,7 @@ __all__ = [
     "build_candidates_alg1",
     "build_candidates_alg2",
     "build_candidates_alg3",
-    "run_batch_loop",
-    "run_probing_loop",
+    "run_removal_loop",
     "solve_maxfs",
 ]
 
@@ -170,7 +170,7 @@ class StrategyConfig:
 
     algorithm   candidate ranking (1, 2, or 3)
     k           list truncation; None keeps every nonzero entry
-    use_e1      batch driver instead of per-candidate probing
+    use_e1      batch removal instead of per-candidate probing
     e2_ell      bulk-exit threshold; None disables the step
     e2_first_iteration_only
                 apply the bulk exit only on the first round
@@ -208,9 +208,11 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class RemovalEntry:
+    """One deletion. The Z after it is `z_history[iteration]` of the
+    search that made it."""
+
     entity: int
     iteration: int
-    z_after: float
 
 
 class RemovalLedger:
@@ -220,13 +222,13 @@ class RemovalLedger:
         self.entries: list[RemovalEntry] = []
         self._seen: set[int] = set()
 
-    def add(self, entity: int, iteration: int, z_after: float) -> None:
+    def add(self, entity: int, iteration: int) -> None:
         if entity in self._seen:
             raise ValueError(f"entity {entity} recorded twice")
         if self.entries and iteration < self.entries[-1].iteration:
             raise ValueError("iteration numbers must not decrease")
         self._seen.add(entity)
-        self.entries.append(RemovalEntry(entity, iteration, z_after))
+        self.entries.append(RemovalEntry(entity, iteration))
 
     def entities(self) -> list[int]:
         return [e.entity for e in self.entries]
@@ -246,10 +248,10 @@ class ExitReason(Enum):
 
 
 class SearchEnv(Protocol):
-    """What a loop driver needs from the problem being searched.
+    """What `run_removal_loop` needs from the problem being searched.
 
-    Entities are row indices here and variable-pair indices in the
-    recovery module; the drivers never look inside them.
+    Entities are row indices for `solve_maxfs` and variable-pair indices
+    in the recovery module; the loop never looks inside them.
     """
 
     lp_count: int
@@ -260,9 +262,9 @@ class SearchEnv(Protocol):
         """(untruncated pool size, ranked and truncated list)."""
         ...
 
-    def probe(self, entity: int) -> tuple[float, LpSolution, object]:
+    def probe(self, entity: int) -> tuple[LpSolution, object]:
         """Tentatively delete `entity`: re-solve warm, put the engine
-        back, and return (z, solution, end-state for adoption)."""
+        back, and return (solution, end-state for adoption)."""
         ...
 
     def adopt(self, entity: int, state: object) -> None:
@@ -274,6 +276,79 @@ class SearchEnv(Protocol):
         ...
 
 
+# (solution, removed entities) -> (untruncated pool size, ranked and
+# truncated candidates)
+Ranking = Callable[[LpSolution, AbstractSet[int]], tuple[int, list[Candidate]]]
+
+
+class CostDeletionEnv:
+    """Search environment over one LP whose entities own cost columns.
+
+    Deleting an entity sets the costs of its columns (`columns[entity]`)
+    to `deleted_cost`; the constraints never change, so every re-solve
+    restarts warm from the engine's incumbent basis. `rank` orders the
+    candidates of a solution. When `infeasible` is given, an infeasible
+    LP raises ValueError with that message; otherwise any status but
+    OPTIMAL is a SolverError.
+    """
+
+    def __init__(
+        self,
+        problem: LpProblem,
+        columns: Sequence[Sequence[int]],
+        deleted_cost: float | None,
+        rank: Ranking,
+        engine: SimplexSolver | None = None,
+        infeasible: str | None = None,
+    ):
+        self.problem = problem
+        self.columns = columns
+        self.deleted_cost = deleted_cost
+        self.rank = rank
+        self.engine = engine if engine is not None else SimplexSolver()
+        self.infeasible = infeasible
+        self.costs = problem.c.copy()
+        self.removed: set[int] = set()
+        self.lp_count = 0
+
+    def _solve(self, costs: np.ndarray) -> LpSolution:
+        sol = self.engine.solve(self.problem.with_costs(costs))
+        self.lp_count += 1
+        if sol.status is LpStatus.INFEASIBLE and self.infeasible is not None:
+            raise ValueError(self.infeasible)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise SolverError(f"search subproblem ended {sol.status.name}")
+        return sol
+
+    def _delete(self, costs: np.ndarray, entity: int) -> None:
+        for col in self.columns[entity]:
+            costs[col] = self.deleted_cost
+
+    def solve_current(self) -> LpSolution:
+        return self._solve(self.costs.copy())
+
+    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
+        return self.rank(sol, self.removed)
+
+    def probe(self, entity: int) -> tuple[LpSolution, object]:
+        trial = self.costs.copy()
+        self._delete(trial, entity)
+        pre = self.engine.save_state()
+        sol = self._solve(trial)
+        post = self.engine.save_state()
+        self.engine.load_state(pre)
+        return sol, post
+
+    def adopt(self, entity: int, state: object) -> None:
+        self.remove_batch([entity])
+        self.engine.load_state(state)
+
+    def remove_batch(self, entities: Sequence[int]) -> None:
+        for e in entities:
+            self._delete(self.costs, e)
+            self.removed.add(e)
+
+
 @dataclass
 class LoopTelemetry:
     exit_reason: ExitReason
@@ -281,256 +356,112 @@ class LoopTelemetry:
     ledger: RemovalLedger
     z_history: list[float]
     removal_sizes: list[int]
-    last_solution: LpSolution | None
+    last_solution: LpSolution
     probes: int
 
 
-def _patch_pending(ledger: RemovalLedger, pending: list[int], z: float) -> None:
-    # batch deletions learn their z only at the next solve
-    for idx in pending:
-        e = ledger.entries[idx]
-        ledger.entries[idx] = replace(e, z_after=z)
-    pending.clear()
-
-
-def run_probing_loop(
+def run_removal_loop(
     env: SearchEnv,
     *,
     ztol: float,
-    exit_on_empty: bool = False,
-    e2_ell: int | None = None,
-    e2_first_iteration_only: bool = False,
-    singleton_shortcut: bool = True,
-    max_iterations: int,
-) -> LoopTelemetry:
-    """Greedy probe-everything-delete-the-best loop.
-
-    With `exit_on_empty` the loop runs until no candidates remain and a
-    positive final Z is acceptable; otherwise Z <= ztol is the goal and
-    an empty candidate list while Z > ztol is an error.
-    """
-    ledger = RemovalLedger()
-    pending: list[int] = []
-    z_history: list[float] = []
-    removal_sizes: list[int] = []
-    probes = 0
-
-    sol = env.solve_current()
-    z = sol.z
-    z_history.append(z)
-    if not exit_on_empty and z <= ztol:
-        return LoopTelemetry(ExitReason.FEASIBLE, 0, ledger, z_history, removal_sizes, sol, probes)
-
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > max_iterations:
-            raise SolverError(f"no convergence within {max_iterations} rounds")
-
-        pool_size, cands = env.candidates(sol)
-        if not cands:
-            if exit_on_empty:
-                return LoopTelemetry(
-                    ExitReason.EMPTY_CANDIDATES, iteration - 1, ledger,
-                    z_history, removal_sizes, sol, probes,
-                )
-            raise SolverError("objective positive but no candidate rows")
-
-        if singleton_shortcut and pool_size == 1:
-            # the sole candidate is the only remaining cause; deleting it
-            # leaves the incumbent point feasible, so no probe is needed
-            env.remove_batch([cands[0].entity])
-            ledger.add(cands[0].entity, iteration, z_after=np.nan)
-            pending.append(len(ledger.entries) - 1)
-            removal_sizes.append(1)
-            return LoopTelemetry(
-                ExitReason.SINGLETON, iteration, ledger,
-                z_history, removal_sizes, sol, probes,
-            )
-
-        if (
-            e2_ell is not None
-            and (iteration == 1 or not e2_first_iteration_only)
-            and len(cands) <= e2_ell
-        ):
-            ents = [c.entity for c in cands]
-            env.remove_batch(ents)
-            for e in ents:
-                ledger.add(e, iteration, z_after=np.nan)
-                pending.append(len(ledger.entries) - 1)
-            removal_sizes.append(len(ents))
-            return LoopTelemetry(
-                ExitReason.BULK_E2, iteration, ledger,
-                z_history, removal_sizes, sol, probes,
-            )
-
-        best: Candidate | None = None
-        best_z = np.inf
-        best_sol: LpSolution | None = None
-        best_state: object | None = None
-        adopted_early = False
-        for c in cands:
-            pz, psol, pstate = env.probe(c.entity)
-            probes += 1
-            if not exit_on_empty and pz <= ztol:
-                env.adopt(c.entity, pstate)
-                ledger.add(c.entity, iteration, z_after=pz)
-                removal_sizes.append(1)
-                z_history.append(pz)
-                sol = psol
-                adopted_early = True
-                break
-            if pz < best_z:
-                best, best_z, best_sol, best_state = c, pz, psol, pstate
-        if adopted_early:
-            return LoopTelemetry(
-                ExitReason.FEASIBLE, iteration, ledger,
-                z_history, removal_sizes, sol, probes,
-            )
-
-        assert best is not None and best_sol is not None
-        env.adopt(best.entity, best_state)
-        ledger.add(best.entity, iteration, z_after=best_z)
-        _patch_pending(ledger, pending, best_z)
-        removal_sizes.append(1)
-        z_history.append(best_z)
-        sol = best_sol
-        if not exit_on_empty and best_z <= ztol:
-            return LoopTelemetry(
-                ExitReason.FEASIBLE, iteration, ledger,
-                z_history, removal_sizes, sol, probes,
-            )
-
-
-def run_batch_loop(
-    env: SearchEnv,
-    *,
-    ztol: float,
+    batch: bool = False,
     beta: float = 1.0,
     exit_on_empty: bool = False,
     e2_ell: int | None = None,
-    e2_first_iteration_only: bool = True,
-    singleton_shortcut: bool = False,
+    e2_first_iteration_only: bool = False,
     max_iterations: int,
 ) -> LoopTelemetry:
-    """One solve per round; delete the leading score group wholesale.
+    """Greedy deletion rounds until Z <= ztol.
 
-    No singleton shortcut by default: a one-entry pool falls through to
-    the mean-change cut, which removes it and lets the next solve decide
-    whether the search is done. Same LP count, more robust exit."""
+    Each round ranks the candidates of the current solution and deletes
+    some of them. Probing (the default) tries every candidate and keeps
+    the one with the lowest Z; a feasible probe ends the round at once.
+    With `batch`, the head of the ranking, cut at the first mean change
+    of its scores, is deleted and the LP solved once.
+
+    With `exit_on_empty` the loop runs until no candidates remain and a
+    positive final Z is acceptable; otherwise an empty candidate list
+    while Z > ztol is an error. `max_iterations` caps the rounds.
+    """
     ledger = RemovalLedger()
-    pending: list[int] = []
-    z_history: list[float] = []
     removal_sizes: list[int] = []
-
+    probes = 0
     iteration = 0
-    while True:
+    exit_reason: ExitReason | None = None
+    sol = env.solve_current()
+    z_history = [sol.z]
+
+    while exit_on_empty or sol.z > ztol:
         if iteration >= max_iterations:
             raise SolverError(f"no convergence within {max_iterations} rounds")
-        sol = env.solve_current()
-        z = sol.z
-        z_history.append(z)
-        _patch_pending(ledger, pending, z)
-        if not exit_on_empty and z <= ztol:
-            return LoopTelemetry(
-                ExitReason.FEASIBLE, iteration, ledger,
-                z_history, removal_sizes, sol, 0,
-            )
-        iteration += 1
-
         pool_size, cands = env.candidates(sol)
         if not cands:
-            if exit_on_empty:
-                return LoopTelemetry(
-                    ExitReason.EMPTY_CANDIDATES, iteration - 1, ledger,
-                    z_history, removal_sizes, sol, 0,
-                )
-            raise SolverError("objective positive but no candidate rows")
+            if not exit_on_empty:
+                raise SolverError("objective positive but no candidates")
+            exit_reason = ExitReason.EMPTY_CANDIDATES
+            break
+        iteration += 1
 
-        if singleton_shortcut and pool_size == 1:
-            env.remove_batch([cands[0].entity])
-            ledger.add(cands[0].entity, iteration, z_after=np.nan)
-            pending.append(len(ledger.entries) - 1)
-            removal_sizes.append(1)
-            return LoopTelemetry(
-                ExitReason.SINGLETON, iteration, ledger,
-                z_history, removal_sizes, sol, 0,
-            )
-
-        if (
+        if not batch and pool_size == 1:
+            # the sole candidate is the only remaining cause; deleting it
+            # leaves the incumbent point feasible, so no probe is needed.
+            # The batch policy cuts it like any list and lets the next
+            # solve decide: same LP count, more robust exit.
+            exit_reason = ExitReason.SINGLETON
+        elif (
             e2_ell is not None
             and (iteration == 1 or not e2_first_iteration_only)
             and len(cands) <= e2_ell
         ):
-            ents = [c.entity for c in cands]
-            env.remove_batch(ents)
-            for e in ents:
-                ledger.add(e, iteration, z_after=np.nan)
-                pending.append(len(ledger.entries) - 1)
-            removal_sizes.append(len(ents))
-            return LoopTelemetry(
-                ExitReason.BULK_E2, iteration, ledger,
-                z_history, removal_sizes, sol, 0,
-            )
+            exit_reason = ExitReason.BULK_E2
+        elif not batch:
+            best = None
+            for c in cands:
+                psol, pstate = env.probe(c.entity)
+                probes += 1
+                if best is None or psol.z < sol.z:
+                    best, sol, state = c.entity, psol, pstate
+                if not exit_on_empty and sol.z <= ztol:
+                    break  # a feasible probe cannot be beaten
+            env.adopt(best, state)
+            ledger.add(best, iteration)
+            removal_sizes.append(1)
+            z_history.append(sol.z)
+            continue
+        else:
+            scores = np.array([c.score for c in cands])
+            cands = cands[: first_mean_change(scores, beta=beta)]
 
-        scores = np.array([c.score for c in cands])
-        p = first_mean_change(scores, beta=beta)
-        ents = [c.entity for c in cands[:p]]
+        ents = [c.entity for c in cands]
         env.remove_batch(ents)
         for e in ents:
-            ledger.add(e, iteration, z_after=np.nan)
-            pending.append(len(ledger.entries) - 1)
+            ledger.add(e, iteration)
         removal_sizes.append(len(ents))
+        if exit_reason is not None:
+            break
+        sol = env.solve_current()
+        z_history.append(sol.z)
+    else:
+        exit_reason = ExitReason.FEASIBLE
+
+    return LoopTelemetry(
+        exit_reason, iteration, ledger, z_history, removal_sizes, sol, probes
+    )
 
 
-class _RowEnv:
-    """Search environment whose entities are rows of an elastic model."""
-
-    def __init__(self, model: ElasticModel, engine: SimplexSolver, cfg: StrategyConfig):
-        self.model = model
-        self.engine = engine
-        self.cfg = cfg
-        self.lp_count = 0
-
-    def _checked(self, sol: LpSolution) -> LpSolution:
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverError(f"elastic subproblem ended {sol.status.name}")
-        return sol
-
-    def solve_current(self) -> LpSolution:
-        self.lp_count += 1
-        return self._checked(self.engine.solve(self.model.lp_problem()))
-
-    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
-        cfg = self.cfg
+def _row_ranking(model: ElasticModel, cfg: StrategyConfig) -> Ranking:
+    def rank(sol: LpSolution, removed: AbstractSet[int]) -> tuple[int, list[Candidate]]:
+        view = replace(model, removed_rows=model.removed_rows | removed)
+        if cfg.algorithm == 3:
+            vio, sat = _alg3_lists(sol, view, cfg.violation_tol, cfg.dual_tol)
+            return len(vio) + len(sat), vio[: cfg.k] + sat[: cfg.k]
         if cfg.algorithm == 1:
-            pool = build_candidates_alg1(sol, self.model, None, cfg.dual_tol)
-            return len(pool), pool[: cfg.k] if cfg.k is not None else pool
-        if cfg.algorithm == 2:
-            pool = build_candidates_alg2(sol, self.model, None, cfg.violation_tol)
-            return len(pool), pool[: cfg.k] if cfg.k is not None else pool
-        vio, sat = _alg3_lists(sol, self.model, cfg.violation_tol, cfg.dual_tol)
-        merged = (
-            vio + sat if cfg.k is None else vio[: cfg.k] + sat[: cfg.k]
-        )
-        return len(vio) + len(sat), merged
+            pool = build_candidates_alg1(sol, view, None, cfg.dual_tol)
+        else:
+            pool = build_candidates_alg2(sol, view, None, cfg.violation_tol)
+        return len(pool), pool[: cfg.k]
 
-    def probe(self, entity: int) -> tuple[float, LpSolution, object]:
-        trial = self.model.remove_row(entity)
-        pre = self.engine.save_state()
-        sol = self._checked(self.engine.solve(trial.lp_problem()))
-        post = self.engine.save_state()
-        self.engine.load_state(pre)
-        self.lp_count += 1
-        return sol.z, sol, post
-
-    def adopt(self, entity: int, state: object) -> None:
-        self.model = self.model.remove_row(entity)
-        self.engine.load_state(state)
-
-    def remove_batch(self, entities: Sequence[int]) -> None:
-        for e in entities:
-            self.model = self.model.remove_row(e)
+    return rank
 
 
 @dataclass
@@ -572,50 +503,37 @@ def solve_maxfs(
     """
     cfg = config or StrategyConfig()
     model = source if isinstance(source, ElasticModel) else elasticize(source)
-    if engine is None:
-        engine = SimplexSolver()
-    env = _RowEnv(model, engine, cfg)
+    env = CostDeletionEnv(
+        model.lp_problem(), model.row_elastics, 0.0, _row_ranking(model, cfg), engine
+    )
     cap = cfg.max_iterations if cfg.max_iterations is not None else 10 * model.base.m
 
     t0 = time.perf_counter()
-    if cfg.use_e1:
-        tel = run_batch_loop(
-            env,
-            ztol=cfg.ztol,
-            beta=cfg.beta,
-            e2_ell=cfg.e2_ell,
-            e2_first_iteration_only=cfg.e2_first_iteration_only,
-            max_iterations=cap,
-        )
-    else:
-        tel = run_probing_loop(
-            env,
-            ztol=cfg.ztol,
-            e2_ell=cfg.e2_ell,
-            e2_first_iteration_only=cfg.e2_first_iteration_only,
-            max_iterations=cap,
-        )
-
+    tel = run_removal_loop(
+        env,
+        ztol=cfg.ztol,
+        batch=cfg.use_e1,
+        beta=cfg.beta,
+        e2_ell=cfg.e2_ell,
+        e2_first_iteration_only=cfg.e2_first_iteration_only,
+        max_iterations=cap,
+    )
+    final_sol = tel.last_solution
     if tel.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2):
         # those exits delete without solving; one finishing solve yields
         # the surviving system's solution and the definitive Z
-        fsol = env.solve_current()
-        tel.z_history.append(fsol.z)
-        _patch_pending_tail(tel.ledger, fsol.z)
-        final_sol, final_z = fsol, fsol.z
-    else:
-        assert tel.last_solution is not None
-        final_sol, final_z = tel.last_solution, tel.z_history[-1]
+        final_sol = env.solve_current()
+        tel.z_history.append(final_sol.z)
     seconds = time.perf_counter() - t0
 
-    if tel.exit_reason is not ExitReason.BULK_E2 and final_z > cfg.ztol:
-        raise SolverError(f"search ended with Z={final_z:.3e} above tolerance")
+    if tel.exit_reason is not ExitReason.BULK_E2 and final_sol.z > cfg.ztol:
+        raise SolverError(f"search ended with Z={final_sol.z:.3e} above tolerance")
 
     return MaxFsResult(
         ledger=tel.ledger,
-        final_z=final_z,
+        final_z=final_sol.z,
         final_solution=final_sol,
-        model=env.model,
+        model=replace(model, removed_rows=model.removed_rows | env.removed),
         lp_count=env.lp_count,
         iterations=tel.iterations,
         probes=tel.probes,
@@ -624,9 +542,3 @@ def solve_maxfs(
         z_history=tel.z_history,
         removal_sizes=tel.removal_sizes,
     )
-
-
-def _patch_pending_tail(ledger: RemovalLedger, z: float) -> None:
-    for idx, e in enumerate(ledger.entries):
-        if np.isnan(e.z_after):
-            ledger.entries[idx] = replace(e, z_after=z)

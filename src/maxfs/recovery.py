@@ -9,9 +9,11 @@ nonzeros satisfying A y = b.  The convex workhorse is l1 minimization
 Past the sparsity level where a single l1 solve stops recovering the
 planted signal, iterative variants keep going: treat "variable j is
 allowed to be nonzero" as a deletion decision and run the greedy
-deletion search from `core` over variables instead of rows.  Deleting a
-variable means dropping (or shrinking) its objective coefficients so
-its magnitude is no longer penalised.  Two LP shapes support this:
+deletion search from `core` (`run_removal_loop` over a
+`CostDeletionEnv`) on variables instead of rows.  Deleting a variable
+means dropping (or shrinking) the objective coefficients of its column
+pair so its magnitude is no longer penalised.  Two LP shapes support
+this:
 
   split form      the basis-pursuit LP above; deleting j rescales the
                   costs of the pair (u_j, v_j)
@@ -22,17 +24,17 @@ its magnitude is no longer penalised.  Two LP shapes support this:
 Methods, named by their selection rule:
 
   basis_pursuit   one split-form solve
-  method_b        probing loop on the split form; candidate variables
+  method_b        probing search on the split form; candidate variables
                   ranked by |u_j - v_j|; deleted pairs keep a residual
                   cost of 0.1; stops when no undeleted variable is
                   nonzero
-  method_c        probing loop on the zeroing form with two candidate
+  method_c        probing search on the zeroing form with two candidate
                   lists (|x_j| and the zeroing-row dual price); deleted
                   pairs cost 0; stops when the penalty objective hits 0
   method_m        basis pursuit first; if its support is already small
                   (fewer than m - 3 nonzeros) keep it, otherwise fall
                   back to method_b
-  method_me1e2    batch loop on the split form: one solve per round,
+  method_me1e2    batch search on the split form: one solve per round,
                   delete the leading group of the |u_j - v_j| ranking at
                   the first mean change; on the first round only, if at
                   most `ell` variables are nonzero, delete them all and
@@ -48,20 +50,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .core import Candidate, CandidateKind, run_batch_loop, run_probing_loop
-from .simplex import (
-    LpProblem,
-    LpSolution,
-    LpStatus,
-    Sense,
-    SimplexSolver,
-    SolverError,
-    make_problem,
-)
+from .core import Candidate, CandidateKind, CostDeletionEnv, _ranked, run_removal_loop
+from .simplex import LpSolution, Sense, SolverError, make_problem
 
 __all__ = [
     "RecoveryProblem",
@@ -76,6 +68,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-7     # |value| above this counts as a nonzero
+DUAL_TOL = 1e-8     # |zeroing-row dual| above this makes a method_c candidate
 RESIDUAL_TOL = 1e-6  # every returned y must satisfy ||A y - b||_inf <= this
 
 
@@ -162,172 +155,84 @@ def _finish(
     )
 
 
-class _SplitEnv:
-    """Split-form LP with per-pair deletable costs."""
-
-    def __init__(self, prob: RecoveryProblem, k: int | None, reset_cost: float):
-        self.prob = prob
-        self.k = k
-        self.reset_cost = reset_cost
-        n = prob.n
-        A_lp = np.hstack([prob.A, -prob.A])
-        senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
-        lower = np.zeros(2 * n)
-        self.base = make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=lower)
-        self.costs = np.ones(2 * n)
-        self.removed: set[int] = set()
-        self.engine = SimplexSolver()
-        self.lp_count = 0
-
-    def _problem(self, costs: np.ndarray) -> LpProblem:
-        return self.base.with_costs(costs.copy())
-
-    def _solve(self, costs: np.ndarray) -> LpSolution:
-        sol = self.engine.solve(self._problem(costs))
-        self.lp_count += 1
-        if sol.status is LpStatus.INFEASIBLE:
-            raise ValueError("b is not in the range of A: nothing to recover")
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverError(f"recovery subproblem ended {sol.status.name}")
-        return sol
-
-    def solve_current(self) -> LpSolution:
-        return self._solve(self.costs)
-
-    def y_of(self, sol: LpSolution) -> np.ndarray:
-        n = self.prob.n
-        return sol.x[:n] - sol.x[n : 2 * n]
-
-    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
-        y = self.y_of(sol)
-        pairs = [
-            (j, abs(float(y[j])))
-            for j in range(self.prob.n)
-            if j not in self.removed and abs(y[j]) > self.prob.zero_tol
-        ]
-        pairs.sort(key=lambda t: (-t[1], t[0]))
-        pool = [Candidate(j, s, CandidateKind.VALUE) for j, s in pairs]
-        return len(pool), pool if self.k is None else pool[: self.k]
-
-    def _pair_costs(self, costs: np.ndarray, j: int) -> None:
-        costs[j] = self.reset_cost
-        costs[self.prob.n + j] = self.reset_cost
-
-    def probe(self, j: int) -> tuple[float, LpSolution, object]:
-        trial = self.costs.copy()
-        self._pair_costs(trial, j)
-        pre = self.engine.save_state()
-        sol = self._solve(trial)
-        post = self.engine.save_state()
-        self.engine.load_state(pre)
-        return sol.z, sol, post
-
-    def adopt(self, j: int, state: object) -> None:
-        self._pair_costs(self.costs, j)
-        self.removed.add(j)
-        self.engine.load_state(state)
-
-    def remove_batch(self, js: Sequence[int]) -> None:
-        for j in js:
-            self._pair_costs(self.costs, j)
-            self.removed.add(j)
+_RANGE_ERROR = "b is not in the range of A: nothing to recover"
 
 
-class _ZeroEnv:
-    """Zeroing-form LP: x free, rows x_j + e_j^+ - e_j^- = 0 carry the
-    penalties. Deleting j zeroes the costs of its e pair."""
+def _split_env(prob: RecoveryProblem, deleted_cost: float | None, k: int | None = None):
+    """Split form: columns (u, v), y = u - v, entity j owns (u_j, v_j).
+    Candidates are the undeleted nonzeros ranked by |y_j|."""
+    n = prob.n
+    A_lp = np.hstack([prob.A, -prob.A])
+    senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
+    problem = make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=np.zeros(2 * n))
 
-    def __init__(self, prob: RecoveryProblem, k: int | None, dual_tol: float = 1e-8):
-        self.prob = prob
-        self.k = k
-        self.dual_tol = dual_tol
-        m, n = prob.m, prob.n
-        ncols = 3 * n
-        A_lp = np.zeros((m + n, ncols))
-        A_lp[:m, :n] = prob.A
-        A_lp[m:, :n] = np.eye(n)
-        A_lp[m:, n : 2 * n] = np.eye(n)
-        A_lp[m:, 2 * n :] = -np.eye(n)
-        senses = np.full(m + n, Sense.EQ, dtype=np.int8)
-        b_lp = np.concatenate([prob.b, np.zeros(n)])
-        lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)])
-        costs = np.concatenate([np.zeros(n), np.ones(2 * n)])
-        self.base = make_problem(costs, A_lp, senses, b_lp, lower=lower)
-        self.costs = costs.copy()
-        self.removed: set[int] = set()
-        self.engine = SimplexSolver()
-        self.lp_count = 0
+    def rank(sol: LpSolution, removed) -> tuple[int, list[Candidate]]:
+        y = _split_y(sol)
+        pool = _ranked(
+            [
+                (j, abs(float(y[j])))
+                for j in range(n)
+                if j not in removed and abs(y[j]) > prob.zero_tol
+            ],
+            CandidateKind.VALUE,
+        )
+        return len(pool), pool[:k]
 
-    def _solve(self, costs: np.ndarray) -> LpSolution:
-        sol = self.engine.solve(self.base.with_costs(costs.copy()))
-        self.lp_count += 1
-        if sol.status is LpStatus.INFEASIBLE:
-            raise ValueError("b is not in the range of A: nothing to recover")
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverError(f"recovery subproblem ended {sol.status.name}")
-        return sol
+    columns = [(j, n + j) for j in range(n)]
+    return CostDeletionEnv(problem, columns, deleted_cost, rank, infeasible=_RANGE_ERROR)
 
-    def solve_current(self) -> LpSolution:
-        return self._solve(self.costs)
 
-    def y_of(self, sol: LpSolution) -> np.ndarray:
-        return sol.x[: self.prob.n].copy()
+def _split_y(sol: LpSolution) -> np.ndarray:
+    n = sol.x.size // 2
+    return sol.x[:n] - sol.x[n:]
 
-    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
-        n, m = self.prob.n, self.prob.m
+
+def _zero_env(prob: RecoveryProblem, k: int | None):
+    """Zeroing form: x free, rows x_j + e_j^+ - e_j^- = 0 carry the
+    penalties, entity j owns (e_j^+, e_j^-). Candidates are the
+    undeleted nonzeros ranked by |x_j|, then those ranked by the dual
+    price of their zeroing row; `k` truncates each list."""
+    m, n = prob.m, prob.n
+    A_lp = np.zeros((m + n, 3 * n))
+    A_lp[:m, :n] = prob.A
+    A_lp[m:, :n] = np.eye(n)
+    A_lp[m:, n : 2 * n] = np.eye(n)
+    A_lp[m:, 2 * n :] = -np.eye(n)
+    senses = np.full(m + n, Sense.EQ, dtype=np.int8)
+    b_lp = np.concatenate([prob.b, np.zeros(n)])
+    lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)])
+    costs = np.concatenate([np.zeros(n), np.ones(2 * n)])
+    problem = make_problem(costs, A_lp, senses, b_lp, lower=lower)
+
+    def rank(sol: LpSolution, removed) -> tuple[int, list[Candidate]]:
         x = sol.x[:n]
         zero_duals = sol.duals[m : m + n]
         vals: list[tuple[int, float]] = []
         duals: list[tuple[int, float]] = []
         for j in range(n):
-            if j in self.removed:
+            if j in removed:
                 continue
-            if abs(x[j]) > self.prob.zero_tol:
+            if abs(x[j]) > prob.zero_tol:
                 vals.append((j, abs(float(x[j]))))
-            if abs(zero_duals[j]) > self.dual_tol:
+            if abs(zero_duals[j]) > DUAL_TOL:
                 duals.append((j, abs(float(zero_duals[j]))))
-        vals.sort(key=lambda t: (-t[1], t[0]))
-        duals.sort(key=lambda t: (-t[1], t[0]))
-        l1 = [Candidate(j, s, CandidateKind.VALUE) for j, s in vals]
-        l2 = [Candidate(j, s, CandidateKind.DUAL) for j, s in duals]
-        if self.k is not None:
-            l1, l2 = l1[: self.k], l2[: self.k]
+        l1 = _ranked(vals, CandidateKind.VALUE)[:k]
+        l2 = _ranked(duals, CandidateKind.DUAL)[:k]
         seen = {c.entity for c in l1}
         merged = l1 + [c for c in l2 if c.entity not in seen]
         pool = len({j for j, _ in vals} | {j for j, _ in duals})
         return pool, merged
 
-    def _pair_costs(self, costs: np.ndarray, j: int) -> None:
-        n = self.prob.n
-        costs[n + j] = 0.0
-        costs[2 * n + j] = 0.0
-
-    def probe(self, j: int) -> tuple[float, LpSolution, object]:
-        trial = self.costs.copy()
-        self._pair_costs(trial, j)
-        pre = self.engine.save_state()
-        sol = self._solve(trial)
-        post = self.engine.save_state()
-        self.engine.load_state(pre)
-        return sol.z, sol, post
-
-    def adopt(self, j: int, state: object) -> None:
-        self._pair_costs(self.costs, j)
-        self.removed.add(j)
-        self.engine.load_state(state)
-
-    def remove_batch(self, js: Sequence[int]) -> None:
-        for j in js:
-            self._pair_costs(self.costs, j)
-            self.removed.add(j)
+    columns = [(n + j, 2 * n + j) for j in range(n)]
+    return CostDeletionEnv(problem, columns, 0.0, rank, infeasible=_RANGE_ERROR)
 
 
 def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
     """Single minimum-l1 solve."""
     t0 = time.perf_counter()
-    env = _SplitEnv(prob, k=None, reset_cost=1.0)
+    env = _split_env(prob, deleted_cost=None)  # nothing is deleted
     sol = env.solve_current()
-    return _finish("bp", prob, env.y_of(sol), env.lp_count, 0, t0)
+    return _finish("bp", prob, _split_y(sol), env.lp_count, 0, t0)
 
 
 def _cap(prob: RecoveryProblem) -> int:
@@ -337,34 +242,28 @@ def _cap(prob: RecoveryProblem) -> int:
 def method_b(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     """Greedy probing over split-form pairs, deleted pairs cost 0.1."""
     t0 = time.perf_counter()
-    env = _SplitEnv(prob, k=k, reset_cost=0.1)
-    tel = run_probing_loop(
+    env = _split_env(prob, 0.1, k)
+    tel = run_removal_loop(
         env, ztol=prob.ztol, exit_on_empty=True, max_iterations=_cap(prob)
     )
-    assert tel.last_solution is not None
-    return _finish("b", prob, env.y_of(tel.last_solution), env.lp_count, tel.iterations, t0)
+    return _finish("b", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
 
 
 def jokar_pfetsch(prob: RecoveryProblem, k: int | None = None) -> RecoveryResult:
     """Reference probing variant: deleted pairs cost 0, stop at Z = 0."""
     t0 = time.perf_counter()
-    env = _SplitEnv(prob, k=k, reset_cost=0.0)
-    tel = run_probing_loop(
-        env, ztol=prob.ztol, exit_on_empty=False, max_iterations=_cap(prob)
-    )
-    assert tel.last_solution is not None
-    return _finish("jp", prob, env.y_of(tel.last_solution), env.lp_count, tel.iterations, t0)
+    env = _split_env(prob, 0.0, k)
+    tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
+    return _finish("jp", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
 
 
 def method_c(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     """Greedy probing over the zeroing form, stop at penalty zero."""
     t0 = time.perf_counter()
-    env = _ZeroEnv(prob, k=k)
-    tel = run_probing_loop(
-        env, ztol=prob.ztol, exit_on_empty=False, max_iterations=_cap(prob)
-    )
-    assert tel.last_solution is not None
-    return _finish("c", prob, env.y_of(tel.last_solution), env.lp_count, tel.iterations, t0)
+    env = _zero_env(prob, k)
+    tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
+    y = tel.last_solution.x[: prob.n].copy()
+    return _finish("c", prob, y, env.lp_count, tel.iterations, t0)
 
 
 def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
@@ -383,7 +282,7 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
 
 
 def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResult:
-    """Batch-removal loop on the split form.
+    """Batch removal on the split form.
 
     One LP per round; the leading group of the |u_j - v_j| ranking is
     deleted wholesale at the first mean change. A first-round bulk exit
@@ -394,18 +293,18 @@ def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResul
     if ell is None:
         ell = prob.m - 3
     e2 = ell if ell >= 1 else None
-    env = _SplitEnv(prob, k=None, reset_cost=0.1)
-    tel = run_batch_loop(
+    env = _split_env(prob, 0.1)
+    tel = run_removal_loop(
         env,
         ztol=prob.ztol,
+        batch=True,
         exit_on_empty=True,
         e2_ell=e2,
         e2_first_iteration_only=True,
         max_iterations=_cap(prob),
     )
-    assert tel.last_solution is not None
     return _finish(
-        "me1e2", prob, env.y_of(tel.last_solution), env.lp_count, tel.iterations, t0
+        "me1e2", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0
     )
 
 

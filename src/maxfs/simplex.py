@@ -1,8 +1,8 @@
 """Bounded-variable revised simplex over dense matrices.
 
 Solves   min c.x   s.t.   A x {<=,=,>=} b,   l <= x <= u
-with +-inf bounds allowed. Returns primal values, row duals, reduced
-costs and a reusable basis token.
+with +-inf bounds allowed. Returns primal values, row duals and reduced
+costs.
 
 Design notes:
 
@@ -20,15 +20,17 @@ Design notes:
   a dedicated penalty column) normally start feasible and skip phase 1
   entirely.
 * Cost-only re-solves keep the current basis and primal values, which
-  stay feasible, and continue phase 2 from there. `probe` wraps a
-  re-solve in a state snapshot/restore so callers can evaluate a cost
-  change without losing the incumbent basis.
+  stay feasible, and continue phase 2 from there. `save_state` and
+  `load_state` snapshot and restore that state, so a caller can try a
+  cost change and return to the incumbent basis without refactoring.
+  A solve that proves the LP infeasible leaves no state behind; the
+  next solve starts cold.
 * Anti-cycling: Dantzig pricing by default, switching to Bland's rule
   after `bland_after` consecutive degenerate pivots, back on progress.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -152,15 +154,6 @@ def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
     return LpProblem(c=c, structure=structure)
 
 
-@dataclass(frozen=True)
-class BasisToken:
-    """Opaque warm-start token: basis membership plus nonbasic states."""
-
-    structure: LpStructure
-    basis: np.ndarray
-    vstat: np.ndarray
-
-
 @dataclass
 class LpSolution:
     status: LpStatus
@@ -168,7 +161,6 @@ class LpSolution:
     x: np.ndarray             # structural variables only
     duals: np.ndarray         # one per row
     reduced_costs: np.ndarray  # structural variables only
-    basis: BasisToken | None
     iterations: int
 
 
@@ -204,34 +196,17 @@ class SimplexSolver:
     # ------------------------------------------------------------------
     # public API
 
-    def solve(self, problem: LpProblem, warm: BasisToken | None = None) -> LpSolution:
-        """Solve `problem`. A warm token, or a prior solve on the same
-        structure object, restarts from that basis instead of scratch."""
+    def solve(self, problem: LpProblem) -> LpSolution:
+        """Solve `problem`. A prior solve on the same structure object
+        restarts from that basis instead of scratch."""
         if self._structure is not problem.structure:
             self._bind(problem.structure)
         self._set_costs(problem.c)
         self._total_iterations = 0
-        started = False
-        if warm is not None and warm.structure is problem.structure:
-            started = self._install_token(warm)
-        elif self._have_state:
-            started = True
-        if not started:
-            if not self._cold_start():
-                return self._solution(problem, LpStatus.INFEASIBLE)
+        if not self._have_state and not self._cold_start():
+            return self._solution(problem, LpStatus.INFEASIBLE)
         status = self._optimize(phase=2)
         return self._solution(problem, status)
-
-    def probe(self, problem: LpProblem) -> LpSolution:
-        """Solve a cost variant of the bound structure and restore the
-        incumbent state afterwards. Requires a prior solve."""
-        if self._structure is not problem.structure or not self._have_state:
-            raise SolverError("probe requires a prior solve on the same structure")
-        snap = self.save_state()
-        try:
-            return self.solve(problem)
-        finally:
-            self.load_state(snap)
 
     def save_state(self) -> "_Snapshot":
         """Full state snapshot (basis, values, factorisation). Restoring
@@ -242,15 +217,6 @@ class SimplexSolver:
 
     def load_state(self, snap: "_Snapshot") -> None:
         self._restore(snap)
-
-    def token(self) -> BasisToken:
-        if not self._have_state:
-            raise SolverError("no solved state to snapshot")
-        return BasisToken(
-            structure=self._structure,
-            basis=self._basis.copy(),
-            vstat=self._vstat.copy(),
-        )
 
     # ------------------------------------------------------------------
     # workspace
@@ -314,7 +280,7 @@ class SimplexSolver:
 
     def _cold_start(self) -> bool:
         """Crash a starting basis; run phase 1 if artificials are needed.
-        Returns False on proven infeasibility."""
+        Returns False on proven infeasibility, leaving no warm state."""
         m, n = self._m, self._n
         self._lo[n + m:] = 0.0
         self._hi[n + m:] = 0.0
@@ -376,7 +342,6 @@ class SimplexSolver:
         self._x = x
         self._pivots_since_refactor = 0
         self._refactor()
-        self._have_state = True
 
         if art_rows:
             phase1_costs = np.zeros(self._ncols)
@@ -398,6 +363,7 @@ class SimplexSolver:
             self._lo[n + m:] = 0.0
             self._hi[n + m:] = 0.0
             self._x[art] = np.where(np.abs(self._x[art]) < tol, 0.0, self._x[art])
+        self._have_state = True
         return True
 
     def _pivot_out_artificials(self) -> None:
@@ -427,36 +393,6 @@ class SimplexSolver:
             self._apply_pivot(best, pos, w)
             self._vstat[j] = NB_LOWER
             self._x[j] = 0.0
-
-    def _install_token(self, tok: BasisToken) -> bool:
-        """Load a light warm-start token. Returns False if the basis is
-        unusable (caller falls back to a cold start)."""
-        m, n = self._m, self._n
-        basis = tok.basis.copy()
-        vstat = tok.vstat.copy()
-        if basis.shape != (m,) or vstat.shape != (self._ncols,):
-            return False
-        x = np.zeros(self._ncols)
-        nb_lower = vstat == NB_LOWER
-        nb_upper = vstat == NB_UPPER
-        x[nb_lower] = np.where(np.isfinite(self._lo[nb_lower]), self._lo[nb_lower], 0.0)
-        x[nb_upper] = np.where(np.isfinite(self._hi[nb_upper]), self._hi[nb_upper], 0.0)
-        self._basis = basis
-        self._vstat = vstat
-        self._x = x
-        self._pivots_since_refactor = 0
-        try:
-            self._refactor()
-        except np.linalg.LinAlgError:
-            self._have_state = False
-            return False
-        tol = 1e-6
-        xb = self._x[basis]
-        if np.any(xb < self._lo[basis] - tol) or np.any(xb > self._hi[basis] + tol):
-            self._have_state = False
-            return False
-        self._have_state = True
-        return True
 
     # ------------------------------------------------------------------
     # core iteration
@@ -630,7 +566,6 @@ class SimplexSolver:
             x=x,
             duals=y,
             reduced_costs=d[:n].copy(),
-            basis=self.token() if self._have_state else None,
             iterations=self._total_iterations,
         )
 

@@ -20,9 +20,7 @@ from maxfs.changepoint import first_mean_change
 from maxfs.classify import (
     Dataset,
     build_constraints,
-    classify_2e1,
-    classify_2inf,
-    classify_2k1,
+    classify,
     load_csv,
 )
 from maxfs.cli import main
@@ -194,11 +192,11 @@ def test_criterion_4_reference_dataset_or_substitute():
         return
     ds = load_csv(path, "class", positive_label="4")
     assert ds.I >= 600 and ds.J == 9
-    batch = classify_2e1(ds)
+    batch = classify(ds, "2e1")
     assert abs(batch.accuracy - 0.9839) <= 0.006
     assert batch.lp_count <= 12
-    for fn in (classify_2inf, classify_2k1):
-        rep = fn(ds)
+    for variant in ("2inf", "2k1"):
+        rep = classify(ds, variant)
         assert abs(rep.accuracy - 0.9810) <= 0.006
 
 
@@ -208,8 +206,8 @@ def run_synthetic_classification_checks():
         features=np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 4.0], [5.0, 4.0]]),
         labels=np.array([0, 0, 1, 1]),
     )
-    for fn in (classify_2e1, classify_2inf, classify_2k1):
-        rep = fn(sep)
+    for variant in ("2e1", "2inf", "2k1"):
+        rep = classify(sep, variant)
         assert rep.accuracy == 1.0
         assert rep.lp_count == 1
 
@@ -222,8 +220,8 @@ def run_synthetic_classification_checks():
         rows for rows in combinations(range(4), 3) if scipy_feasible(margin, rows)
     ]
     assert len(singles) == 4  # every single deletion restores feasibility
-    for fn in (classify_2e1, classify_2inf, classify_2k1):
-        rep = fn(XOR)
+    for variant in ("2e1", "2inf", "2k1"):
+        rep = classify(XOR, variant)
         assert len(rep.removed_points) == 1
         assert rep.accuracy == 0.75
 
@@ -234,8 +232,8 @@ def test_criterion_5_synthetic_classification():
     reductions = []
     for seed in range(20):
         ds = overlapping_dataset(seed)
-        full = classify_2inf(ds)
-        batch = classify_2e1(ds)
+        full = classify(ds, "2inf")
+        batch = classify(ds, "2e1")
         assert batch.lp_count < full.lp_count, f"dataset {seed}"
         reductions.append(1.0 - batch.lp_count / full.lp_count)
     assert float(np.mean(reductions)) >= 0.80

@@ -10,9 +10,6 @@ from maxfs.classify import (
     Hyperplane,
     build_constraints,
     classify,
-    classify_2e1,
-    classify_2inf,
-    classify_2k1,
     load_csv,
 )
 
@@ -59,9 +56,9 @@ def test_build_constraints_requires_positive_margin():
 
 
 def test_separable_dataset_fits_perfectly_in_one_lp():
-    for fn in (classify_2e1, classify_2inf, classify_2k1):
-        rep = fn(SEPARABLE)
-        assert rep.accuracy == 1.0, fn.__name__
+    for variant in ("2e1", "2inf", "2k1"):
+        rep = classify(SEPARABLE, variant)
+        assert rep.accuracy == 1.0, variant
         assert rep.lp_count == 1
         assert rep.removed_points == ()
         assert rep.misclassified == ()
@@ -78,14 +75,14 @@ def test_xor_caps_at_three_of_four():
 
 def test_margin_is_respected_on_kept_points():
     eps = 1.5
-    rep = classify_2inf(SEPARABLE, epsilon=eps)
+    rep = classify(SEPARABLE, "2inf", epsilon=eps)
     scores = rep.hyperplane.scores(SEPARABLE.features)
     signed = np.where(SEPARABLE.labels == 1, scores, -scores)
     assert np.all(signed >= eps - 1e-8)
 
 
 def test_accuracy_counts_all_points_not_just_kept_ones():
-    rep = classify_2e1(XOR)
+    rep = classify(XOR, "2e1")
     kept = [i for i in range(XOR.I) if i not in rep.removed_points]
     pred = rep.hyperplane.predict(XOR.features)
     kept_right = sum(pred[i] == XOR.labels[i] for i in kept)
@@ -110,8 +107,8 @@ def test_batch_variant_solves_fewer_lps_on_overlapping_classes():
     F = np.vstack([rng.normal(0.0, 1.0, size=(25, 2)), rng.normal(0.8, 1.0, size=(25, 2))])
     y = np.repeat([0, 1], 25)
     ds = Dataset(F, y)
-    full = classify_2inf(ds)
-    batch = classify_2e1(ds)
+    full = classify(ds, "2inf")
+    batch = classify(ds, "2e1")
     assert len(full.removed_points) >= 2  # overlap forces real work
     assert batch.accuracy > 0.5 and full.accuracy > 0.5
     assert batch.lp_count < full.lp_count

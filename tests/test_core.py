@@ -1,4 +1,4 @@
-"""Candidate builders, loop drivers, and the row-deletion search."""
+"""Candidate builders, the removal loop, and the row-deletion search."""
 
 from __future__ import annotations
 
@@ -10,21 +10,23 @@ import pytest
 from maxfs.core import (
     Candidate,
     CandidateKind,
+    CostDeletionEnv,
     ExitReason,
     RemovalLedger,
     StrategyConfig,
     build_candidates_alg1,
     build_candidates_alg2,
     build_candidates_alg3,
-    run_batch_loop,
-    run_probing_loop,
+    run_removal_loop,
     solve_maxfs,
 )
+from maxfs.recovery import RecoveryProblem, _zero_env
 from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
 from maxfs.systems import ElasticMode, elasticize, system
 
 from conftest import (
     min_cover_size,
+    planted_instance,
     random_feasible_system,
     random_infeasible_system,
     scipy_feasible,
@@ -49,7 +51,6 @@ def _handmade():
         x=x,
         duals=duals,
         reduced_costs=np.zeros(6),
-        basis=None,
         iterations=0,
     )
     return model, sol
@@ -100,20 +101,19 @@ def test_equal_scores_rank_by_row_index():
         x=np.array([0.0, 0.3, 0.3]),
         duals=np.array([1.0, 1.0]),
         reduced_costs=np.zeros(3),
-        basis=None,
         iterations=0,
     )
     assert [c.entity for c in build_candidates_alg2(sol, model)] == [0, 1]
 
 
 # ----------------------------------------------------------------------
-# loop drivers, on a scripted environment with no LP inside
+# the removal loop, on a scripted environment with no LP inside
 
 
 class ToyEnv:
     """Z is the sum of active weights; deleting an entity subtracts its
     weight. Candidates are the active positive-weight entities, largest
-    first. Mirrors the protocol the drivers rely on, nothing more."""
+    first. Mirrors the protocol the loop relies on, nothing more."""
 
     def __init__(self, weights, k=None):
         self.w = dict(enumerate(map(float, weights)))
@@ -138,11 +138,9 @@ class ToyEnv:
         cands = [Candidate(e, self.w[e], CandidateKind.VIOLATION_PRODUCT) for e in pool]
         return len(cands), cands if self.k is None else cands[: self.k]
 
-
     def probe(self, entity):
         self.lp_count += 1
-        z = self._z() - self.w[entity]
-        return z, self._sol(z), entity
+        return self._sol(self._z() - self.w[entity]), entity
 
     def adopt(self, entity, state):
         self.active.discard(entity)
@@ -153,7 +151,7 @@ class ToyEnv:
 
 def test_probing_loop_picks_min_probe_and_singleton_exits():
     env = ToyEnv([3.0, 2.0])
-    tel = run_probing_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, max_iterations=50)
     # round 1 probes both and deletes the heavier entity; round 2 sees a
     # one-entry pool and deletes without probing
     assert tel.exit_reason is ExitReason.SINGLETON
@@ -162,22 +160,25 @@ def test_probing_loop_picks_min_probe_and_singleton_exits():
     assert tel.iterations == 2
     assert tel.removal_sizes == [1, 1]
     assert env.lp_count == 3  # initial solve + two probes
-    assert np.isnan(tel.ledger.entries[-1].z_after)  # singleton learns z later
+    # the singleton's z comes from the caller's finishing solve
+    assert tel.z_history == [5.0, 2.0]
 
 
 def test_probing_loop_early_adopts_a_feasible_probe():
-    env = ToyEnv([3.0, 2.0])
-    tel = run_probing_loop(env, ztol=1e-6, singleton_shortcut=False, max_iterations=50)
+    env = ToyEnv([3.0, 2.0, 0.5])
+    tel = run_removal_loop(env, ztol=2.5, max_iterations=50)
+    # the first probe already reaches ztol; the other two candidates of
+    # the round are never probed
     assert tel.exit_reason is ExitReason.FEASIBLE
-    assert tel.ledger.entities() == [0, 1]
-    assert tel.probes == 3  # second round probes the only candidate, hits zero
-    assert tel.z_history == [5.0, 2.0, 0.0]
-    assert env.lp_count == 4
+    assert tel.ledger.entities() == [0]
+    assert tel.probes == 1
+    assert tel.z_history == [5.5, 2.5]
+    assert env.lp_count == 2
 
 
 def test_probing_loop_feasible_at_start():
     env = ToyEnv([0.0, 0.0])
-    tel = run_probing_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, max_iterations=50)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.iterations == 0
     assert len(tel.ledger) == 0
@@ -186,7 +187,7 @@ def test_probing_loop_feasible_at_start():
 
 def test_probing_loop_exit_on_empty_keeps_positive_z():
     env = ToyEnv([1.0, 2.0])
-    tel = run_probing_loop(env, ztol=1e-6, exit_on_empty=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, exit_on_empty=True, max_iterations=50)
     # exit_on_empty never early-adopts; it drains the pool instead
     assert tel.exit_reason in (ExitReason.EMPTY_CANDIDATES, ExitReason.SINGLETON)
     assert set(tel.ledger.entities()) == {0, 1}
@@ -198,19 +199,19 @@ def test_probing_loop_raises_on_empty_pool_with_positive_z():
             return 0, []
 
     with pytest.raises(SolverError):
-        run_probing_loop(NoCands([1.0]), ztol=1e-6, max_iterations=50)
+        run_removal_loop(NoCands([1.0]), ztol=1e-6, max_iterations=50)
 
 
 def test_probing_loop_respects_iteration_cap():
-    with pytest.raises(SolverError):
-        run_probing_loop(
-            ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6, singleton_shortcut=False, max_iterations=1
-        )
+    # round 1 deletes entity 0 and leaves Z = 3 with a two-entry pool;
+    # a second round would exceed the cap
+    with pytest.raises(SolverError, match="1 rounds"):
+        run_removal_loop(ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6, max_iterations=1)
 
 
 def test_probing_loop_e2_bulk_exit_first_round_only():
     env = ToyEnv([2.0, 1.0])
-    tel = run_probing_loop(
+    tel = run_removal_loop(
         env, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True, max_iterations=50
     )
     assert tel.exit_reason is ExitReason.BULK_E2
@@ -219,29 +220,34 @@ def test_probing_loop_e2_bulk_exit_first_round_only():
 
     # pool too large on round one: the bulk exit stays off afterwards
     env2 = ToyEnv([3.0, 2.0, 1.0])
-    tel2 = run_probing_loop(
-        env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True,
-        singleton_shortcut=False, max_iterations=50,
+    tel2 = run_removal_loop(
+        env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True, max_iterations=50
     )
     assert tel2.exit_reason is not ExitReason.BULK_E2
 
 
 def test_batch_loop_cuts_score_groups():
     env = ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0])
-    tel = run_batch_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removal_sizes == [3, 1, 1, 1]
     assert tel.iterations == 4
     assert env.lp_count == tel.iterations + 1  # one solve per round plus the last
     # batch entries learn the z of the next solve
-    zs = [e.z_after for e in tel.ledger]
+    zs = [tel.z_history[e.iteration] for e in tel.ledger]
     assert zs == [3.0, 3.0, 3.0, 2.0, 1.0, 0.0]
     assert tel.z_history == [33.0, 3.0, 2.0, 1.0, 0.0]
+    # the cap counts removal rounds, as for probing: four fit a cap of 4
+    weights = [10.0, 10.0, 10.0, 1.0, 1.0, 1.0]
+    capped = run_removal_loop(ToyEnv(weights), ztol=1e-6, batch=True, max_iterations=4)
+    assert capped.exit_reason is ExitReason.FEASIBLE
+    with pytest.raises(SolverError, match="3 rounds"):
+        run_removal_loop(ToyEnv(weights), ztol=1e-6, batch=True, max_iterations=3)
 
 
 def test_batch_loop_has_no_singleton_shortcut_by_default():
     env = ToyEnv([5.0])
-    tel = run_batch_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
     # the lone candidate goes through the mean-change cut and the next
     # solve certifies feasibility; exit is FEASIBLE, not SINGLETON
     assert tel.exit_reason is ExitReason.FEASIBLE
@@ -251,15 +257,17 @@ def test_batch_loop_has_no_singleton_shortcut_by_default():
 
 def test_batch_loop_e2_gating():
     env = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel = run_batch_loop(
-        env, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True, max_iterations=50
+    tel = run_removal_loop(
+        env, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=True,
+        max_iterations=50,
     )
     # round 1 pool has 4 entries, too many; the flag keeps E2 off later
     assert tel.exit_reason is ExitReason.FEASIBLE
 
     env2 = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel2 = run_batch_loop(
-        env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=False, max_iterations=50
+    tel2 = run_removal_loop(
+        env2, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=False,
+        max_iterations=50,
     )
     assert tel2.exit_reason is ExitReason.BULK_E2
     assert tel2.removal_sizes[-1] == 1  # the tail entity went out in bulk
@@ -267,20 +275,41 @@ def test_batch_loop_e2_gating():
 
 def test_batch_loop_exit_on_empty():
     env = ToyEnv([2.0, 1.0])
-    tel = run_batch_loop(env, ztol=1e-6, exit_on_empty=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, exit_on_empty=True, max_iterations=50)
     assert tel.exit_reason is ExitReason.EMPTY_CANDIDATES
     assert set(tel.ledger.entities()) == {0, 1}
     assert tel.last_solution.z == 0.0
 
 
+def test_probe_restores_engine_state():
+    # one row-form and one recovery-form environment; every entity is
+    # probed, and after each probe the current costs re-solve at once
+    model = elasticize(random_infeasible_system(np.random.default_rng(9)))
+    row_env = CostDeletionEnv(model.lp_problem(), model.row_elastics, 0.0, rank=None)
+    A, _, b = planted_instance(9, 8, 16, 5)
+    zero_env = _zero_env(RecoveryProblem(A, b), k=None)
+    for env in (row_env, zero_env):
+        base = env.solve_current()
+        pivoted = 0
+        for entity in range(len(env.columns)):
+            probed, _ = env.probe(entity)
+            assert probed.z <= base.z + 1e-9  # a deletion never raises Z
+            pivoted += probed.iterations > 1
+            after = env.solve_current()
+            assert after.iterations <= 1
+            assert abs(after.z - base.z) <= 1e-12
+        assert pivoted  # some probe moved the basis
+        assert env.removed == set()
+
+
 def test_ledger_rejects_duplicates_and_regressions():
     led = RemovalLedger()
-    led.add(3, 1, 0.5)
+    led.add(3, 1)
     with pytest.raises(ValueError):
-        led.add(3, 2, 0.1)
+        led.add(3, 2)
     with pytest.raises(ValueError):
-        led.add(4, 0, 0.1)
-    led.add(5, 1, 0.2)
+        led.add(4, 0)
+    led.add(5, 1)
     assert led.entities() == [3, 5]
     assert len(led) == 2
 
@@ -431,7 +460,7 @@ def test_e2_bulk_exit_end_to_end():
     assert res.probes == 0
     assert len(res.removed_rows) == 2
     assert res.final_z <= 1e-6
-    assert not np.isnan([e.z_after for e in res.ledger]).any()
+    assert [res.z_history[e.iteration] for e in res.ledger] == [res.final_z] * 2
 
 
 def test_iteration_cap_raises():

@@ -170,18 +170,16 @@ def test_unchanged_costs_resolve_instantly():
     assert abs(again.z - first.z) <= 1e-12
 
 
-def test_probe_restores_engine_state():
-    rng = np.random.default_rng(9)
-    prob = random_feasible_lp(rng, m=6, n=5)
+def test_infeasible_solve_leaves_no_warm_state():
+    # a re-solve after proven infeasibility must start cold, not from
+    # the phase-1 basis with its artificials still open
+    prob = make_problem([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1, -1], [3.0, 1.0],
+                        [0.0, 0.0], [np.inf, np.inf])
     eng = SimplexSolver()
-    base = eng.solve(prob)
-    c2 = prob.c * 0.0
-    probed = eng.probe(prob.with_costs(c2))
-    assert probed.status is LpStatus.OPTIMAL
-    # the engine must be back at the pre-probe optimum
-    after = eng.solve(prob)
-    assert after.iterations <= 1
-    assert abs(after.z - base.z) <= 1e-12
+    assert eng.solve(prob).status is LpStatus.INFEASIBLE
+    assert eng.solve(prob.with_costs([1.0, 2.0])).status is LpStatus.INFEASIBLE
+    with pytest.raises(SolverError):
+        eng.save_state()
 
 
 def test_save_load_state_roundtrip():
