@@ -25,17 +25,21 @@ variable pairs instead of rows.  Two pieces carry it:
     the score sequence first changes mean level (see `changepoint`).
 
 An early bulk exit is available to both policies: when the candidate
-list has at most `e2_ell` entries, delete all of them and stop.  That
+pool (every ranked entity, before the `k` cut) has at most `e2_ell`
+entries, delete all of them and stop.  That
 step is a heuristic extrapolation and can overshoot, so it is off by
 default and, for the batch policy, usually restricted to the first
 round, where the list is still dominated by genuinely bad rows.
 
-Candidate rankings come in three flavours, all computed from the
-current elastic solution:
+Every candidate list comes from `rank_candidates`: score vectors over
+all entities, each with a mask of the eligible ones, in; the entities
+ranked by score, ties to the lower index, out. The row rankings, all
+computed from the current elastic solution, are:
 
-1. active rows ranked by |dual price|,
+1. rows with a nonzero dual price, ranked by |dual price|,
 2. violated rows ranked by violation x |dual price|,
-3. the union of list 2 and the satisfied rows ranked by |dual price|.
+3. list 2, then the satisfied rows with a nonzero dual price ranked by
+   |dual price|.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ from .simplex import LpProblem, LpSolution, LpStatus, SimplexSolver, SolverError
 from .systems import ElasticModel, LinearSystem, elasticize
 
 __all__ = [
-    "Candidate",
-    "CandidateKind",
     "CostDeletionEnv",
     "ExitReason",
     "LoopTelemetry",
@@ -64,120 +66,123 @@ __all__ = [
     "build_candidates_alg1",
     "build_candidates_alg2",
     "build_candidates_alg3",
+    "rank_candidates",
     "run_removal_loop",
     "solve_maxfs",
 ]
 
 
-class CandidateKind(Enum):
-    """Which ranking produced a candidate."""
+# an entity counts as violated when its violation exceeds VIOLATION_TOL
+# and as priced when its |dual price| exceeds DUAL_TOL
+VIOLATION_TOL = 1e-8
+DUAL_TOL = 1e-8
 
-    DUAL = "dual"
-    VIOLATION_PRODUCT = "violation_product"
-    SATISFIED_DUAL = "satisfied_dual"
-    VALUE = "value"
-
-
-@dataclass(frozen=True)
-class Candidate:
-    entity: int
-    score: float
-    kind: CandidateKind
+# (pool, candidates, scores), see `rank_candidates`
+Ranked = tuple[list[int], list[int], np.ndarray]
 
 
-def _ranked(pairs: list[tuple[int, float]], kind: CandidateKind) -> list[Candidate]:
-    # stable order: score descending, entity ascending on ties
-    pairs.sort(key=lambda t: (-t[1], t[0]))
-    return [Candidate(entity=e, score=s, kind=kind) for e, s in pairs]
+def rank_candidates(
+    lists: Sequence[tuple[np.ndarray, np.ndarray]],
+    removed: AbstractSet[int] = frozenset(),
+    k: int | None = None,
+) -> Ranked:
+    """The one candidate ordering of the search.
+
+    Each list is a pair of vectors over all entities: scores and a mask
+    of the eligible ones. A list orders its eligible entities outside
+    `removed` by score, highest first and ties to the lower index.
+    Returns (pool, candidates, scores):
+
+    pool        every ranked entity once, list by list
+    candidates  the first `k` of each list, less those an earlier
+                list's candidates hold; the pool itself when k is None
+    scores      the candidates' scores
+    """
+    live = np.ones(lists[0][0].size, dtype=bool)
+    live[np.fromiter(removed, dtype=np.intp, count=len(removed))] = False
+    pooled = np.zeros_like(live)
+    held = np.zeros_like(live)
+    pool, top, scores = [], [], []
+    for score, eligible in lists:
+        idx = np.flatnonzero(eligible & live)
+        ranked = idx[np.argsort(-score[idx], kind="stable")]
+        head = ranked[:k]
+        head = head[~held[head]]
+        held[head] = True
+        pool.append(ranked[~pooled[ranked]])
+        pooled[ranked] = True
+        top.append(head)
+        scores.append(score[head])
+    return (
+        np.concatenate(pool).tolist(),
+        np.concatenate(top).tolist(),
+        np.concatenate(scores),
+    )
 
 
 def build_candidates_alg1(
     sol: LpSolution,
     model: ElasticModel,
+    removed: AbstractSet[int] = frozenset(),
     k: int | None = None,
-    dual_tol: float = 1e-8,
-) -> list[Candidate]:
-    """Active rows with a nonzero dual price, ranked by |dual|."""
-    duals = model.row_duals(sol)
-    pairs = [
-        (i, abs(duals[i]))
-        for i in range(model.base.m)
-        if i not in model.removed_rows and abs(duals[i]) > dual_tol
-    ]
-    out = _ranked(pairs, CandidateKind.DUAL)
-    return out if k is None else out[:k]
+) -> Ranked:
+    """Rows with a nonzero dual price, ranked by |dual|."""
+    d = np.abs(model.row_duals(sol))
+    return rank_candidates([(d, d > DUAL_TOL)], removed, k)
 
 
 def build_candidates_alg2(
     sol: LpSolution,
     model: ElasticModel,
+    removed: AbstractSet[int] = frozenset(),
     k: int | None = None,
-    violation_tol: float = 1e-8,
-) -> list[Candidate]:
+) -> Ranked:
     """Violated rows ranked by violation x |dual price|."""
     v = model.violations(sol)
-    duals = model.row_duals(sol)
-    pairs = [
-        (i, v[i] * abs(duals[i]))
-        for i in range(model.base.m)
-        if i not in model.removed_rows and v[i] > violation_tol
-    ]
-    out = _ranked(pairs, CandidateKind.VIOLATION_PRODUCT)
-    return out if k is None else out[:k]
-
-
-def _alg3_lists(
-    sol: LpSolution,
-    model: ElasticModel,
-    violation_tol: float,
-    dual_tol: float,
-) -> tuple[list[Candidate], list[Candidate]]:
-    v = model.violations(sol)
-    duals = model.row_duals(sol)
-    vio: list[tuple[int, float]] = []
-    sat: list[tuple[int, float]] = []
-    for i in range(model.base.m):
-        if i in model.removed_rows:
-            continue
-        if v[i] > violation_tol:
-            vio.append((i, v[i] * abs(duals[i])))
-        elif abs(duals[i]) > dual_tol:
-            sat.append((i, abs(duals[i])))
-    return (
-        _ranked(vio, CandidateKind.VIOLATION_PRODUCT),
-        _ranked(sat, CandidateKind.SATISFIED_DUAL),
-    )
+    d = np.abs(model.row_duals(sol))
+    return rank_candidates([(v * d, v > VIOLATION_TOL)], removed, k)
 
 
 def build_candidates_alg3(
     sol: LpSolution,
     model: ElasticModel,
+    removed: AbstractSet[int] = frozenset(),
     k: int | None = None,
-    violation_tol: float = 1e-8,
-    dual_tol: float = 1e-8,
-) -> list[Candidate]:
-    """Top violated rows by violation x |dual| plus top satisfied rows
-    by |dual|; `k` truncates each list separately."""
-    vio, sat = _alg3_lists(sol, model, violation_tol, dual_tol)
-    if k is not None:
-        vio, sat = vio[:k], sat[:k]
-    return vio + sat
+) -> Ranked:
+    """Violated rows ranked by violation x |dual|, then satisfied rows
+    with a nonzero dual price ranked by |dual|; `k` truncates each list
+    separately."""
+    v = model.violations(sol)
+    d = np.abs(model.row_duals(sol))
+    vio = v > VIOLATION_TOL
+    return rank_candidates([(v * d, vio), (d, ~vio & (d > DUAL_TOL))], removed, k)
+
+
+def _check_k(k: int | None) -> None:
+    """The list limit `k` is None (no limit) or at least 1."""
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
     """Knobs for the greedy search.
 
-    algorithm   candidate ranking (1, 2, or 3)
-    k           list truncation; None keeps every nonzero entry
+    algorithm   candidate ranking (1, 2, or 3; see the module docstring)
+    k           keep the first k entries of each ranked list; None
+                keeps them all
     use_e1      batch removal instead of per-candidate probing
-    e2_ell      bulk-exit threshold; None disables the step
+    e2_ell      bulk exit when the candidate pool, counted before the
+                `k` cut, has at most this many rows; None disables it
     e2_first_iteration_only
                 apply the bulk exit only on the first round
     beta        mean-change sensitivity for the batch cut
     ztol        Z at or below this certifies feasibility
     max_iterations
                 outer-round cap; None means 10 * m
+
+    A row counts as violated above VIOLATION_TOL and as priced above
+    DUAL_TOL, both fixed at 1e-8.
     """
 
     algorithm: int = 2
@@ -187,15 +192,12 @@ class StrategyConfig:
     e2_first_iteration_only: bool = False
     beta: float = 1.0
     ztol: float = 1e-6
-    violation_tol: float = 1e-8
-    dual_tol: float = 1e-8
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in (1, 2, 3):
             raise ValueError("algorithm must be 1, 2, or 3")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be at least 1")
+        _check_k(self.k)
         if self.e2_ell is not None and self.e2_ell < 1:
             raise ValueError("e2_ell must be at least 1")
         if self.beta < 0.0:
@@ -258,8 +260,8 @@ class SearchEnv(Protocol):
 
     def solve_current(self) -> LpSolution: ...
 
-    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
-        """(untruncated pool size, ranked and truncated list)."""
+    def candidates(self, sol: LpSolution) -> Ranked:
+        """(pool, candidates, scores), as `rank_candidates` returns them."""
         ...
 
     def probe(self, entity: int) -> tuple[LpSolution, object]:
@@ -276,9 +278,8 @@ class SearchEnv(Protocol):
         ...
 
 
-# (solution, removed entities) -> (untruncated pool size, ranked and
-# truncated candidates)
-Ranking = Callable[[LpSolution, AbstractSet[int]], tuple[int, list[Candidate]]]
+# (solution, removed entities) -> (pool, candidates, scores)
+Ranking = Callable[[LpSolution, AbstractSet[int]], Ranked]
 
 
 class CostDeletionEnv:
@@ -327,7 +328,7 @@ class CostDeletionEnv:
     def solve_current(self) -> LpSolution:
         return self._solve(self.costs.copy())
 
-    def candidates(self, sol: LpSolution) -> tuple[int, list[Candidate]]:
+    def candidates(self, sol: LpSolution) -> Ranked:
         return self.rank(sol, self.removed)
 
     def probe(self, entity: int) -> tuple[LpSolution, object]:
@@ -394,15 +395,15 @@ def run_removal_loop(
     while exit_on_empty or sol.z > ztol:
         if iteration >= max_iterations:
             raise SolverError(f"no convergence within {max_iterations} rounds")
-        pool_size, cands = env.candidates(sol)
-        if not cands:
+        pool, ents, scores = env.candidates(sol)
+        if not pool:
             if not exit_on_empty:
                 raise SolverError("objective positive but no candidates")
             exit_reason = ExitReason.EMPTY_CANDIDATES
             break
         iteration += 1
 
-        if not batch and pool_size == 1:
+        if not batch and len(pool) == 1:
             # the sole candidate is the only remaining cause; deleting it
             # leaves the incumbent point feasible, so no probe is needed.
             # The batch policy cuts it like any list and lets the next
@@ -411,16 +412,17 @@ def run_removal_loop(
         elif (
             e2_ell is not None
             and (iteration == 1 or not e2_first_iteration_only)
-            and len(cands) <= e2_ell
+            and len(pool) <= e2_ell
         ):
             exit_reason = ExitReason.BULK_E2
+            ents = pool
         elif not batch:
             best = None
-            for c in cands:
-                psol, pstate = env.probe(c.entity)
+            for e in ents:
+                psol, pstate = env.probe(e)
                 probes += 1
                 if best is None or psol.z < sol.z:
-                    best, sol, state = c.entity, psol, pstate
+                    best, sol, state = e, psol, pstate
                 if not exit_on_empty and sol.z <= ztol:
                     break  # a feasible probe cannot be beaten
             env.adopt(best, state)
@@ -429,10 +431,8 @@ def run_removal_loop(
             z_history.append(sol.z)
             continue
         else:
-            scores = np.array([c.score for c in cands])
-            cands = cands[: first_mean_change(scores, beta=beta)]
+            ents = ents[: first_mean_change(scores, beta=beta)]
 
-        ents = [c.entity for c in cands]
         env.remove_batch(ents)
         for e in ents:
             ledger.add(e, iteration)
@@ -450,16 +450,14 @@ def run_removal_loop(
 
 
 def _row_ranking(model: ElasticModel, cfg: StrategyConfig) -> Ranking:
-    def rank(sol: LpSolution, removed: AbstractSet[int]) -> tuple[int, list[Candidate]]:
-        view = replace(model, removed_rows=model.removed_rows | removed)
-        if cfg.algorithm == 3:
-            vio, sat = _alg3_lists(sol, view, cfg.violation_tol, cfg.dual_tol)
-            return len(vio) + len(sat), vio[: cfg.k] + sat[: cfg.k]
+    # the builders are looked up at call time, so that a wrapper
+    # installed on this module's globals sees every call
+    def rank(sol: LpSolution, removed: AbstractSet[int]) -> Ranked:
         if cfg.algorithm == 1:
-            pool = build_candidates_alg1(sol, view, None, cfg.dual_tol)
-        else:
-            pool = build_candidates_alg2(sol, view, None, cfg.violation_tol)
-        return len(pool), pool[: cfg.k]
+            return build_candidates_alg1(sol, model, removed, cfg.k)
+        if cfg.algorithm == 2:
+            return build_candidates_alg2(sol, model, removed, cfg.k)
+        return build_candidates_alg3(sol, model, removed, cfg.k)
 
     return rank
 
@@ -506,6 +504,7 @@ def solve_maxfs(
     env = CostDeletionEnv(
         model.lp_problem(), model.row_elastics, 0.0, _row_ranking(model, cfg), engine
     )
+    env.remove_batch(model.removed_rows)  # prior removals: already zero-cost
     cap = cfg.max_iterations if cfg.max_iterations is not None else 10 * model.base.m
 
     t0 = time.perf_counter()
@@ -533,7 +532,7 @@ def solve_maxfs(
         ledger=tel.ledger,
         final_z=final_sol.z,
         final_solution=final_sol,
-        model=replace(model, removed_rows=model.removed_rows | env.removed),
+        model=replace(model, removed_rows=frozenset(env.removed)),
         lp_count=env.lp_count,
         iterations=tel.iterations,
         probes=tel.probes,

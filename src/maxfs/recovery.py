@@ -42,6 +42,10 @@ Methods, named by their selection rule:
   jokar_pfetsch   reference variant of method_b whose deleted pairs
                   cost 0 and which stops at objective zero
 
+The probing methods (b, c, m, jp) take `k`: each round keeps the first
+`k` entries of each ranked list, None keeps them all, and k < 1 raises
+ValueError.
+
 `postprocess` prunes a support set: a variable is dropped when the
 remaining support columns still reproduce b without it.
 """
@@ -52,7 +56,7 @@ import time
 from dataclasses import dataclass
 import numpy as np
 
-from .core import Candidate, CandidateKind, CostDeletionEnv, _ranked, run_removal_loop
+from .core import DUAL_TOL, CostDeletionEnv, _check_k, rank_candidates, run_removal_loop
 from .simplex import LpSolution, Sense, SolverError, make_problem
 
 __all__ = [
@@ -68,7 +72,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-7     # |value| above this counts as a nonzero
-DUAL_TOL = 1e-8     # |zeroing-row dual| above this makes a method_c candidate
+# DUAL_TOL (from core): |zeroing-row dual| above it makes a method_c candidate
 RESIDUAL_TOL = 1e-6  # every returned y must satisfy ||A y - b||_inf <= this
 
 
@@ -161,22 +165,15 @@ _RANGE_ERROR = "b is not in the range of A: nothing to recover"
 def _split_env(prob: RecoveryProblem, deleted_cost: float | None, k: int | None = None):
     """Split form: columns (u, v), y = u - v, entity j owns (u_j, v_j).
     Candidates are the undeleted nonzeros ranked by |y_j|."""
+    _check_k(k)
     n = prob.n
     A_lp = np.hstack([prob.A, -prob.A])
     senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
     problem = make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=np.zeros(2 * n))
 
-    def rank(sol: LpSolution, removed) -> tuple[int, list[Candidate]]:
-        y = _split_y(sol)
-        pool = _ranked(
-            [
-                (j, abs(float(y[j])))
-                for j in range(n)
-                if j not in removed and abs(y[j]) > prob.zero_tol
-            ],
-            CandidateKind.VALUE,
-        )
-        return len(pool), pool[:k]
+    def rank(sol: LpSolution, removed):
+        y = np.abs(_split_y(sol))
+        return rank_candidates([(y, y > prob.zero_tol)], removed, k)
 
     columns = [(j, n + j) for j in range(n)]
     return CostDeletionEnv(problem, columns, deleted_cost, rank, infeasible=_RANGE_ERROR)
@@ -192,6 +189,7 @@ def _zero_env(prob: RecoveryProblem, k: int | None):
     penalties, entity j owns (e_j^+, e_j^-). Candidates are the
     undeleted nonzeros ranked by |x_j|, then those ranked by the dual
     price of their zeroing row; `k` truncates each list."""
+    _check_k(k)
     m, n = prob.m, prob.n
     A_lp = np.zeros((m + n, 3 * n))
     A_lp[:m, :n] = prob.A
@@ -204,24 +202,10 @@ def _zero_env(prob: RecoveryProblem, k: int | None):
     costs = np.concatenate([np.zeros(n), np.ones(2 * n)])
     problem = make_problem(costs, A_lp, senses, b_lp, lower=lower)
 
-    def rank(sol: LpSolution, removed) -> tuple[int, list[Candidate]]:
-        x = sol.x[:n]
-        zero_duals = sol.duals[m : m + n]
-        vals: list[tuple[int, float]] = []
-        duals: list[tuple[int, float]] = []
-        for j in range(n):
-            if j in removed:
-                continue
-            if abs(x[j]) > prob.zero_tol:
-                vals.append((j, abs(float(x[j]))))
-            if abs(zero_duals[j]) > DUAL_TOL:
-                duals.append((j, abs(float(zero_duals[j]))))
-        l1 = _ranked(vals, CandidateKind.VALUE)[:k]
-        l2 = _ranked(duals, CandidateKind.DUAL)[:k]
-        seen = {c.entity for c in l1}
-        merged = l1 + [c for c in l2 if c.entity not in seen]
-        pool = len({j for j, _ in vals} | {j for j, _ in duals})
-        return pool, merged
+    def rank(sol: LpSolution, removed):
+        x = np.abs(sol.x[:n])
+        d = np.abs(sol.duals[m : m + n])
+        return rank_candidates([(x, x > prob.zero_tol), (d, d > DUAL_TOL)], removed, k)
 
     columns = [(n + j, 2 * n + j) for j in range(n)]
     return CostDeletionEnv(problem, columns, 0.0, rank, infeasible=_RANGE_ERROR)
@@ -273,6 +257,7 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     denser first solutions usually mean l1 failed and the full search is
     worth its cost.
     """
+    _check_k(k)
     t0 = time.perf_counter()
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:

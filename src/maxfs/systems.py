@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +105,8 @@ class ElasticModel:
 
     `problem` holds the LP with every penalty column priced at 1; the
     live objective for the current removal state comes from
-    `lp_costs()`. Removal state is immutable: `remove_row` /
-    `reinstate_row` return new models sharing all large arrays.
+    `lp_costs()`. Removal state is immutable: `remove_row` returns a
+    new model sharing all large arrays.
     """
 
     base: LinearSystem
@@ -122,10 +123,6 @@ class ElasticModel:
     @property
     def n(self) -> int:
         return self.base.n
-
-    @property
-    def active_rows(self) -> list:
-        return [i for i in range(self.base.m) if i not in self.removed_rows]
 
     def lp_costs(self) -> np.ndarray:
         c = self.problem.c.copy()
@@ -144,26 +141,22 @@ class ElasticModel:
             raise ValueError(f"row {row} already removed")
         return replace(self, removed_rows=self.removed_rows | {row})
 
-    def reinstate_row(self, row: int) -> "ElasticModel":
-        if row not in self.removed_rows:
-            raise ValueError(f"row {row} is not removed")
-        return replace(self, removed_rows=self.removed_rows - {row})
+    @cached_property
+    def _elastic_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # first and last penalty column of each row (the same column
+        # unless the row is an equality)
+        return (np.array([cols[0] for cols in self.row_elastics], dtype=np.intp),
+                np.array([cols[-1] for cols in self.row_elastics], dtype=np.intp))
 
     def violations(self, sol: LpSolution) -> np.ndarray:
-        """Per-row violation magnitude: the largest penalty column value
-        attached to the row (equality rows carry a pair)."""
-        out = np.zeros(self.base.m)
-        for i, cols in enumerate(self.row_elastics):
-            out[i] = max(float(sol.x[c]) for c in cols)
-        return out
+        """Per-row violation magnitude: the larger of the first and last
+        penalty column value attached to the row (equality rows carry a
+        pair)."""
+        first, last = self._elastic_ends
+        return np.maximum(sol.x[first], sol.x[last])
 
     def row_duals(self, sol: LpSolution) -> np.ndarray:
         return sol.duals[: self.base.m]
-
-    def z_of(self, sol: LpSolution) -> float:
-        """Objective under the current removal state (penalties of
-        removed rows do not count)."""
-        return float(self.lp_costs() @ sol.x)
 
 
 def elasticize(base: LinearSystem, mode: ElasticMode = ElasticMode.STANDARD) -> ElasticModel:

@@ -11,7 +11,7 @@ import pytest
 from maxfs.cli import main
 from maxfs.systems import write_matrix, write_system, write_vector, system
 
-from conftest import planted_instance
+from conftest import planted_instance, random_infeasible_system
 
 
 @pytest.fixture
@@ -89,6 +89,19 @@ def test_maxfs_csv_projection(capsys, tmp_path, infeasible_file):
     assert len(rows) == 1
     assert rows[0]["m"] == "4"
     assert rows[0]["removed_rows"].count(" ") == 1  # two indices
+
+
+def test_maxfs_e2_with_k_reaches_a_feasible_subsystem(capsys, tmp_path):
+    sys_ = random_infeasible_system(np.random.default_rng(5), m_extra=8)
+    p = tmp_path / "sys.txt"
+    write_system(sys_, p)
+    code, recs = run_cli(capsys, "maxfs", str(p), "--k", "1", "--e2", "3")
+    assert code == 0
+    (rec,) = recs
+    assert rec["exit_reason"] == "bulk_e2"
+    assert rec["final_z"] <= 1e-6
+    assert len(rec["removed_rows"]) == 10
+    assert all(type(i) is int for i in rec["removed_rows"])
 
 
 def test_classify_subcommand(capsys, points_csv):
@@ -190,6 +203,14 @@ def test_exit_code_2_on_rank_deficient_rhs(capsys, tmp_path):
     write_vector(np.array([1.0, 3.0]), pb)
     assert main(["recover", str(pa), str(pb), "--method", "bp"]) == 2
     assert "range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["b", "c", "m"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_exit_code_2_on_k_below_one(capsys, recovery_files, method, k):
+    pa, pb, _ = recovery_files
+    assert main(["recover", pa, pb, "--method", method, "--k", k]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_bad_label_column(capsys, points_csv):

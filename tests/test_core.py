@@ -1,4 +1,5 @@
-"""Candidate builders, the removal loop, and the row-deletion search."""
+"""The ranking routine, the candidate builders, the removal loop, and the
+row-deletion search."""
 
 from __future__ import annotations
 
@@ -8,8 +9,6 @@ import numpy as np
 import pytest
 
 from maxfs.core import (
-    Candidate,
-    CandidateKind,
     CostDeletionEnv,
     ExitReason,
     RemovalLedger,
@@ -17,6 +16,7 @@ from maxfs.core import (
     build_candidates_alg1,
     build_candidates_alg2,
     build_candidates_alg3,
+    rank_candidates,
     run_removal_loop,
     solve_maxfs,
 )
@@ -58,38 +58,43 @@ def _handmade():
 
 def test_alg1_ranks_by_absolute_dual():
     model, sol = _handmade()
-    cands = build_candidates_alg1(sol, model)
-    assert [c.entity for c in cands] == [2, 0, 1]  # |2.0| > |1.0| > |-0.5|
-    assert [c.score for c in cands] == [2.0, 1.0, 0.5]
-    assert all(c.kind is CandidateKind.DUAL for c in cands)
-    assert [c.entity for c in build_candidates_alg1(sol, model, k=2)] == [2, 0]
+    pool, ents, scores = build_candidates_alg1(sol, model)
+    assert ents == [2, 0, 1]  # |2.0| > |1.0| > |-0.5|
+    assert pool == ents
+    assert scores.tolist() == [2.0, 1.0, 0.5]
+    assert all(type(e) is int for e in ents)
+    pool, ents, _ = build_candidates_alg1(sol, model, k=2)
+    assert ents == [2, 0]
+    assert len(pool) == 3  # the pool is counted before the cut
 
 
 def test_alg2_ranks_violated_rows_by_product():
     model, sol = _handmade()
-    cands = build_candidates_alg2(sol, model)
+    _, ents, scores = build_candidates_alg2(sol, model)
     # row 0: 0.5 x 1.0 = 0.5; row 2: max(0.2, 0.1) x 2.0 = 0.4
-    assert [(c.entity, c.score) for c in cands] == [(0, 0.5), (2, 0.4)]
-    assert all(c.kind is CandidateKind.VIOLATION_PRODUCT for c in cands)
-    assert [c.entity for c in build_candidates_alg2(sol, model, k=1)] == [0]
+    assert list(zip(ents, scores.tolist())) == [(0, 0.5), (2, 0.4)]
+    pool, ents, _ = build_candidates_alg2(sol, model, k=1)
+    assert ents == [0]
+    assert pool == [0, 2]
 
 
 def test_alg3_merges_violated_and_satisfied_lists():
     model, sol = _handmade()
-    cands = build_candidates_alg3(sol, model, k=1)
-    # one from each list: top violated row 0, top satisfied-with-price row 1
-    assert [c.entity for c in cands] == [0, 1]
-    assert cands[0].kind is CandidateKind.VIOLATION_PRODUCT
-    assert cands[1].kind is CandidateKind.SATISFIED_DUAL
-    full = build_candidates_alg3(sol, model)
-    assert [c.entity for c in full] == [0, 2, 1]  # row 3 has no dual price
+    pool, ents, scores = build_candidates_alg3(sol, model, k=1)
+    # one from each list: top violated row 0 (0.5 x 1.0), then the top
+    # satisfied row with a price, row 1 (|-0.5|)
+    assert ents == [0, 1]
+    assert scores.tolist() == [0.5, 0.5]
+    assert pool == [0, 2, 1]
+    _, full, _ = build_candidates_alg3(sol, model)
+    assert full == [0, 2, 1]  # row 3 has no dual price
 
 
 def test_builders_skip_removed_rows():
     model, sol = _handmade()
-    removed = model.remove_row(0)
-    assert [c.entity for c in build_candidates_alg2(sol, removed)] == [2]
-    assert 0 not in [c.entity for c in build_candidates_alg1(sol, removed)]
+    assert build_candidates_alg2(sol, model, removed={0})[1] == [2]
+    assert 0 not in build_candidates_alg1(sol, model, removed={0})[1]
+    assert build_candidates_alg3(sol, model, removed={0, 2})[0] == [1]
 
 
 def test_equal_scores_rank_by_row_index():
@@ -103,7 +108,59 @@ def test_equal_scores_rank_by_row_index():
         reduced_costs=np.zeros(3),
         iterations=0,
     )
-    assert [c.entity for c in build_candidates_alg2(sol, model)] == [0, 1]
+    assert build_candidates_alg2(sol, model)[1] == [0, 1]
+
+
+def _reference_ranking(lists, removed, k):
+    # plain Python: each list sorted by (-score, entity), cut to k, then
+    # entities an earlier cut list holds are dropped
+    pool, cands, scores = [], [], []
+    for score, eligible in lists:
+        ranked = sorted(
+            (e for e in range(len(score)) if eligible[e] and e not in removed),
+            key=lambda e: (-score[e], e),
+        )
+        pool += [e for e in ranked if e not in pool]
+        head = [e for e in ranked[:k] if e not in cands]
+        cands += head
+        scores += [score[e] for e in head]
+    return pool, cands, scores
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_rank_candidates_matches_plain_python(k):
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        # few distinct values, so exact ties are common
+        lists = [
+            (rng.integers(0, 4, size=n) / 2.0, rng.random(n) < 0.7)
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        removed = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+        pool, cands, scores = rank_candidates(lists, removed, k)
+        want = _reference_ranking(lists, removed, k)
+        assert (pool, cands, scores.tolist()) == want
+        assert all(type(e) is int for e in pool + cands)
+        if k is None:
+            assert cands == pool
+
+
+def test_rank_candidates_overlapping_lists_dedup_after_the_cut():
+    # the zeroing form's two lists share entities 0 and 2
+    first = (np.array([5.0, 1.0, 4.0, 0.0]), np.array([True, True, True, False]))
+    second = (np.array([3.0, 0.0, 3.0, 2.0]), np.array([True, False, True, True]))
+    pool, cands, scores = rank_candidates([first, second], k=2)
+    # first list cut to [0, 2]; second cut to [0, 2] before dropping
+    # the held entities, so entity 3 is not a candidate
+    assert cands == [0, 2]
+    assert scores.tolist() == [5.0, 4.0]
+    assert pool == [0, 2, 1, 3]  # the union of both masks, counted once
+    pool, cands, _ = rank_candidates([first, second], removed={0}, k=2)
+    assert cands == [2, 1, 3]
+    assert pool == [2, 1, 3]
+    pool, cands, scores = rank_candidates([first, second], removed={0, 1, 2, 3})
+    assert pool == cands == [] and scores.size == 0
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +192,8 @@ class ToyEnv:
         pool = sorted(
             (e for e in self.active if self.w[e] > 0), key=lambda e: (-self.w[e], e)
         )
-        cands = [Candidate(e, self.w[e], CandidateKind.VIOLATION_PRODUCT) for e in pool]
-        return len(cands), cands if self.k is None else cands[: self.k]
+        cands = pool[: self.k]
+        return pool, cands, np.array([self.w[e] for e in cands])
 
     def probe(self, entity):
         self.lp_count += 1
@@ -196,7 +253,7 @@ def test_probing_loop_exit_on_empty_keeps_positive_z():
 def test_probing_loop_raises_on_empty_pool_with_positive_z():
     class NoCands(ToyEnv):
         def candidates(self, sol):
-            return 0, []
+            return [], [], np.zeros(0)
 
     with pytest.raises(SolverError):
         run_removal_loop(NoCands([1.0]), ztol=1e-6, max_iterations=50)
@@ -271,6 +328,17 @@ def test_batch_loop_e2_gating():
     )
     assert tel2.exit_reason is ExitReason.BULK_E2
     assert tel2.removal_sizes[-1] == 1  # the tail entity went out in bulk
+
+
+def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
+    env = ToyEnv([3.0, 2.0, 1.0], k=1)
+    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2, max_iterations=50)
+    # round 1: a pool of three is above the threshold, so the one
+    # candidate is probed; round 2: the pool of two goes out in bulk
+    assert tel.exit_reason is ExitReason.BULK_E2
+    assert tel.ledger.entities() == [0, 1, 2]
+    assert tel.removal_sizes == [1, 2]
+    assert env.active == set()
 
 
 def test_batch_loop_exit_on_empty():
@@ -461,6 +529,21 @@ def test_e2_bulk_exit_end_to_end():
     assert len(res.removed_rows) == 2
     assert res.final_z <= 1e-6
     assert [res.z_history[e.iteration] for e in res.ledger] == [res.final_z] * 2
+
+
+def test_e2_bulk_exit_with_k_deletes_the_whole_pool():
+    # with k=1 the ranked list always has one row; the bulk exit must
+    # wait until the pool itself has at most e2_ell rows, then delete
+    # all of them
+    sys_ = random_infeasible_system(np.random.default_rng(5), m_extra=8)
+    res = solve_maxfs(sys_, StrategyConfig(algorithm=2, k=1, e2_ell=3))
+    assert res.exit_reason is ExitReason.BULK_E2
+    assert res.removal_sizes[-1] == 3
+    assert res.final_z <= 1e-6
+    survivors = [i for i in range(sys_.m) if i not in res.removed_rows]
+    assert scipy_feasible(sys_, survivors)
+    plain = solve_maxfs(sys_, StrategyConfig(algorithm=2, k=1))
+    assert sorted(res.removed_rows) == sorted(plain.removed_rows)
 
 
 def test_iteration_cap_raises():

@@ -48,6 +48,17 @@ def test_problem_validation():
         RecoveryProblem(np.empty((0, 2)), np.empty(0))  # no rows
 
 
+@pytest.mark.parametrize("fn", [method_b, method_c, method_m, jokar_pfetsch])
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_rejected(fn, k):
+    # method_m is included on an instance where it would take the
+    # basis-pursuit shortcut and never use k
+    prob, _ = planted_problem(3, 8, 16, 2)
+    assert method_m(prob).bp_shortcut_taken
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        fn(prob, k=k)
+
+
 def test_zero_rhs_recovers_zero():
     prob, _ = planted_problem(1, 6, 12, 0)
     for fn in ALL_METHODS:

@@ -108,15 +108,17 @@ def test_removal_zeroes_costs_without_touching_structure():
     c1 = removed.lp_costs()
     col = model.row_elastics[0][0]
     assert c0[col] == 1.0 and c1[col] == 0.0
-    back = removed.reinstate_row(0)
-    assert np.array_equal(back.lp_costs(), c0)
+    both = removed.remove_row(1)
+    assert both.removed_rows == {0, 1}
+    assert removed.removed_rows == {0}  # each removal makes a new model
+    assert np.array_equal(model.lp_costs(), c0)
     with pytest.raises(ValueError):
         removed.remove_row(0)
     with pytest.raises(ValueError):
-        model.reinstate_row(1)
+        model.remove_row(2)
 
 
-def test_violations_and_z_of_match_solution():
+def test_violations_and_costs_match_solution():
     sys_ = system([[1.0], [1.0], [1.0]], [">=", "<=", "="], [2.0, 1.0, 1.5])
     model = elasticize(sys_)
     eng = SimplexSolver()
@@ -124,16 +126,19 @@ def test_violations_and_z_of_match_solution():
     v = model.violations(sol)
     assert v.shape == (3,)
     assert np.all(v >= -1e-12)
-    assert abs(model.z_of(sol) - sol.z) <= 1e-12
-    # removing a row discounts its penalty from z_of but not from sol.z
+    # each row's violation is the largest of its penalty columns
+    assert v.tolist() == [max(sol.x[c] for c in cols) for cols in model.row_elastics]
+    assert abs(model.lp_costs() @ sol.x - sol.z) <= 1e-12
+    # removing a row discounts its penalty from the costs, not from sol.z
     removed = model.remove_row(int(np.argmax(v)))
-    assert removed.z_of(sol) <= sol.z + 1e-12
+    assert removed.lp_costs() @ sol.x <= sol.z + 1e-12
 
 
-def test_active_rows_tracks_removals():
+def test_removed_rows_track_removals():
     sys_ = system(np.eye(3), ["=", "=", "="], [1.0, 2.0, 3.0])
     model = elasticize(sys_).remove_row(1)
-    assert model.active_rows == [0, 2]
+    assert model.removed_rows == {1}
+    assert [i for i in range(model.m) if i not in model.removed_rows] == [0, 2]
 
 
 # ----------------------------------------------------------------------
