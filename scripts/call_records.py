@@ -1,0 +1,54 @@
+"""Per-call results of one benchmark workload, one JSON line per op.
+
+Runs every op of a `perfbench` workload once and prints what the call
+decided: its layer, LP count, rounds, removed points (classification)
+or support (recovery), and for classification the accuracy and the
+batch sizes. Two checkouts give the same lines exactly when they make
+the same decisions on these inputs, so compare them with `diff`:
+
+    python3 scripts/call_records.py --workload classify-batch --seed 301 > new.jsonl
+    python3 scripts/call_records.py --workload recovery --seed 301 --tiny
+
+The inputs come from `perfbench/workloads.py`, which this script only
+imports. The program is imported from `src/` next to this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+from maxfs.classify import ClassificationReport  # noqa: E402
+
+
+def record(layer: str, out) -> dict:
+    rec = {"layer": layer, "lp_count": out.lp_count, "iterations": out.iterations}
+    if isinstance(out, ClassificationReport):
+        rec["removed_points"] = list(out.removed_points)
+        rec["accuracy"] = out.accuracy
+        rec["removal_sizes"] = list(out.removal_sizes)
+    else:
+        rec["support"] = sorted(out.support)
+    return rec
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=tuple(WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--tiny", action="store_true", help="the benchmark's small inputs")
+    args = ap.parse_args(argv)
+    for op in WORKLOADS[args.workload](args.seed, args.tiny):
+        print(json.dumps(record(op.layer, op.call())), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,11 +9,20 @@ Design notes:
 * One slack column per row (fixed at [0,0] for equality rows) plus one
   artificial column per row brings the working matrix to n + 2m columns.
   Columns n..n+2m are all unit vectors, so the matrix [A | I | I] is
-  never materialised; pricing needs a single A.T @ y.
-* The basis inverse is kept explicitly and updated by an elementary
-  (product-form) transformation per pivot, with a full refactorisation
-  every `refactor_every` pivots. Fine at the dense desk scale this
-  package targets (hundreds of rows).
+  never materialised; pricing needs A.T y over the dense structural
+  columns only, and one product per singleton structural column.
+* The basis is kept block-triangular. Every basic singleton column
+  (a slack, an artificial, or a structural column with one nonzero)
+  owns its row; the k dense basic columns C meet the k rows no
+  singleton owns in a k x k kernel K, whose inverse is kept
+  explicitly. Solves with B or B^T cost O(m k + k^2), a refactor is a
+  gather plus inv(K), and each pivot updates K^-1 in O(m + k^2) by one
+  of four moves: a product-form column swap (dense for dense), a
+  bordering (dense for singleton), a deletion (singleton for dense) or
+  a Sherman-Morrison row swap (singleton for singleton on another
+  row). An elastic LP keeps k near its structural count n; a fully
+  dense basis is the case k = m of the same formulas. K^-1 is rebuilt
+  every `refactor_every` pivots.
 * Phase 1 minimises the total artificial magnitude. A crash step first
   assigns each row's residual to its slack or to a singleton structural
   column when bounds allow, so elastic constructions (every row carries
@@ -23,8 +32,9 @@ Design notes:
   stay feasible, and continue phase 2 from there. `save_state` and
   `load_state` snapshot and restore that state, so a caller can try a
   cost change and return to the incumbent basis without refactoring.
-  A solve that proves the LP infeasible leaves no state behind; the
-  next solve starts cold.
+  A snapshot holds O(m k + k^2) numbers and fits only the structure it
+  was taken on. A solve that proves the LP infeasible leaves no state
+  behind; the next solve starts cold.
 * Anti-cycling: Dantzig pricing by default, switching to Bland's rule
   after `bland_after` consecutive degenerate pivots, back on progress.
 """
@@ -40,6 +50,11 @@ NB_LOWER = 0
 NB_UPPER = 1
 NB_FREE = 2
 BASIC = 3
+
+# by state, the sign of reduced cost that lets a column enter: below
+# zero at its lower bound, above zero at its upper bound, either when
+# free, never when basic (nan fails every comparison)
+_PRICE_SIGN = np.array([-1.0, 1.0, 0.0, np.nan])
 
 
 class Sense(IntEnum):
@@ -162,6 +177,12 @@ class LpSolution:
     duals: np.ndarray         # one per row
     reduced_costs: np.ndarray  # structural variables only
     iterations: int
+    # what this solve did: basis changes, entering-variable bound flips,
+    # basis changes with a zero step, and rebuilds of the factorisation
+    pivots: int = 0
+    bound_flips: int = 0
+    degenerate_pivots: int = 0
+    refactors: int = 0
 
 
 @dataclass
@@ -175,18 +196,33 @@ class SolverOptions:
     max_iterations: int = 500_000
 
 
+# the engine arrays a snapshot copies: basis, values and factorisation
+# (and the used rows of `_ct`)
+_STATE = ("_basis", "_vstat", "_x", "_prow", "_pval", "_rowpos", "_slot", "_dpos",
+          "_krow", "_kinv")
+
+
 @dataclass
 class _Snapshot:
-    basis: np.ndarray
-    vstat: np.ndarray
-    x: np.ndarray
-    binv: np.ndarray
+    structure: LpStructure
+    arrays: dict
     pivots_since_refactor: int
 
 
 class SimplexSolver:
     """Stateful engine. One instance drives one LP structure at a time;
-    binding a new structure resets the workspace."""
+    binding a new structure resets the workspace.
+
+    The basis factorisation, position by position (see the module
+    notes): `_prow[p]` is the row position p owns when its column is a
+    singleton of value `_pval[p]`, and the kernel row paired with it
+    when the column is dense (`_pval[p]` is then 1); `_rowpos` inverts
+    `_prow`. The k dense positions sit in kernel slots: slot s holds
+    position `_dpos[s]` (`_slot` maps back, -1 for a singleton), its
+    kernel row `_krow[s] = _prow[_dpos[s]]`, its column `_ct[s]` (C
+    transposed, rows beyond k are spare capacity) and row s of
+    `_kinv`, the inverse of K[s, t] = C[_krow[s], t].
+    """
 
     def __init__(self, options: SolverOptions | None = None):
         self.opts = options or SolverOptions()
@@ -203,6 +239,7 @@ class SimplexSolver:
             self._bind(problem.structure)
         self._set_costs(problem.c)
         self._total_iterations = 0
+        self._pivots = self._bound_flips = self._degenerate = self._refactors = 0
         if not self._have_state and not self._cold_start():
             return self._solution(problem, LpStatus.INFEASIBLE)
         status = self._optimize(phase=2)
@@ -213,10 +250,22 @@ class SimplexSolver:
         it is cheap: no refactorisation needed."""
         if not self._have_state:
             raise SolverError("no solved state to save")
-        return self._snapshot()
+        return _Snapshot(
+            structure=self._structure,
+            arrays={name: getattr(self, name).copy() for name in _STATE}
+            | {"_ct": self._ct[: self._k].copy()},
+            pivots_since_refactor=self._pivots_since_refactor,
+        )
 
     def load_state(self, snap: "_Snapshot") -> None:
-        self._restore(snap)
+        """Restore a snapshot taken on the structure this engine holds;
+        one taken on another structure raises ValueError."""
+        if snap.structure is not self._structure:
+            raise ValueError("snapshot was taken on another LP structure")
+        for name, arr in snap.arrays.items():
+            setattr(self, name, arr.copy())
+        self._pivots_since_refactor = snap.pivots_since_refactor
+        self._have_state = True
 
     # ------------------------------------------------------------------
     # workspace
@@ -243,30 +292,40 @@ class SimplexSolver:
         hi[n + m:] = 0.0
         self._lo, self._hi = lo, hi
         self._costs = np.zeros(self._ncols)
-        # column index of the single nonzero for singleton structural columns
+        # every column's singleton row (-1: dense) and its value there;
+        # slacks and artificials are unit columns
         nnz = np.count_nonzero(structure.A, axis=0)
-        self._singleton_row = np.where(nnz == 1, np.argmax(structure.A != 0.0, axis=0), -1)
+        srow = np.where(nnz == 1, np.argmax(structure.A != 0.0, axis=0), -1)
+        rows = np.arange(m)
+        self._colrow = np.concatenate([srow, rows, rows])
+        self._colval = np.ones(self._ncols)
+        single = np.flatnonzero(srow >= 0)
+        self._colval[single] = structure.A[srow[single], single]
+        # pricing: one product with the dense structural columns, one
+        # elementwise term for the singleton ones
+        dense = np.flatnonzero(srow < 0)
+        self._dense_At = np.ascontiguousarray(structure.A[:, dense].T)
+        self._dense_cols = _as_slice(dense)
+        self._single_cols = _as_slice(single) if single.size else None
+        self._single_rows = srow[single]
+        self._single_vals = self._colval[single]
 
     def _set_costs(self, c: np.ndarray) -> None:
         self._costs[: self._n] = c
         self._costs[self._n:] = 0.0
 
-    def _snapshot(self) -> _Snapshot:
-        return _Snapshot(
-            basis=self._basis.copy(),
-            vstat=self._vstat.copy(),
-            x=self._x.copy(),
-            binv=self._binv.copy(),
-            pivots_since_refactor=self._pivots_since_refactor,
-        )
-
-    def _restore(self, snap: _Snapshot) -> None:
-        self._basis = snap.basis.copy()
-        self._vstat = snap.vstat.copy()
-        self._x = snap.x.copy()
-        self._binv = snap.binv.copy()
-        self._pivots_since_refactor = snap.pivots_since_refactor
-        self._have_state = True
+    def _install(self, prow: np.ndarray, pval: np.ndarray, dpos: np.ndarray) -> None:
+        """Set the position maps and gather C; `_kinv` is the caller's."""
+        m = self._m
+        k = dpos.size
+        self._prow, self._pval, self._dpos = prow, pval, dpos
+        self._rowpos = np.empty(m, dtype=np.intp)
+        self._rowpos[prow] = np.arange(m)
+        self._slot = np.full(m, -1, dtype=np.intp)
+        self._slot[dpos] = np.arange(k)
+        self._krow = prow[dpos]
+        self._ct = np.empty((min(m, max(2 * k, 8)), m))
+        self._ct[:k] = self._A[:, self._basis[dpos]].T
 
     def _col(self, j: int) -> np.ndarray:
         if j < self._n:
@@ -311,7 +370,7 @@ class SimplexSolver:
                 continue
             # try a singleton structural column that can absorb the residual
             placed = False
-            cand = np.nonzero(self._singleton_row[:n] == i)[0]
+            cand = np.nonzero(self._colrow[:n] == i)[0]
             for j in cand:
                 if used[j] or vstat[j] == BASIC:
                     continue
@@ -375,7 +434,9 @@ class SimplexSolver:
             j = self._basis[pos]
             if j < n + m:
                 continue
-            row = self._binv[pos]
+            unit = np.zeros(m)
+            unit[pos] = 1.0
+            row = self._btran(unit)  # row `pos` of B^-1
             # alpha_t = row . col(t) for structural and slack columns
             alpha_struct = row @ self._A
             alpha_slack = row
@@ -389,8 +450,7 @@ class SimplexSolver:
                     break
             if best < 0:
                 continue
-            w = self._binv @ self._col(best)
-            self._apply_pivot(best, pos, w)
+            self._apply_pivot(best, pos, self._ftran(self._col(best)))
             self._vstat[j] = NB_LOWER
             self._x[j] = 0.0
 
@@ -398,13 +458,55 @@ class SimplexSolver:
     # core iteration
 
     def _refactor(self) -> None:
-        m, n = self._m, self._n
-        B = np.empty((m, m))
-        for pos, j in enumerate(self._basis):
-            B[:, pos] = self._col(j)
-        self._binv = np.linalg.inv(B)
+        m = self._m
+        rows = self._colrow[self._basis]
+        single = rows >= 0
+        owned = np.zeros(m, dtype=bool)
+        owned[rows[single]] = True
+        dpos = np.flatnonzero(~single)
+        krow = np.flatnonzero(~owned)
+        if krow.size != dpos.size:
+            raise SolverError("singular basis: two singleton columns share a row")
+        prow = rows.copy()
+        prow[dpos] = krow
+        pval = np.where(single, self._colval[self._basis], 1.0)
+        self._install(prow, pval, dpos)
+        try:
+            self._kinv = np.linalg.inv(self._ct[: dpos.size, krow].T)
+        except np.linalg.LinAlgError:
+            raise SolverError("singular basis") from None
         self._pivots_since_refactor = 0
+        self._refactors += 1
         self._recompute_basics()
+
+    def _ftran(self, a: np.ndarray) -> np.ndarray:
+        """w with B w = a, by basis position."""
+        k = self._k
+        if k == self._m:
+            return self._kinv.dot(a)   # a full kernel is in position and row order
+        if k == 0:
+            return a[self._prow] / self._pval
+        wd = self._kinv.dot(a[self._krow])
+        w = (a - self._ct[:k].T.dot(wd))[self._prow] / self._pval
+        w[self._dpos] = wd
+        return w
+
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """y with B^T y = cb, where cb is given by basis position."""
+        k = self._k
+        if k == self._m:
+            return self._kinv.T.dot(cb)
+        y = np.empty(self._m)
+        y[self._prow] = cb / self._pval
+        if k:
+            krow = self._krow
+            y[krow] = 0.0
+            y[krow] = self._kinv.T.dot(cb[self._dpos] - self._ct[:k].dot(y))
+        return y
+
+    @property
+    def _k(self) -> int:
+        return self._dpos.size
 
     def _recompute_basics(self) -> None:
         m, n = self._m, self._n
@@ -415,17 +517,21 @@ class SimplexSolver:
         if nz.size:
             rhs -= self._A[:, nz] @ vals[nz]
         # nonbasic slacks/artificials sit at a zero bound; no contribution
-        self._x[self._basis] = self._binv @ rhs
+        self._x[self._basis] = self._ftran(rhs)
 
     def _dual_values(self) -> np.ndarray:
-        return self._binv.T @ self._costs[self._basis]
+        return self._btran(self._costs[self._basis])
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
-        n, m = self._n, self._m
+        n = self._n
+        c = self._costs
         d = np.empty(self._ncols)
-        d[:n] = self._costs[:n] - self._A.T @ y
-        d[n:n + m] = self._costs[n:n + m] - y
-        d[n + m:] = self._costs[n + m:] - y
+        dense, single = self._dense_cols, self._single_cols
+        d[dense] = c[dense] - self._dense_At.dot(y)
+        if single is not None:
+            d[single] = c[single] - self._single_vals * y[self._single_rows]
+        # slacks and artificials: two unit blocks
+        np.subtract(c[n:].reshape(2, -1), y, out=d[n:].reshape(2, -1))
         return d
 
     def _optimize(self, phase: int) -> LpStatus:
@@ -448,27 +554,21 @@ class SimplexSolver:
                 return LpStatus.OPTIMAL
             y = self._dual_values()
             d = self._reduced_costs(y)
-            dtol = opts.dual_tol
             vstat = self._vstat
-            can = (
-                ((vstat == NB_LOWER) & (d < -dtol))
-                | ((vstat == NB_UPPER) & (d > dtol))
-                | ((vstat == NB_FREE) & (np.abs(d) > dtol))
-            )
-            can &= movable
-            if not can.any():
+            ad = np.abs(d)
+            can = movable & (ad > opts.dual_tol) & (_PRICE_SIGN[vstat] * d >= 0.0)
+            score = np.where(can, ad, -1.0)
+            t = int(np.argmax(score))
+            if score[t] < 0.0:
                 self._total_iterations += iters
                 return LpStatus.OPTIMAL
             if bland:
                 t = int(np.argmax(can))
-            else:
-                score = np.where(can, np.abs(d), -1.0)
-                t = int(np.argmax(score))
             if vstat[t] == NB_UPPER or (vstat[t] == NB_FREE and d[t] > 0.0):
                 sigma = -1.0
             else:
                 sigma = 1.0
-            w = self._binv @ self._col(t)
+            w = self._ftran(self._col(t))
             step, blocker, to_upper = self._ratio_test(t, sigma, w, bland)
             if step is None:
                 self._total_iterations += iters
@@ -488,7 +588,10 @@ class SimplexSolver:
                 self._x[self._basis] -= step * sigma * w
                 self._x[t] = self._hi[t] if sigma > 0 else self._lo[t]
                 self._vstat[t] = NB_UPPER if sigma > 0 else NB_LOWER
+                self._bound_flips += 1
             else:
+                self._pivots += 1
+                self._degenerate += degenerate
                 self._x[self._basis] -= step * sigma * w
                 self._x[t] = self._x[t] + sigma * step
                 leave = self._basis[blocker]
@@ -510,16 +613,11 @@ class SimplexSolver:
         means the ray is unbounded."""
         ptol = self.opts.pivot_tol
         basis = self._basis
-        xb = self._x[basis]
-        lob = self._lo[basis]
-        hib = self._hi[basis]
         delta = -sigma * w  # basic change per unit of entering movement
-        ratios = np.full(self._m, np.inf)
         up = delta > ptol
-        dn = delta < -ptol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios[up] = (hib[up] - xb[up]) / delta[up]
-            ratios[dn] = (lob[dn] - xb[dn]) / delta[dn]
+        room = np.where(up, self._hi[basis], self._lo[basis]) - self._x[basis]
+        ratios = np.full(self._m, np.inf)
+        np.divide(room, delta, out=ratios, where=up | (delta < -ptol))
         np.maximum(ratios, 0.0, out=ratios)
         best = float(ratios.min()) if self._m else np.inf
         own = self._hi[t] - self._lo[t]
@@ -541,15 +639,110 @@ class SimplexSolver:
         return best, int(pos), bool(delta[pos] > 0)
 
     def _apply_pivot(self, t: int, pos: int, w: np.ndarray) -> None:
-        wr = w[pos]
-        if abs(wr) < 1e-12:
+        """Column t replaces the basic column at `pos`; w = B^-1 a_t."""
+        if abs(w[pos]) < 1e-12:
             raise SolverError("zero pivot")
-        br = self._binv[pos] / wr
-        self._binv -= np.outer(w, br)
-        self._binv[pos] = br
+        rt = self._colrow[t]
+        s = self._slot[pos]
         self._basis[pos] = t
+        if rt < 0:
+            a = self._A[:, t]
+            if s >= 0:
+                self._replace_dense(s, a, w)
+            else:
+                self._grow(pos, a, w)
+        else:
+            # unless `pos` owns rt, rt is a kernel row and its partner q
+            # is dense: were q a singleton, w would be zero off q
+            q = self._rowpos[rt]
+            if s >= 0:
+                self._shrink(pos, q, rt)
+            elif q != pos:
+                self._swap_row(pos, q, rt)
+            self._pval[pos] = self._colval[t]
         self._vstat[t] = BASIC
         self._pivots_since_refactor += 1
+
+    def _replace_dense(self, s: int, a: np.ndarray, w: np.ndarray) -> None:
+        """Dense for dense in slot s: a product-form update of K^-1."""
+        kinv = self._kinv
+        wd = w[self._dpos]
+        row = kinv[s] / wd[s]
+        kinv -= wd[:, None] * row
+        kinv[s] = row
+        self._ct[s] = a
+
+    def _grow(self, pos: int, a: np.ndarray, w: np.ndarray) -> None:
+        """Dense for the singleton at `pos`: its row joins the kernel and
+        K is bordered by that row and the new column."""
+        k = self._k
+        r = self._prow[pos]
+        ct = self._ct
+        sigma = self._pval[pos] * w[pos]   # a[r] - C[r] . (K^-1 a_K)
+        u = w[self._dpos] / sigma
+        v = self._kinv.T.dot(ct[:k, r])
+        kinv = np.empty((k + 1, k + 1))
+        np.add(self._kinv, u[:, None] * v, out=kinv[:k, :k])
+        kinv[:k, k] = -u
+        kinv[k, :k] = v / -sigma
+        kinv[k, k] = 1.0 / sigma
+        self._kinv = kinv
+        if k == ct.shape[0]:
+            self._ct = np.empty((min(self._m, max(2 * k, 8)), self._m))
+            self._ct[:k] = ct[:k]
+        self._ct[k] = a
+        self._dpos = np.concatenate((self._dpos, (pos,)))
+        self._krow = np.concatenate((self._krow, (r,)))
+        self._slot[pos] = k
+        self._pval[pos] = 1.0
+        if k + 1 == self._m:
+            self._sort_kernel()
+
+    def _sort_kernel(self) -> None:
+        """Put a full kernel in position and row order: slot i holds
+        position i and row i, so solves with B need no gathers."""
+        m = self._m
+        by_pos, by_row = np.argsort(self._dpos), np.argsort(self._krow)
+        self._kinv = self._kinv[by_pos][:, by_row]
+        self._install(np.arange(m), self._pval, np.arange(m))
+
+    def _shrink(self, pos: int, q: int, rt: int) -> None:
+        """A singleton on kernel row rt (paired with dense q) for the
+        dense column at `pos`: the row of `pos` pairs with q instead,
+        and slot s = slot[pos] leaves K."""
+        s, j = self._slot[pos], self._slot[q]
+        r = self._prow[pos]
+        k = self._k
+        kinv = self._kinv
+        kinv[:, [s, j]] = kinv[:, [j, s]]   # kernel rows: rt to slot s, r to slot j
+        kinv -= (kinv[:, s] / kinv[s, s])[:, None] * kinv[s]
+        keep = np.arange(k) != s
+        self._kinv = kinv[keep][:, keep]
+        self._ct[s:k - 1] = self._ct[s + 1:k]
+        self._dpos = self._dpos[keep]
+        self._slot[pos] = -1
+        self._slot[self._dpos] = np.arange(k - 1)
+        self._pair(pos, rt, q, r)
+        self._krow = self._prow[self._dpos]
+
+    def _swap_row(self, pos: int, q: int, rt: int) -> None:
+        """A singleton on kernel row rt (paired with dense q) for the
+        singleton at `pos` on row r: r takes rt's kernel slot, a
+        Sherman-Morrison update of K^-1."""
+        j = self._slot[q]
+        r = self._prow[pos]
+        kinv = self._kinv
+        v = kinv.T.dot(self._ct[: self._k, r])
+        col = kinv[:, j] / v[j]
+        v[j] -= 1.0
+        kinv -= col[:, None] * v
+        self._krow[j] = r
+        self._pair(pos, rt, q, r)
+
+    def _pair(self, pos: int, rt: int, q: int, r: int) -> None:
+        """`pos` owns row rt; dense q pairs with row r."""
+        self._prow[pos], self._prow[q] = rt, r
+        self._rowpos[rt], self._rowpos[r] = pos, q
 
     # ------------------------------------------------------------------
     # results
@@ -567,7 +760,19 @@ class SimplexSolver:
             duals=y,
             reduced_costs=d[:n].copy(),
             iterations=self._total_iterations,
+            pivots=self._pivots,
+            bound_flips=self._bound_flips,
+            degenerate_pivots=self._degenerate,
+            refactors=self._refactors,
         )
+
+
+def _as_slice(idx: np.ndarray):
+    """`idx` as a slice when it is a run of consecutive indices, where
+    numpy indexes faster."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def write_lp_text(problem: LpProblem, path) -> None:

@@ -1,0 +1,25 @@
+"""The command-line scripts under scripts/ run and repeat themselves."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("workload", ["classify-probe", "classify-batch", "recovery"])
+def test_call_records_repeat_exactly(workload):
+    cmd = [sys.executable, str(SCRIPTS / "call_records.py"), "--workload", workload,
+           "--seed", "7", "--tiny"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    records = [json.loads(line) for line in runs[0].splitlines()]
+    assert records and all(r["lp_count"] >= 1 for r in records)
+    key = "removed_points" if workload.startswith("classify") else "support"
+    assert all(key in r for r in records)

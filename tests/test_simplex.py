@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxfs.classify import Dataset, build_constraints
+from maxfs.recovery import RecoveryProblem, _split_env, _zero_env
 from maxfs.simplex import (
     LpStatus,
     Sense,
@@ -16,6 +18,7 @@ from maxfs.simplex import (
     make_problem,
     write_lp_text,
 )
+from maxfs.systems import ElasticMode, elasticize, system
 
 from conftest import scipy_lp
 
@@ -242,3 +245,182 @@ def test_random_small_lps_match_scipy(data):
     prob = make_problem(c, A, senses, b, np.zeros(n), np.full(n, 6.0))
     sol = SimplexSolver().solve(prob)
     check_against_scipy(prob, sol)
+
+
+# ---------------------------------------------------------------------------
+# block-triangular basis: every basis-change kind, snapshots, counters
+
+KINDS = ("_replace_dense", "_grow", "_shrink", "_swap_row")
+
+
+@pytest.fixture
+def kinds(monkeypatch):
+    """Counts of each basis-change kind the engine makes during a test.
+    After every pivot, solves with the factorisation must match the
+    explicit basis matrix."""
+    counts = dict.fromkeys(KINDS, 0)
+    for name in KINDS:
+        method = getattr(SimplexSolver, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SimplexSolver, name, counted)
+    pivot = SimplexSolver._apply_pivot
+    rng = np.random.default_rng(0)
+
+    def checked(self, t, pos, w):
+        pivot(self, t, pos, w)
+        B = np.column_stack([self._col(j) for j in self._basis])
+        a = rng.standard_normal(self._m)
+        tol = 1e-8 * np.abs(B).max()
+        assert np.abs(B @ self._ftran(a) - a).max() <= tol
+        assert np.abs(B.T @ self._btran(a) - a).max() <= tol
+
+    monkeypatch.setattr(SimplexSolver, "_apply_pivot", checked)
+    return counts
+
+
+def check_against_fresh_engine(prob, sol):
+    fresh = SimplexSolver().solve(prob)
+    assert fresh.status is sol.status
+    if sol.status is LpStatus.OPTIMAL:
+        assert abs(fresh.z - sol.z) <= 1e-7 * (1.0 + abs(fresh.z)), (sol.z, fresh.z)
+
+
+def run_cost_sequence(prob, costs):
+    """Solve each cost vector warm on one engine. After each solve, save,
+    probe the next cost vector, restore and re-solve: the re-solve must
+    take at most one iteration and return the same Z. Returns how many
+    probes changed the number of dense basic columns."""
+    eng = SimplexSolver()
+    k_changes = 0
+    for i, c in enumerate(costs):
+        p = prob.with_costs(c)
+        sol = eng.solve(p)
+        check_against_scipy(p, sol)
+        check_against_fresh_engine(p, sol)
+        if i + 1 == len(costs):
+            break
+        k = eng._k
+        snap = eng.save_state()
+        eng.solve(prob.with_costs(costs[i + 1]))
+        k_changes += eng._k != k
+        eng.load_state(snap)
+        again = eng.solve(p)
+        assert again.iterations <= 1
+        assert abs(again.z - sol.z) <= 1e-9 * (1.0 + abs(sol.z))
+    return k_changes
+
+
+def removal_costs(model, steps):
+    """Elastic costs after deleting, one at a time, the most violated row
+    of the fresh solution before each deletion."""
+    costs = [model.lp_costs()]
+    for _ in range(steps):
+        sol = SimplexSolver().solve(model.lp_problem())
+        v = model.violations(sol)
+        v[list(model.removed_rows)] = -1.0
+        if v.max() <= 1e-9:
+            break
+        model = model.remove_row(int(np.argmax(v)))
+        costs.append(model.lp_costs())
+    return costs
+
+
+def test_standard_mode_with_equality_rows(kinds):
+    # every third row an equality, so its +- penalty pair sits on one row
+    rng = np.random.default_rng(23)
+    A = np.round(rng.uniform(-5, 5, size=(18, 3)), 3)
+    senses = np.array([">=", "<=", "="] * 6)
+    base = system(A, senses, np.round(rng.uniform(-4, 4, size=18), 3))
+    model = elasticize(base, ElasticMode.STANDARD)
+    assert any(len(cols) == 2 for cols in model.row_elastics)
+    run_cost_sequence(model.problem, removal_costs(model, 6))
+    assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
+
+
+def test_full_mode_with_bound_rows(kinds):
+    rng = np.random.default_rng(29)
+    A = np.round(rng.uniform(-5, 5, size=(14, 4)), 3)
+    senses = rng.choice([">=", "<="], size=14)
+    base = system(A, senses, np.round(rng.uniform(-6, 6, size=14), 3),
+                  lower=np.full(4, -1.0), upper=np.full(4, 1.0))
+    model = elasticize(base, ElasticMode.FULL)
+    assert len(model.bound_rows) == 8
+    run_cost_sequence(model.problem, removal_costs(model, 5))
+    assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
+
+
+@pytest.mark.parametrize("form", ["split", "zeroing"])
+def test_recovery_forms(kinds, form):
+    rng = np.random.default_rng(31)
+    A = rng.uniform(-10, 10, size=(12, 24))
+    y = np.zeros(24)
+    y[rng.choice(24, size=5, replace=False)] = rng.standard_normal(5)
+    prob = RecoveryProblem(A, A @ y)
+    env = _split_env(prob, 0.1) if form == "split" else _zero_env(prob, None)
+    costs = [env.problem.c.copy()]
+    for entity in rng.choice(24, size=4, replace=False):
+        c = costs[-1].copy()
+        c[list(env.columns[entity])] = 0.1 if form == "split" else 0.0
+        costs.append(c)
+    run_cost_sequence(env.problem, costs)
+    assert kinds["_grow"] > 0
+    if form == "split":
+        assert kinds["_replace_dense"] > 0  # every basic column ends up dense
+
+
+def test_singleton_replaces_dense_column(kinds):
+    # maximising x1 + x2 makes both dense columns basic; minimising
+    # drives them out again, each replaced by its row's slack
+    prob = make_problem([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [-1, -1], [4.0, 2.0],
+                        [0.0, 0.0], [np.inf, np.inf])
+    k_changes = run_cost_sequence(prob, [prob.c, np.array([1.0, 1.0]), prob.c])
+    assert kinds["_shrink"] > 0 and kinds["_grow"] > 0
+    assert k_changes > 0
+
+
+def test_snapshot_of_a_large_elastic_lp_is_small():
+    # the 683 x 9 shape of the breast-cancer data; k stays near 10, so a
+    # snapshot must not hold anything m x m
+    rng = np.random.default_rng(37)
+    X = np.vstack([rng.normal(0.0, 1.0, size=(444, 9)), rng.normal(0.9, 1.0, size=(239, 9))])
+    ds = Dataset(X, np.repeat([0, 1], [444, 239]))
+    model = elasticize(build_constraints(ds))
+    eng = SimplexSolver()
+    assert eng.solve(model.lp_problem()).status is LpStatus.OPTIMAL
+    snap = eng.save_state()
+    m = model.problem.m
+    floats = sum(arr.nbytes for arr in snap.arrays.values()) / 8
+    assert floats < 0.05 * m * m
+
+
+def test_snapshot_from_another_structure_is_refused():
+    p1 = make_problem([1, 1], [[1, 1], [1, -1]], [1, -1], [2, 0], [0, 0], [np.inf, np.inf])
+    p2 = make_problem([1, 2], [[1, 2], [3, 1]], [1, 1], [4, 3], [0, 0], [np.inf, np.inf])
+    eng = SimplexSolver()
+    eng.solve(p1)
+    s = eng.save_state()
+    eng.solve(p2)
+    with pytest.raises(ValueError):
+        eng.load_state(s)
+    assert abs(eng.solve(p2).z - SimplexSolver().solve(p2).z) <= 1e-12
+
+
+def test_counters():
+    rng = np.random.default_rng(41)
+    prob = random_feasible_lp(rng, m=8, n=6)
+    eng = SimplexSolver()
+    first = eng.solve(prob)
+    assert first.pivots > 0 and first.refactors >= 1
+    assert first.pivots + first.bound_flips < first.iterations
+    assert first.degenerate_pivots <= first.pivots
+    again = eng.solve(prob)
+    assert (again.pivots, again.bound_flips, again.refactors) == (0, 0, 0)
+    # a fixed-size LP with a box: the entering variable can run to its
+    # other bound without a basis change
+    box = make_problem([-1.0, -1.0], [[1.0, 1.0]], [-1], [10.0], [0.0, 0.0], [1.0, 1.0])
+    flips = SimplexSolver().solve(box)
+    assert flips.bound_flips == 2 and flips.pivots == 0
