@@ -12,14 +12,11 @@ allowed to be nonzero" as a deletion decision and run the greedy
 deletion search from `core` (`run_removal_loop` over a
 `CostDeletionEnv`) on variables instead of rows.  Deleting a variable
 means dropping (or shrinking) the objective coefficients of its column
-pair so its magnitude is no longer penalised.  Two LP shapes support
-this:
-
-  split form      the basis-pursuit LP above; deleting j rescales the
-                  costs of the pair (u_j, v_j)
-  zeroing form    x free with explicit rows x_j + e_j^+ - e_j^- = 0 and
-                  penalty costs on e^+/e^-; deleting j zeroes the costs
-                  of its e pair, freeing x_j
+pair (u_j, v_j) so its magnitude is no longer penalised.  Every method
+runs on this one LP, the split form: min sum_j w_j |y_j| s.t. A y = b,
+where w_j is 1 until j is deleted.  Its row duals p satisfy
+|a_j^T p| <= w_j for each column a_j of A, and |a_j^T p| is the price
+of variable j: the dual of the row y_j = 0, were that row written out.
 
 Methods, named by their selection rule:
 
@@ -28,9 +25,10 @@ Methods, named by their selection rule:
                   ranked by |u_j - v_j|; deleted pairs keep a residual
                   cost of 0.1; stops when no undeleted variable is
                   nonzero
-  method_c        probing search on the zeroing form with two candidate
-                  lists (|x_j| and the zeroing-row dual price); deleted
-                  pairs cost 0; stops when the penalty objective hits 0
+  method_c        probing search with two candidate lists: nonzeros
+                  ranked by |u_j - v_j|, then priced variables ranked
+                  by |a_j^T p|; deleted pairs cost 0; stops when the
+                  objective hits 0
   method_m        basis pursuit first; if its support is already small
                   (fewer than m - 3 nonzeros) keep it, otherwise fall
                   back to method_b
@@ -72,7 +70,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-7     # |value| above this counts as a nonzero
-# DUAL_TOL (from core): |zeroing-row dual| above it makes a method_c candidate
+# DUAL_TOL (from core): |a_j^T p| above it puts j on method_c's dual list
 RESIDUAL_TOL = 1e-6  # every returned y must satisfy ||A y - b||_inf <= this
 
 
@@ -162,9 +160,16 @@ def _finish(
 _RANGE_ERROR = "b is not in the range of A: nothing to recover"
 
 
-def _split_env(prob: RecoveryProblem, deleted_cost: float | None, k: int | None = None):
+def _split_env(
+    prob: RecoveryProblem,
+    deleted_cost: float | None,
+    k: int | None = None,
+    dual_list: bool = False,
+):
     """Split form: columns (u, v), y = u - v, entity j owns (u_j, v_j).
-    Candidates are the undeleted nonzeros ranked by |y_j|."""
+    Candidates are the undeleted nonzeros ranked by |y_j|; with
+    `dual_list`, then those with |a_j^T p| above DUAL_TOL ranked by it,
+    p the row duals. `k` truncates each list."""
     _check_k(k)
     n = prob.n
     A_lp = np.hstack([prob.A, -prob.A])
@@ -173,7 +178,11 @@ def _split_env(prob: RecoveryProblem, deleted_cost: float | None, k: int | None 
 
     def rank(sol: LpSolution, removed):
         y = np.abs(_split_y(sol))
-        return rank_candidates([(y, y > prob.zero_tol)], removed, k)
+        lists = [(y, y > prob.zero_tol)]
+        if dual_list:
+            d = np.abs(prob.A.T.dot(sol.duals))
+            lists.append((d, d > DUAL_TOL))
+        return rank_candidates(lists, removed, k)
 
     columns = [(j, n + j) for j in range(n)]
     return CostDeletionEnv(problem, columns, deleted_cost, rank, infeasible=_RANGE_ERROR)
@@ -182,33 +191,6 @@ def _split_env(prob: RecoveryProblem, deleted_cost: float | None, k: int | None 
 def _split_y(sol: LpSolution) -> np.ndarray:
     n = sol.x.size // 2
     return sol.x[:n] - sol.x[n:]
-
-
-def _zero_env(prob: RecoveryProblem, k: int | None):
-    """Zeroing form: x free, rows x_j + e_j^+ - e_j^- = 0 carry the
-    penalties, entity j owns (e_j^+, e_j^-). Candidates are the
-    undeleted nonzeros ranked by |x_j|, then those ranked by the dual
-    price of their zeroing row; `k` truncates each list."""
-    _check_k(k)
-    m, n = prob.m, prob.n
-    A_lp = np.zeros((m + n, 3 * n))
-    A_lp[:m, :n] = prob.A
-    A_lp[m:, :n] = np.eye(n)
-    A_lp[m:, n : 2 * n] = np.eye(n)
-    A_lp[m:, 2 * n :] = -np.eye(n)
-    senses = np.full(m + n, Sense.EQ, dtype=np.int8)
-    b_lp = np.concatenate([prob.b, np.zeros(n)])
-    lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)])
-    costs = np.concatenate([np.zeros(n), np.ones(2 * n)])
-    problem = make_problem(costs, A_lp, senses, b_lp, lower=lower)
-
-    def rank(sol: LpSolution, removed):
-        x = np.abs(sol.x[:n])
-        d = np.abs(sol.duals[m : m + n])
-        return rank_candidates([(x, x > prob.zero_tol), (d, d > DUAL_TOL)], removed, k)
-
-    columns = [(n + j, 2 * n + j) for j in range(n)]
-    return CostDeletionEnv(problem, columns, 0.0, rank, infeasible=_RANGE_ERROR)
 
 
 def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
@@ -242,12 +224,12 @@ def jokar_pfetsch(prob: RecoveryProblem, k: int | None = None) -> RecoveryResult
 
 
 def method_c(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
-    """Greedy probing over the zeroing form, stop at penalty zero."""
+    """Greedy probing over nonzeros and priced variables, deleted pairs
+    cost 0, stop at Z = 0."""
     t0 = time.perf_counter()
-    env = _zero_env(prob, k)
+    env = _split_env(prob, 0.0, k, dual_list=True)
     tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
-    y = tel.last_solution.x[: prob.n].copy()
-    return _finish("c", prob, y, env.lp_count, tel.iterations, t0)
+    return _finish("c", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
 
 
 def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:

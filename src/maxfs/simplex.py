@@ -241,9 +241,9 @@ class SimplexSolver:
         self._total_iterations = 0
         self._pivots = self._bound_flips = self._degenerate = self._refactors = 0
         if not self._have_state and not self._cold_start():
-            return self._solution(problem, LpStatus.INFEASIBLE)
-        status = self._optimize(phase=2)
-        return self._solution(problem, status)
+            y = self._dual_values()
+            return self._solution(problem, LpStatus.INFEASIBLE, y, self._reduced_costs(y))
+        return self._solution(problem, *self._optimize(phase=2))
 
     def save_state(self) -> "_Snapshot":
         """Full state snapshot (basis, values, factorisation). Restoring
@@ -409,7 +409,7 @@ class SimplexSolver:
                 phase1_costs[a] = 1.0 if self._x[a] >= 0.0 else -1.0
             saved = self._costs
             self._costs = phase1_costs
-            status = self._optimize(phase=1)
+            status, _, _ = self._optimize(phase=1)
             self._costs = saved
             if status is not LpStatus.OPTIMAL:
                 raise SolverError("phase 1 ended in state %s" % status)
@@ -534,7 +534,10 @@ class SimplexSolver:
         np.subtract(c[n:].reshape(2, -1), y, out=d[n:].reshape(2, -1))
         return d
 
-    def _optimize(self, phase: int) -> LpStatus:
+    def _optimize(self, phase: int):
+        """Pivot to optimality under the current costs. Returns (status,
+        y, d): the duals and reduced costs of the last pricing pass, None
+        when phase 1 ends before pricing."""
         opts = self.opts
         m, n = self._m, self._n
         stall = 0
@@ -543,6 +546,7 @@ class SimplexSolver:
         just_refactored = False
         movable = (self._hi - self._lo) > 0.0
         art = slice(n + m, n + 2 * m)
+        y = d = None
         while True:
             iters += 1
             if iters > opts.max_iterations:
@@ -551,7 +555,7 @@ class SimplexSolver:
                 self._refactor()
             if phase == 1 and float(np.abs(self._x[art]).sum()) <= 1e-10:
                 self._total_iterations += iters
-                return LpStatus.OPTIMAL
+                return LpStatus.OPTIMAL, y, d
             y = self._dual_values()
             d = self._reduced_costs(y)
             vstat = self._vstat
@@ -561,7 +565,7 @@ class SimplexSolver:
             t = int(np.argmax(score))
             if score[t] < 0.0:
                 self._total_iterations += iters
-                return LpStatus.OPTIMAL
+                return LpStatus.OPTIMAL, y, d
             if bland:
                 t = int(np.argmax(can))
             if vstat[t] == NB_UPPER or (vstat[t] == NB_FREE and d[t] > 0.0):
@@ -574,7 +578,7 @@ class SimplexSolver:
                 self._total_iterations += iters
                 if phase == 1:
                     raise SolverError("unbounded ray in phase 1")
-                return LpStatus.UNBOUNDED
+                return LpStatus.UNBOUNDED, y, d
             if blocker >= 0 and abs(w[blocker]) < 1e-11:
                 # pivot too small to trust; refresh the factorisation once
                 if just_refactored:
@@ -747,10 +751,9 @@ class SimplexSolver:
     # ------------------------------------------------------------------
     # results
 
-    def _solution(self, problem: LpProblem, status: LpStatus) -> LpSolution:
+    def _solution(self, problem: LpProblem, status: LpStatus, y: np.ndarray,
+                  d: np.ndarray) -> LpSolution:
         n = self._n
-        y = self._dual_values()
-        d = self._reduced_costs(y)
         x = self._x[:n].copy()
         z = float(problem.c @ x)
         return LpSolution(

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from maxfs.simplex import make_problem
 from maxfs.systems import LinearSystem, system
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,25 @@ def scipy_lp(c, A, senses, b, lower, upper):
         method="highs",
     )
     return res.status, (res.fun if res.status == 0 else None)
+
+
+def zeroing_lp(A, b, weights=None):
+    """The l1 recovery LP min sum_j w_j |y_j| s.t. A y = b written out with
+    y free and one row y_j + e_j^+ - e_j^- = 0 per variable, its e pair
+    (columns n + j and 2n + j) costing w_j (default 1): m + n rows, 3n
+    columns. The split form of `maxfs.recovery` is the same LP."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    A_lp = np.zeros((m + n, 3 * n))
+    A_lp[:m, :n] = A
+    A_lp[m:, :n] = np.eye(n)
+    A_lp[m:, n : 2 * n] = np.eye(n)
+    A_lp[m:, 2 * n :] = -np.eye(n)
+    b_lp = np.concatenate([b, np.zeros(n)])
+    lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)])
+    return make_problem(np.concatenate([np.zeros(n), w, w]), A_lp, np.zeros(m + n),
+                        b_lp, lower=lower)
 
 
 # ---------------------------------------------------------------------------

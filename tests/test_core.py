@@ -20,7 +20,7 @@ from maxfs.core import (
     run_removal_loop,
     solve_maxfs,
 )
-from maxfs.recovery import RecoveryProblem, _zero_env
+from maxfs.recovery import RecoveryProblem, _split_env
 from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
 from maxfs.systems import ElasticMode, elasticize, system
 
@@ -147,7 +147,8 @@ def test_rank_candidates_matches_plain_python(k):
 
 
 def test_rank_candidates_overlapping_lists_dedup_after_the_cut():
-    # the zeroing form's two lists share entities 0 and 2
+    # two lists sharing entities 0 and 2, as method_c's value and dual
+    # lists can
     first = (np.array([5.0, 1.0, 4.0, 0.0]), np.array([True, True, True, False]))
     second = (np.array([3.0, 0.0, 3.0, 2.0]), np.array([True, False, True, True]))
     pool, cands, scores = rank_candidates([first, second], k=2)
@@ -350,13 +351,14 @@ def test_batch_loop_exit_on_empty():
 
 
 def test_probe_restores_engine_state():
-    # one row-form and one recovery-form environment; every entity is
-    # probed, and after each probe the current costs re-solve at once
+    # one row-form environment and method_c's recovery environment; every
+    # entity is probed, and after each probe the current costs re-solve
+    # at once
     model = elasticize(random_infeasible_system(np.random.default_rng(9)))
     row_env = CostDeletionEnv(model.lp_problem(), model.row_elastics, 0.0, rank=None)
     A, _, b = planted_instance(9, 8, 16, 5)
-    zero_env = _zero_env(RecoveryProblem(A, b), k=None)
-    for env in (row_env, zero_env):
+    c_env = _split_env(RecoveryProblem(A, b), 0.0, dual_list=True)
+    for env in (row_env, c_env):
         base = env.solve_current()
         pivoted = 0
         for entity in range(len(env.columns)):

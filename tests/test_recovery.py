@@ -8,6 +8,7 @@ import pytest
 from maxfs.recovery import (
     RESIDUAL_TOL,
     RecoveryProblem,
+    _split_env,
     basis_pursuit,
     jokar_pfetsch,
     method_b,
@@ -18,7 +19,7 @@ from maxfs.recovery import (
 )
 from maxfs.simplex import SolverError
 
-from conftest import planted_instance
+from conftest import planted_instance, scipy_lp, zeroing_lp
 
 ALL_METHODS = [basis_pursuit, method_b, method_c, method_m, method_me1e2, jokar_pfetsch]
 
@@ -209,3 +210,26 @@ def test_bp_terminates_on_degenerate_dense_instance():
     res = basis_pursuit(prob)
     assert res.lp_count == 1
     np.testing.assert_allclose(res.y, x, atol=1e-6)
+
+
+def test_split_form_is_the_zeroing_form():
+    # method_c's dual list rests on this: the split LP it solves and the
+    # zeroing form (y free, rows y_j + e_j^+ - e_j^- = 0 carrying the
+    # weights) are one LP, so they reach the same Z, and the split
+    # form's row duals p satisfy |a_j^T p| <= w_j, w_j the weight of j
+    A, _, b = planted_instance(43, 12, 24, 9)
+    prob = RecoveryProblem(A, b)
+    env = _split_env(prob, 0.0, dual_list=True)
+    w = np.ones(prob.n)
+    sol = env.solve_current()
+    for _ in range(4):
+        _, cands, _ = env.candidates(sol)
+        env.remove_batch(cands[:1])
+        w[cands[0]] = 0.0
+        sol = env.solve_current()
+        zero = zeroing_lp(A, b, w)
+        status, z = scipy_lp(zero.c, zero.A, zero.senses, zero.b, zero.lower, zero.upper)
+        assert status == 0
+        assert z > 0.0
+        assert abs(sol.z - z) <= 1e-9 * z
+        assert np.all(np.abs(A.T @ sol.duals) <= w + 1e-9)

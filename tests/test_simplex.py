@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxfs.classify import Dataset, build_constraints
-from maxfs.recovery import RecoveryProblem, _split_env, _zero_env
+from maxfs.recovery import RecoveryProblem, _split_env
 from maxfs.simplex import (
     LpStatus,
     Sense,
@@ -20,7 +20,7 @@ from maxfs.simplex import (
 )
 from maxfs.systems import ElasticMode, elasticize, system
 
-from conftest import scipy_lp
+from conftest import scipy_lp, zeroing_lp
 
 STATUS_CODE = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
 
@@ -355,18 +355,24 @@ def test_full_mode_with_bound_rows(kinds):
 
 @pytest.mark.parametrize("form", ["split", "zeroing"])
 def test_recovery_forms(kinds, form):
+    # the split form fills a kernel of k = m dense columns; the zeroing
+    # form's free columns and unit rows leave k < m
     rng = np.random.default_rng(31)
     A = rng.uniform(-10, 10, size=(12, 24))
     y = np.zeros(24)
     y[rng.choice(24, size=5, replace=False)] = rng.standard_normal(5)
-    prob = RecoveryProblem(A, A @ y)
-    env = _split_env(prob, 0.1) if form == "split" else _zero_env(prob, None)
-    costs = [env.problem.c.copy()]
+    if form == "split":
+        env = _split_env(RecoveryProblem(A, A @ y), 0.1)
+        problem, columns, deleted = env.problem, env.columns, 0.1
+    else:
+        problem = zeroing_lp(A, A @ y)
+        columns, deleted = [(24 + j, 48 + j) for j in range(24)], 0.0
+    costs = [problem.c.copy()]
     for entity in rng.choice(24, size=4, replace=False):
         c = costs[-1].copy()
-        c[list(env.columns[entity])] = 0.1 if form == "split" else 0.0
+        c[list(columns[entity])] = deleted
         costs.append(c)
-    run_cost_sequence(env.problem, costs)
+    run_cost_sequence(problem, costs)
     assert kinds["_grow"] > 0
     if form == "split":
         assert kinds["_replace_dense"] > 0  # every basic column ends up dense
