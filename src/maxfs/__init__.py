@@ -43,7 +43,6 @@ from .simplex import (
     SolverError,
     SolverOptions,
     make_problem,
-    write_lp_text,
 )
 from .systems import (
     ElasticMode,
@@ -107,7 +106,6 @@ __all__ = [
     "solve_maxfs",
     "summarize",
     "system",
-    "write_lp_text",
     "write_matrix",
     "write_system",
     "write_vector",

@@ -14,8 +14,8 @@ variable pairs instead of rows.  Two pieces carry it:
     One LP whose entities (rows, or variable pairs) each own a few cost
     columns.  Deleting an entity only resets those costs, so every
     re-solve restarts warm.  A probe deletes tentatively, re-solves and
-    puts the engine state back, keeping the end state so that adopting
-    the probed deletion costs no extra LP solve.
+    puts the engine state back, keeping the end state of the best probe
+    so far so that adopting the probed deletion costs no extra LP solve.
 
 `run_removal_loop`
     The greedy rounds.  The choice step either probes every candidate
@@ -44,6 +44,7 @@ computed from the current elastic solution, are:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -264,9 +265,10 @@ class SearchEnv(Protocol):
         """(pool, candidates, scores), as `rank_candidates` returns them."""
         ...
 
-    def probe(self, entity: int) -> tuple[LpSolution, object]:
+    def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
         """Tentatively delete `entity`: re-solve warm, put the engine
-        back, and return (solution, end-state for adoption)."""
+        back, and return (solution, end-state for adoption); the end
+        state is None unless the solution's Z is below `beat`."""
         ...
 
     def adopt(self, entity: int, state: object) -> None:
@@ -291,6 +293,10 @@ class CostDeletionEnv:
     candidates of a solution. When `infeasible` is given, an infeasible
     LP raises ValueError with that message; otherwise any status but
     OPTIMAL is a SolverError.
+
+    Every probe of a round starts from the same incumbent, so the first
+    probe snapshots it and the others reuse that snapshot until a
+    deletion or a solve moves the engine on.
     """
 
     def __init__(
@@ -311,6 +317,7 @@ class CostDeletionEnv:
         self.costs = problem.c.copy()
         self.removed: set[int] = set()
         self.lp_count = 0
+        self._incumbent = None
 
     def _solve(self, costs: np.ndarray) -> LpSolution:
         sol = self.engine.solve(self.problem.with_costs(costs))
@@ -326,18 +333,20 @@ class CostDeletionEnv:
             costs[col] = self.deleted_cost
 
     def solve_current(self) -> LpSolution:
+        self._incumbent = None
         return self._solve(self.costs.copy())
 
     def candidates(self, sol: LpSolution) -> Ranked:
         return self.rank(sol, self.removed)
 
-    def probe(self, entity: int) -> tuple[LpSolution, object]:
+    def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
         trial = self.costs.copy()
         self._delete(trial, entity)
-        pre = self.engine.save_state()
+        if self._incumbent is None:
+            self._incumbent = self.engine.save_state()
         sol = self._solve(trial)
-        post = self.engine.save_state()
-        self.engine.load_state(pre)
+        post = self.engine.save_state() if sol.z < beat else None
+        self.engine.load_state(self._incumbent)
         return sol, post
 
     def adopt(self, entity: int, state: object) -> None:
@@ -345,6 +354,7 @@ class CostDeletionEnv:
         self.engine.load_state(state)
 
     def remove_batch(self, entities: Sequence[int]) -> None:
+        self._incumbent = None
         for e in entities:
             self._delete(self.costs, e)
             self.removed.add(e)
@@ -417,12 +427,12 @@ def run_removal_loop(
             exit_reason = ExitReason.BULK_E2
             ents = pool
         elif not batch:
-            best = None
+            best, beat = None, math.inf
             for e in ents:
-                psol, pstate = env.probe(e)
+                psol, pstate = env.probe(e, beat)
                 probes += 1
-                if best is None or psol.z < sol.z:
-                    best, sol, state = e, psol, pstate
+                if psol.z < beat:
+                    best, sol, state, beat = e, psol, pstate, psol.z
                 if not exit_on_empty and sol.z <= ztol:
                     break  # a feasible probe cannot be beaten
             env.adopt(best, state)

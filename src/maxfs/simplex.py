@@ -35,6 +35,28 @@ Design notes:
   A snapshot holds O(m k + k^2) numbers and fits only the structure it
   was taken on. A solve that proves the LP infeasible leaves no state
   behind; the next solve starts cold.
+* Long steps over kinks (Fourer 1985, "A simplex algorithm for
+  piecewise-linear programming I"; the primal twin of the dual
+  bound-flipping ratio test). A kink pair is two singleton columns on
+  one row, structural or slack, each with one finite bound at 0, the
+  second lam = +-1 times the first and covering, scaled by lam, the
+  other half line: a GE row's slack and +e elastic (lam = 1), an LE
+  row's slack and -e elastic (lam = -1), an equality's e+/e- (lam = -1;
+  its [0,0] slack is no member), and the same on FULL-mode bound rows.
+  Together they are one free variable whose cost has a kink at 0,
+  convex when rho_j + rho_j' >= 0 (rho = cost x side, side +1 for
+  [0, inf) and -1 for (-inf, 0]). When the ratio test stops at a convex
+  kink after a positive step, the step goes on past the kinks below the
+  first other blocker and the entering bound, in ratio order, while the
+  objective still falls; passing one hands its basis position to the
+  partner column with the value times lam and leaves K^-1 alone. Two
+  cases stay out because they measured worse: a kink at a zero step
+  (passing those cycled through thousands of degenerate pivots) and
+  the dense split pairs (u_j, v_j) of sparse recovery, whose swap
+  would flip a kernel column (it raised basis-pursuit pivots by about
+  a quarter, most of them degenerate). Bland's rule never passes a kink.
+  A structure with no pairs, such as the split form with its fixed
+  equality slacks, skips the walk on one flag.
 * Anti-cycling: Dantzig pricing by default, switching to Bland's rule
   after `bland_after` consecutive degenerate pivots, back on progress.
 """
@@ -178,11 +200,13 @@ class LpSolution:
     reduced_costs: np.ndarray  # structural variables only
     iterations: int
     # what this solve did: basis changes, entering-variable bound flips,
-    # basis changes with a zero step, and rebuilds of the factorisation
+    # basis changes with a zero step, rebuilds of the factorisation, and
+    # kinks a step passed without a pivot
     pivots: int = 0
     bound_flips: int = 0
     degenerate_pivots: int = 0
     refactors: int = 0
+    kink_passes: int = 0
 
 
 @dataclass
@@ -240,6 +264,7 @@ class SimplexSolver:
         self._set_costs(problem.c)
         self._total_iterations = 0
         self._pivots = self._bound_flips = self._degenerate = self._refactors = 0
+        self._kink_passes = 0
         if not self._have_state and not self._cold_start():
             y = self._dual_values()
             return self._solution(problem, LpStatus.INFEASIBLE, y, self._reduced_costs(y))
@@ -309,6 +334,34 @@ class SimplexSolver:
         self._single_cols = _as_slice(single) if single.size else None
         self._single_rows = srow[single]
         self._single_vals = self._colval[single]
+        self._bind_kinks()
+
+    def _bind_kinks(self) -> None:
+        """Find the kink pairs: the two singleton structural or slack
+        columns of a row, each with one finite bound at 0, the second
+        equal to lam times the first (lam = +-1) and, scaled so, covering
+        the other half line. `_partner[j]` is j's partner (-1: none),
+        `_lam[j]` the factor, `_side[j]` +1 for [0, inf) and -1 for
+        (-inf, 0]."""
+        m, nc = self._m, self._n + self._m
+        lo, hi = self._lo[:nc], self._hi[:nc]
+        up, down = (lo == 0.0) & (hi == np.inf), (lo == -np.inf) & (hi == 0.0)
+        cand = np.flatnonzero((self._colrow[:nc] >= 0) & (up | down))
+        rows = self._colrow[cand]
+        cand = cand[np.bincount(rows, minlength=m)[rows] == 2]
+        cand = cand[np.argsort(self._colrow[cand], kind="stable")]
+        j, jp = cand[0::2], cand[1::2]
+        lam = np.where(self._colval[jp] == self._colval[j], 1.0, -1.0)
+        side = np.where(up, 1.0, -1.0)
+        ok = (np.abs(self._colval[jp]) == np.abs(self._colval[j])) & (side[j] == -lam * side[jp])
+        j, jp, lam = j[ok], jp[ok], lam[ok]
+        self._partner = np.full(self._ncols, -1, dtype=np.intp)
+        self._partner[j], self._partner[jp] = jp, j
+        self._lam = np.ones(self._ncols)
+        self._lam[j] = self._lam[jp] = lam
+        self._side = np.zeros(self._ncols)
+        self._side[:nc] = side
+        self._kinks = j.size > 0
 
     def _set_costs(self, c: np.ndarray) -> None:
         self._costs[: self._n] = c
@@ -573,7 +626,7 @@ class SimplexSolver:
             else:
                 sigma = 1.0
             w = self._ftran(self._col(t))
-            step, blocker, to_upper = self._ratio_test(t, sigma, w, bland)
+            step, blocker, to_upper, passed = self._ratio_test(t, sigma, w, sigma * d[t], bland)
             if step is None:
                 self._total_iterations += iters
                 if phase == 1:
@@ -587,6 +640,8 @@ class SimplexSolver:
                 just_refactored = True
                 continue
             degenerate = step <= 1e-11
+            if passed is not None:
+                self._pass_kinks(passed, w)
             if blocker == -1:
                 # bound flip: entering variable runs to its opposite bound
                 self._x[self._basis] -= step * sigma * w
@@ -611,10 +666,13 @@ class SimplexSolver:
                 stall = 0
                 bland = False
 
-    def _ratio_test(self, t: int, sigma: float, w: np.ndarray, bland: bool = False):
-        """Return (step, blocker_pos, leaves_to_upper). blocker_pos -1
-        means the entering variable's own bound flip binds; step None
-        means the ray is unbounded."""
+    def _ratio_test(self, t: int, sigma: float, w: np.ndarray, slope: float,
+                    bland: bool = False):
+        """Return (step, blocker_pos, leaves_to_upper, passed). blocker_pos
+        -1 means the entering variable's own bound flip binds; step None
+        means the ray is unbounded. `passed` holds the positions whose
+        kink the step passes (None: none); `slope` is the objective's
+        rate of change per unit step, sigma * d_t."""
         ptol = self.opts.pivot_tol
         basis = self._basis
         delta = -sigma * w  # basic change per unit of entering movement
@@ -628,19 +686,83 @@ class SimplexSolver:
         if not np.isfinite(own):
             own = np.inf
         if own < best - 1e-12:
-            return own, -1, False
+            return own, -1, False, None
         if not np.isfinite(best):
-            return (None, None, None)
-        tie = ratios <= best + 1e-9 * (1.0 + best)
-        idx = np.nonzero(tie)[0]
+            return None, None, None, None
         if bland:
             # anti-cycling needs the lowest-index leaving variable too,
             # not just the lowest-index entering one
+            idx = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
             pos = idx[int(np.argmin(self._basis[idx]))]
         else:
-            # among blockers pick the largest pivot magnitude for stability
-            pos = idx[int(np.argmax(np.abs(w[idx])))]
-        return best, int(pos), bool(delta[pos] > 0)
+            pos = _largest_pivot(ratios, best, w)
+            if self._kinks and best > 1e-11:
+                walk = self._long_step(t, pos, ratios, delta, w, own, slope)
+                if walk is not None:
+                    return walk
+        return best, int(pos), bool(delta[pos] > 0), None
+
+    def _long_step(self, t: int, first: int, ratios: np.ndarray, delta: np.ndarray,
+                   w: np.ndarray, own: float, slope: float):
+        """Go on past kinks while the objective still falls, when the
+        blocker `first` is a kink member: the ratio test's 4-tuple, or
+        None to keep the ordinary one. The kinks below the first other
+        blocker and the entering bound are passed in ratio order; each
+        raises the slope by |delta_p| (rho_j + rho_j'), rho = cost x side,
+        and the first one that would lift it to -dual_tol leaves."""
+        basis, partner = self._basis, self._partner
+        c, side = self._costs, self._side
+        j = basis[first]
+        jp = partner[j]
+        if jp < 0 or jp == t:
+            return None
+        rho = c[j] * side[j] + c[jp] * side[jp]
+        if rho < 0.0 or slope + abs(delta[first]) * rho >= -self.opts.dual_tol:
+            return None
+        # the convex kinks among the blockers are passable
+        part = partner[basis]
+        kp = np.flatnonzero((part >= 0) & (part != t) & (ratios < np.inf))
+        bj, bp = basis[kp], part[kp]
+        rho = c[bj] * side[bj] + c[bp] * side[bp]
+        convex = rho >= 0.0
+        kp, rho = kp[convex], rho[convex]
+        other = ratios.copy()
+        other[kp] = np.inf
+        wall = float(other.min())
+        below = ratios[kp] < min(own, wall)
+        kp, rho = kp[below], rho[below]
+        order = np.argsort(ratios[kp], kind="stable")
+        kp = kp[order]
+        slopes = slope + np.cumsum(np.abs(delta[kp]) * rho[order])
+        n_pass = int(np.searchsorted(slopes >= -self.opts.dual_tol, True))
+        if n_pass == 0:
+            return None
+        if n_pass < kp.size:
+            stop = kp[n_pass]
+            return float(ratios[stop]), int(stop), bool(delta[stop] > 0), kp[:n_pass]
+        if own < wall - 1e-12:
+            return own, -1, False, kp
+        if not np.isfinite(wall):
+            return None, None, None, None
+        pos = _largest_pivot(other, wall, w)
+        return wall, int(pos), bool(delta[pos] > 0), kp
+
+    def _pass_kinks(self, pos: np.ndarray, w: np.ndarray) -> None:
+        """The kink member basic at each of `pos` hands its position to
+        its partner, the same column times lam: x_j' = lam x_j, x_j goes
+        to its 0 bound, and the position's pivot value and w entry take
+        the factor. K^-1 does not change."""
+        j = self._basis[pos]
+        jp = self._partner[j]
+        lam = self._lam[j]
+        self._x[jp] = lam * self._x[j]
+        self._x[j] = 0.0
+        self._vstat[j] = np.where(self._side[j] > 0.0, NB_LOWER, NB_UPPER)
+        self._vstat[jp] = BASIC
+        self._basis[pos] = jp
+        self._pval[pos] *= lam
+        w[pos] *= lam
+        self._kink_passes += pos.size
 
     def _apply_pivot(self, t: int, pos: int, w: np.ndarray) -> None:
         """Column t replaces the basic column at `pos`; w = B^-1 a_t."""
@@ -767,6 +889,7 @@ class SimplexSolver:
             bound_flips=self._bound_flips,
             degenerate_pivots=self._degenerate,
             refactors=self._refactors,
+            kink_passes=self._kink_passes,
         )
 
 
@@ -778,39 +901,8 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-def write_lp_text(problem: LpProblem, path) -> None:
-    """Dump a problem in LP interchange text format for offline debugging."""
-    lines = ["Minimize", " obj: " + _lin_expr(problem.c)]
-    lines.append("Subject To")
-    for i in range(problem.m):
-        op = {Sense.LE: "<=", Sense.EQ: "=", Sense.GE: ">="}[Sense(int(problem.senses[i]))]
-        lines.append(f" r{i}: {_lin_expr(problem.A[i])} {op} {problem.b[i]!r}")
-    lines.append("Bounds")
-    for j in range(problem.n):
-        lo, hi = problem.lower[j], problem.upper[j]
-        lines.append(f" {_bound_text(lo, hi, j)}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _lin_expr(coeffs: np.ndarray) -> str:
-    parts = []
-    for j, v in enumerate(coeffs):
-        if v == 0.0:
-            continue
-        sign = "+" if v >= 0 else "-"
-        parts.append(f"{sign} {abs(float(v))!r} x{j}")
-    if not parts:
-        return "0"
-    return " ".join(parts).lstrip("+ ")
-
-
-def _bound_text(lo: float, hi: float, j: int) -> str:
-    if lo == -np.inf and hi == np.inf:
-        return f"x{j} free"
-    if lo == hi:
-        return f"x{j} = {float(lo)!r}"
-    left = "-inf" if lo == -np.inf else repr(float(lo))
-    right = "+inf" if hi == np.inf else repr(float(hi))
-    return f"{left} <= x{j} <= {right}"
+def _largest_pivot(ratios: np.ndarray, best: float, w: np.ndarray) -> int:
+    """Among the blockers tied at step `best`, the position with the
+    largest pivot magnitude, for stability."""
+    idx = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
+    return idx[int(np.argmax(np.abs(w[idx])))]

@@ -196,9 +196,10 @@ class ToyEnv:
         cands = pool[: self.k]
         return pool, cands, np.array([self.w[e] for e in cands])
 
-    def probe(self, entity):
+    def probe(self, entity, beat):
         self.lp_count += 1
-        return self._sol(self._z() - self.w[entity]), entity
+        z = self._z() - self.w[entity]
+        return self._sol(z), entity if z < beat else None
 
     def adopt(self, entity, state):
         self.active.discard(entity)
@@ -362,7 +363,7 @@ def test_probe_restores_engine_state():
         base = env.solve_current()
         pivoted = 0
         for entity in range(len(env.columns)):
-            probed, _ = env.probe(entity)
+            probed, _ = env.probe(entity, np.inf)
             assert probed.z <= base.z + 1e-9  # a deletion never raises Z
             pivoted += probed.iterations > 1
             after = env.solve_current()
@@ -370,6 +371,32 @@ def test_probe_restores_engine_state():
             assert abs(after.z - base.z) <= 1e-12
         assert pivoted  # some probe moved the basis
         assert env.removed == set()
+
+
+def test_probes_of_a_round_share_one_snapshot(monkeypatch):
+    # the incumbent is saved once for all probes of a round, and a
+    # probe's end state only when it beats the best Z so far; adopting
+    # the best probe installs its end state
+    model = elasticize(random_infeasible_system(np.random.default_rng(9)))
+    env = CostDeletionEnv(model.lp_problem(), model.row_elastics, 0.0, rank=None)
+    saves = []
+    save = SimplexSolver.save_state
+    monkeypatch.setattr(SimplexSolver, "save_state", lambda eng: saves.append(1) or save(eng))
+    base = env.solve_current()
+    best, beat, states = None, np.inf, 0
+    for entity in range(model.m):
+        probed, state = env.probe(entity, beat)
+        assert (state is not None) == (probed.z < beat)
+        if state is not None:
+            best, beat, end, states = entity, probed.z, state, states + 1
+    assert len(saves) == 1 + states and states < model.m
+    assert env.probe(0, -np.inf)[1] is None and len(saves) == 1 + states
+    assert env.solve_current().iterations <= 1  # the last probe put the incumbent back
+    env.adopt(best, end)
+    after = env.solve_current()
+    assert after.iterations <= 1 and abs(after.z - beat) <= 1e-12 and beat < base.z
+    env.probe((best + 1) % model.m, np.inf)
+    assert len(saves) == 3 + states  # a new round takes a new snapshot
 
 
 def test_ledger_rejects_duplicates_and_regressions():

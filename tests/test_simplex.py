@@ -16,7 +16,6 @@ from maxfs.simplex import (
     SolverError,
     SolverOptions,
     make_problem,
-    write_lp_text,
 )
 from maxfs.systems import ElasticMode, elasticize, system
 
@@ -219,15 +218,6 @@ def test_make_problem_validation():
         make_problem([1.0], [[1.0]], [1], [0.0], [1.0], [0.0])  # crossed bounds
 
 
-def test_write_lp_text(tmp_path):
-    prob = make_problem([1.0, -2.0], [[1.0, 1.0]], [Sense.LE], [4.0], [0.0, 0.0], [np.inf, 3.0])
-    path = tmp_path / "toy.lp"
-    write_lp_text(prob, path)
-    text = path.read_text()
-    assert "x0" in text and "x1" in text
-    assert "<=" in text
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_random_small_lps_match_scipy(data):
@@ -255,10 +245,12 @@ KINDS = ("_replace_dense", "_grow", "_shrink", "_swap_row")
 
 @pytest.fixture
 def kinds(monkeypatch):
-    """Counts of each basis-change kind the engine makes during a test.
-    After every pivot, solves with the factorisation must match the
-    explicit basis matrix."""
+    """Counts of each basis-change kind the engine makes during a test,
+    and under "kinks" one (row, lam, rho_j + rho_j') per kink passed.
+    After every pivot and every kink pass, solves with the
+    factorisation must match the explicit basis matrix."""
     counts = dict.fromkeys(KINDS, 0)
+    counts["kinks"] = []
     for name in KINDS:
         method = getattr(SimplexSolver, name)
 
@@ -267,18 +259,40 @@ def kinds(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(SimplexSolver, name, counted)
-    pivot = SimplexSolver._apply_pivot
+    pivot, pass_kinks = SimplexSolver._apply_pivot, SimplexSolver._pass_kinks
     rng = np.random.default_rng(0)
 
-    def checked(self, t, pos, w):
-        pivot(self, t, pos, w)
-        B = np.column_stack([self._col(j) for j in self._basis])
+    def basis(self):
+        return np.column_stack([self._col(j) for j in self._basis])
+
+    def check(self, B):
         a = rng.standard_normal(self._m)
         tol = 1e-8 * np.abs(B).max()
         assert np.abs(B @ self._ftran(a) - a).max() <= tol
         assert np.abs(B.T @ self._btran(a) - a).max() <= tol
 
+    def checked(self, t, pos, w):
+        pivot(self, t, pos, w)
+        check(self, basis(self))
+
+    def passed(self, pos, w):
+        j = self._basis[pos]
+        jp = self._partner[j]
+        assert np.all(self._x[j] != 0.0)  # never a member sitting at its kink
+        c, side = self._costs, self._side
+        rho = c[j] * side[j] + c[jp] * side[jp]
+        assert np.all(rho >= 0.0)  # never a non-convex kink
+        counts["kinks"].extend(zip(self._colrow[j].tolist(), self._lam[j].tolist(),
+                                   rho.tolist()))
+        a_t = basis(self) @ w
+        pass_kinks(self, pos, w)
+        B = basis(self)
+        check(self, B)
+        # the adjusted w still solves B w = a_t in the new basis
+        assert np.abs(B @ w - a_t).max() <= 1e-8 * (1.0 + np.abs(a_t).max())
+
     monkeypatch.setattr(SimplexSolver, "_apply_pivot", checked)
+    monkeypatch.setattr(SimplexSolver, "_pass_kinks", passed)
     return counts
 
 
@@ -329,6 +343,14 @@ def removal_costs(model, steps):
     return costs
 
 
+def passed_rows(kinds, problem, m):
+    """The kind of row of each kink passed: its sense, or "bound" for
+    a row that FULL mode lifted from a variable bound (index >= m)."""
+    name = {Sense.GE: "GE", Sense.LE: "LE", Sense.EQ: "EQ"}
+    return {"bound" if r >= m else name[Sense(int(problem.senses[r]))]
+            for r, _, _ in kinds["kinks"]}
+
+
 def test_standard_mode_with_equality_rows(kinds):
     # every third row an equality, so its +- penalty pair sits on one row
     rng = np.random.default_rng(23)
@@ -339,6 +361,10 @@ def test_standard_mode_with_equality_rows(kinds):
     assert any(len(cols) == 2 for cols in model.row_elastics)
     run_cost_sequence(model.problem, removal_costs(model, 6))
     assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
+    # kinks of all three senses are passed: lam = +1 on GE rows, -1 on
+    # LE rows and on an equality's e+/e- pair
+    assert passed_rows(kinds, model.problem, 18) == {"GE", "LE", "EQ"}
+    assert {lam for _, lam, _ in kinds["kinks"]} == {1.0, -1.0}
 
 
 def test_full_mode_with_bound_rows(kinds):
@@ -351,6 +377,9 @@ def test_full_mode_with_bound_rows(kinds):
     assert len(model.bound_rows) == 8
     run_cost_sequence(model.problem, removal_costs(model, 5))
     assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
+    assert "bound" in passed_rows(kinds, model.problem, 14)
+    # a deleted row's kink costs nothing to pass
+    assert any(rho == 0.0 for _, _, rho in kinds["kinks"])
 
 
 @pytest.mark.parametrize("form", ["split", "zeroing"])
@@ -376,6 +405,10 @@ def test_recovery_forms(kinds, form):
     assert kinds["_grow"] > 0
     if form == "split":
         assert kinds["_replace_dense"] > 0  # every basic column ends up dense
+        # the fixed EQ slacks leave no kink pair
+        eng = SimplexSolver()
+        eng.solve(problem)
+        assert not eng._kinks and kinds["kinks"] == []
 
 
 def test_singleton_replaces_dense_column(kinds):
@@ -388,13 +421,18 @@ def test_singleton_replaces_dense_column(kinds):
     assert k_changes > 0
 
 
-def test_snapshot_of_a_large_elastic_lp_is_small():
-    # the 683 x 9 shape of the breast-cancer data; k stays near 10, so a
-    # snapshot must not hold anything m x m
+def large_elastic_model():
+    """The elastic LP of two overlapping Gaussian classes in the 683 x 9
+    shape of the breast-cancer data."""
     rng = np.random.default_rng(37)
     X = np.vstack([rng.normal(0.0, 1.0, size=(444, 9)), rng.normal(0.9, 1.0, size=(239, 9))])
     ds = Dataset(X, np.repeat([0, 1], [444, 239]))
-    model = elasticize(build_constraints(ds))
+    return elasticize(build_constraints(ds))
+
+
+def test_snapshot_of_a_large_elastic_lp_is_small():
+    # k stays near 10, so a snapshot must not hold anything m x m
+    model = large_elastic_model()
     eng = SimplexSolver()
     assert eng.solve(model.lp_problem()).status is LpStatus.OPTIMAL
     snap = eng.save_state()
@@ -423,10 +461,68 @@ def test_counters():
     assert first.pivots > 0 and first.refactors >= 1
     assert first.pivots + first.bound_flips < first.iterations
     assert first.degenerate_pivots <= first.pivots
+    assert first.kink_passes == 0  # slacks only: no row has a kink pair
     again = eng.solve(prob)
-    assert (again.pivots, again.bound_flips, again.refactors) == (0, 0, 0)
+    assert (again.pivots, again.bound_flips, again.refactors, again.kink_passes) == (0,) * 4
     # a fixed-size LP with a box: the entering variable can run to its
     # other bound without a basis change
     box = make_problem([-1.0, -1.0], [[1.0, 1.0]], [-1], [10.0], [0.0, 0.0], [1.0, 1.0])
     flips = SimplexSolver().solve(box)
     assert flips.bound_flips == 2 and flips.pivots == 0
+
+
+# ---------------------------------------------------------------------------
+# the long step over kinks: a row's slack/elastic pair (or an equality's
+# e+/e- pair) is one variable whose cost has a kink at 0
+
+
+def test_large_elastic_lp_passes_its_kinks():
+    # one step moves many violated rows across their kinks: without the
+    # long step this cold solve takes 739 pivots
+    model = large_elastic_model()
+    prob = model.lp_problem()
+    sol = SimplexSolver().solve(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.pivots <= 100 and sol.kink_passes > 0
+    _, z = scipy_lp(prob.c, prob.A, prob.senses, prob.b, prob.lower, prob.upper)
+    assert abs(sol.z - z) <= 1e-9 * abs(z)
+
+
+def test_long_step_ends_in_a_bound_flip(kinds):
+    # x in [0, 0.5] against x >= 0.2, 0.4, 0.6: x enters with slope -3,
+    # passes the first two kinks (slope -1) and stops at its own bound
+    base = system([[1.0]] * 3, [">="] * 3, [0.2, 0.4, 0.6], lower=[0.0], upper=[0.5])
+    prob = elasticize(base).lp_problem()
+    sol = SimplexSolver().solve(prob)
+    check_against_scipy(prob, sol)
+    assert abs(sol.z - 0.1) <= 1e-12
+    assert (sol.pivots, sol.bound_flips, sol.kink_passes) == (0, 1, 2)
+    assert [r for r, _, _ in kinds["kinks"]] == [0, 1]
+
+
+def test_nonconvex_kink_is_not_passed(kinds):
+    # a negative elastic cost on the x >= 1.5 row makes its kink
+    # non-convex (and the LP unbounded along that row's pair): the step
+    # passes the kink at x = 1 and stops at that row
+    base = system([[1.0]] * 4, [">="] * 4, [1.0, 1.5, 2.0, 3.0], lower=[0.0], upper=[np.inf])
+    model = elasticize(base)
+    c = model.lp_costs()
+    c[model.row_elastics[1][0]] = -1.0
+    prob = model.problem.with_costs(c)
+    sol = SimplexSolver().solve(prob)
+    check_against_scipy(prob, sol)
+    assert sol.status is LpStatus.UNBOUNDED
+    assert kinds["kinks"][0][0] == 0
+    assert 1 not in {r for r, _, _ in kinds["kinks"]}
+
+
+def test_kink_member_at_zero_is_not_passed(kinds):
+    # x >= 0 starts with its slack basic at 0; x falls with slope -2, and
+    # passing that kink would leave the slope at -1, but a zero step
+    # passes nothing: the first pivot is degenerate
+    base = system([[1.0]] * 3, [">=", "<=", "<="], [0.0, -1.0, -2.0])
+    prob = elasticize(base).lp_problem()
+    sol = SimplexSolver().solve(prob)
+    check_against_scipy(prob, sol)
+    assert abs(sol.z - 2.0) <= 1e-12
+    assert sol.degenerate_pivots >= 1
