@@ -2,8 +2,8 @@
 
 Runs every op of a `perfbench` workload once and prints what the call
 decided: its layer, LP count, rounds, removed points (classification)
-or support (recovery), and for classification the accuracy and the
-batch sizes. Two checkouts give the same lines exactly when they make
+or support (recovery), the batch sizes, and for classification the
+accuracy. Two checkouts give the same lines exactly when they make
 the same decisions on these inputs, so compare them with `diff`:
 
     python3 scripts/call_records.py --workload classify-batch --seed 301 > new.jsonl
@@ -33,9 +33,9 @@ def record(layer: str, out) -> dict:
     if isinstance(out, ClassificationReport):
         rec["removed_points"] = list(out.removed_points)
         rec["accuracy"] = out.accuracy
-        rec["removal_sizes"] = list(out.removal_sizes)
     else:
         rec["support"] = sorted(out.support)
+    rec["removal_sizes"] = list(out.removal_sizes)
     return rec
 
 

@@ -3,7 +3,7 @@ constraint matrices: elastic-programming removal heuristics, a sparse
 recovery front end, infeasible-point classification, and a seeded
 benchmark harness."""
 
-from .changepoint import ScoreSeries, best_cut, first_mean_change
+from .changepoint import best_cut, first_mean_change
 from .classify import (
     ClassificationReport,
     Dataset,
@@ -74,7 +74,6 @@ __all__ = [
     "RecoveryProblem",
     "RecoveryResult",
     "RemovalLedger",
-    "ScoreSeries",
     "Sense",
     "SimplexSolver",
     "SolverError",

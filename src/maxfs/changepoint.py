@@ -1,94 +1,83 @@
 """First abrupt change in the mean of a descending score series.
 
 The removal heuristics sort candidate scores from largest to smallest
-and ask how many leading entries stand apart from the rest. We answer
-with an exact single change-point search: for every cut position the
-within-segment squared error of the two pieces is computed, and the best
-cut is kept only when it is significant.
-
-Significance is judged relative to the series' own spread so that the
-decision is invariant under positive rescaling: a cut at p with
+and ask how many leading entries stand apart from the rest: that head
+of the ranked list is the batch to delete. We answer with an exact
+single change-point search: for every cut position the within-segment
+squared error of the two pieces is computed, and the best cut is kept
+when it explains enough of the series' spread. A cut at p with
 two-segment squared error SSE2(p) is accepted iff
 
-    SSE2(p) < beta * Var(s)
+    SSE2(p) < beta * SST,    SST = sum_i (s_i - mean(s))^2 = L * Var(s)
 
-with Var the population variance of the whole series and beta = 1 by
-default. A clean two-level step has SSE2 = 0 and always cuts; a strictly
-linear decay has SSE2 of roughly Var * len/5 at its best cut and never
-does. When no significant cut exists the caller should peel a single
-element, so the fallback result is p = 1. A constant series is the
-extreme case: it contains no change at all, so it falls back to p = 1
-like any other cut-free series. Group removal must stay conservative
-there; ties between equally implicated candidates are broken by rank,
-not resolved by removing the whole tied block.
+SST is the one-segment error of the same L entries, so both sides are
+totals on one scale: the test is invariant under positive rescaling and
+does not drift with the length of the series. At beta = 1 (the default)
+the best cut of every series that is not flat is accepted, as MATLAB's
+`findchangepts` does by default; a smaller beta requires the cut to
+explain at least a share 1 - beta of the spread, and beta = 0 refuses
+every cut. A clean two-level step has SSE2 = 0; a linear decay is cut
+near its middle, where SSE2 is about SST / 4.
+
+When no cut is accepted the caller should peel a single element, so the
+fallback result is p = 1. A flat series, whose drop s[0] - s[-1] is
+within FLAT_TOL of its largest magnitude, contains no change at all and
+falls back to p = 1 too: group removal stays conservative there, and
+ties between equally implicated candidates are broken by rank, not
+resolved by removing the whole tied block.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 FLAT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
-    """Descending candidate scores, validated once."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("score series must be a nonempty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("score series must be finite")
-        if np.any(np.diff(v) > 1e-9):
-            raise ValueError("score series must be sorted in descending order")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def first_mean_change(scores, beta: float = 1.0) -> int:
     """Count of leading elements before the first abrupt mean change.
 
-    Returns p in [1, len-1] when a significant cut exists; p = 1
-    otherwise (constant series included: zero variance admits no cut).
+    Returns p in [1, len-1] when the best cut is accepted; p = 1
+    otherwise (a flat series included: it admits no cut). Raises
+    ValueError unless `scores` is a nonempty, finite, descending 1-d
+    series and beta >= 0.
     """
-    s = scores.values if isinstance(scores, ScoreSeries) else ScoreSeries(scores).values
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("score series must be a nonempty 1-d array")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("score series must be finite")
+    if np.any(np.diff(s) > 1e-9):
+        raise ValueError("score series must be sorted in descending order")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     # a flat series up to floating-point jitter has no change to find;
-    # without this guard noise-level steps would pass the variance test
-    if float(s[0] - s[-1]) <= FLAT_TOL * max(1.0, abs(float(s[0]))):
+    # a descending series has its largest magnitude at one of its ends
+    top = max(abs(s[0]), abs(s[-1]))
+    if s[0] - s[-1] <= FLAT_TOL * top:
         return 1
+    # scaling by a power of two is exact and keeps the squares clear of
+    # underflow and overflow
+    s = np.ldexp(s, -np.frexp(top)[1])
     p, sse2 = best_cut(s)
-    variance = float(np.var(s))
-    if sse2 < beta * variance:
-        return p
-    return 1
+    d = s - s.mean()
+    return p if sse2 < beta * float(d @ d) else 1
 
 
 def best_cut(s: np.ndarray) -> tuple[int, float]:
     """Exact minimiser of two-segment squared error over all cuts.
 
     Returns (p, SSE2) with 1 <= p <= len(s)-1; ties take the smallest p.
-    Uses prefix sums, O(len) after the O(len) accumulation.
+    Uses prefix sums of the centred series, O(len): a cut at p explains
+    c_p^2 L / (p (L - p)) of SST, c_p the sum of the first p centred
+    entries, and SSE2(p) is the rest.
     """
     s = np.asarray(s, dtype=float)
     L = s.size
     if L < 2:
         return 1, 0.0
-    csum = np.cumsum(s)
-    csq = np.cumsum(s * s)
-    lens = np.arange(1, L, dtype=float)          # head lengths 1..L-1
-    head_sse = csq[:-1] - csum[:-1] ** 2 / lens
-    tail_sum = csum[-1] - csum[:-1]
-    tail_sq = csq[-1] - csq[:-1]
-    tail_len = L - lens
-    tail_sse = tail_sq - tail_sum ** 2 / tail_len
-    total = head_sse + tail_sse
-    p = int(np.argmin(total)) + 1
-    return p, float(total[p - 1])
+    d = s - s.mean()
+    heads = np.arange(1, L, dtype=float)
+    c = np.cumsum(d)[:-1]
+    explained = c * c * L / (heads * (L - heads))
+    p = int(np.argmax(explained)) + 1
+    return p, max(float(d @ d) - float(explained[p - 1]), 0.0)

@@ -141,6 +141,7 @@ def _cmd_recover(args) -> int:
         "support": support,
         "lp_count": res.lp_count,
         "iterations": res.iterations,
+        "removal_sizes": list(res.removal_sizes),
         "bp_shortcut_taken": res.bp_shortcut_taken,
         "seconds": round(res.seconds, 6),
     }
@@ -152,6 +153,7 @@ def _cmd_recover(args) -> int:
     if args.out:
         flat = dict(rec)
         flat["support"] = " ".join(map(str, support))
+        flat["removal_sizes"] = " ".join(map(str, rec["removal_sizes"]))
         if "post_support" in flat:
             flat["post_support"] = " ".join(map(str, flat["post_support"]))
         _write_csv(args.out, [flat])

@@ -177,7 +177,11 @@ class StrategyConfig:
                 `k` cut, has at most this many rows; None disables it
     e2_first_iteration_only
                 apply the bulk exit only on the first round
-    beta        mean-change sensitivity for the batch cut
+    beta        significance of the batch cut: the head of the ranked
+                list is cut where the best two-segment fit of its
+                scores leaves less than beta of their spread (the
+                squared error about their mean); 1 cuts every series
+                that is not flat, 0 deletes one row per round
     ztol        Z at or below this certifies feasibility
     max_iterations
                 outer-round cap; None means 10 * m
@@ -388,7 +392,8 @@ def run_removal_loop(
     some of them. Probing (the default) tries every candidate and keeps
     the one with the lowest Z; a feasible probe ends the round at once.
     With `batch`, the head of the ranking, cut at the first mean change
-    of its scores, is deleted and the LP solved once.
+    of its scores (`changepoint.first_mean_change` at `beta`), is
+    deleted and the LP solved once.
 
     With `exit_on_empty` the loop runs until no candidates remain and a
     positive final Z is acceptable; otherwise an empty candidate list

@@ -33,8 +33,9 @@ Methods, named by their selection rule:
                   (fewer than m - 3 nonzeros) keep it, otherwise fall
                   back to method_b
   method_me1e2    batch search on the split form: one solve per round,
-                  delete the leading group of the |u_j - v_j| ranking at
-                  the first mean change; on the first round only, if at
+                  delete the head of the |u_j - v_j| ranking, cut at the
+                  first mean change (`changepoint.first_mean_change`);
+                  deleted pairs cost 0.1; on the first round only, if at
                   most `ell` variables are nonzero, delete them all and
                   stop (so easy instances cost exactly one LP)
   jokar_pfetsch   reference variant of method_b whose deleted pairs
@@ -51,10 +52,18 @@ remaining support columns still reproduce b without it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-from .core import DUAL_TOL, CostDeletionEnv, _check_k, rank_candidates, run_removal_loop
+from .core import (
+    DUAL_TOL,
+    CostDeletionEnv,
+    LoopTelemetry,
+    _check_k,
+    rank_candidates,
+    run_removal_loop,
+)
 from .simplex import LpSolution, Sense, SolverError, make_problem
 
 __all__ = [
@@ -116,6 +125,10 @@ class RecoveryResult:
     The support is the set of entries of `y` larger than the zero
     threshold; off-support entries are below it but may carry solver
     noise. Every result is checked to reproduce b within RESIDUAL_TOL.
+    The removal-loop methods record each round: `removal_sizes` counts
+    the variables it deleted and `z_history` holds Z after the first
+    solve and after each solved round. Both are empty for basis pursuit
+    and the method_m shortcut.
     """
 
     method: str
@@ -125,6 +138,8 @@ class RecoveryResult:
     iterations: int
     seconds: float
     bp_shortcut_taken: bool = False
+    removal_sizes: tuple = ()
+    z_history: tuple = ()
 
     @property
     def T(self) -> int:
@@ -136,8 +151,8 @@ def _finish(
     prob: RecoveryProblem,
     y: np.ndarray,
     lp_count: int,
-    iterations: int,
     t0: float,
+    tel: LoopTelemetry | None = None,
     bp_shortcut_taken: bool = False,
 ) -> RecoveryResult:
     # y keeps its sub-threshold noise: zeroing it could break A y = b
@@ -151,9 +166,11 @@ def _finish(
         y=y,
         support=support,
         lp_count=lp_count,
-        iterations=iterations,
+        iterations=tel.iterations if tel else 0,
         seconds=time.perf_counter() - t0,
         bp_shortcut_taken=bp_shortcut_taken,
+        removal_sizes=tuple(tel.removal_sizes) if tel else (),
+        z_history=tuple(tel.z_history) if tel else (),
     )
 
 
@@ -198,7 +215,7 @@ def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
     t0 = time.perf_counter()
     env = _split_env(prob, deleted_cost=None)  # nothing is deleted
     sol = env.solve_current()
-    return _finish("bp", prob, _split_y(sol), env.lp_count, 0, t0)
+    return _finish("bp", prob, _split_y(sol), env.lp_count, t0)
 
 
 def _cap(prob: RecoveryProblem) -> int:
@@ -212,7 +229,7 @@ def method_b(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     tel = run_removal_loop(
         env, ztol=prob.ztol, exit_on_empty=True, max_iterations=_cap(prob)
     )
-    return _finish("b", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
+    return _finish("b", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
 
 
 def jokar_pfetsch(prob: RecoveryProblem, k: int | None = None) -> RecoveryResult:
@@ -220,7 +237,7 @@ def jokar_pfetsch(prob: RecoveryProblem, k: int | None = None) -> RecoveryResult
     t0 = time.perf_counter()
     env = _split_env(prob, 0.0, k)
     tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
-    return _finish("jp", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
+    return _finish("jp", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
 
 
 def method_c(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
@@ -229,7 +246,7 @@ def method_c(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     t0 = time.perf_counter()
     env = _split_env(prob, 0.0, k, dual_list=True)
     tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
-    return _finish("c", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0)
+    return _finish("c", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
 
 
 def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
@@ -243,9 +260,9 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     t0 = time.perf_counter()
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:
-        return _finish("m", prob, bp.y, 1, 0, t0, bp_shortcut_taken=True)
+        return _finish("m", prob, bp.y, 1, t0, bp_shortcut_taken=True)
     b = method_b(prob, k=k)
-    return _finish("m", prob, b.y, 1 + b.lp_count, b.iterations, t0)
+    return replace(b, method="m", lp_count=1 + b.lp_count, seconds=time.perf_counter() - t0)
 
 
 def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResult:
@@ -270,9 +287,7 @@ def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResul
         e2_first_iteration_only=True,
         max_iterations=_cap(prob),
     )
-    return _finish(
-        "me1e2", prob, _split_y(tel.last_solution), env.lp_count, tel.iterations, t0
-    )
+    return _finish("me1e2", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
 
 
 def postprocess(prob: RecoveryProblem, support) -> frozenset:

@@ -19,10 +19,11 @@ from conftest import brute_force_cut
         ([2.0, 1.0], 1),
         ([10.0, 10.0, 10.0, 1.0, 1.0, 1.0], 3),
         ([9.8, 9.6, 9.5, 9.4, 9.3, 0.2, 0.1], 5),
-        ([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 1),   # smooth decay: no cut
+        ([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 3),   # smooth decay: cut at its middle
         ([3.0, 3.0, 3.0, 3.0], 1),             # constant: no change exists
         ([100.0, 1.0], 1),
         ([7.0, 7.0, 7.0, 6.9999999999, 7.0, 7.0], 1),  # jitter, not structure
+        ([80.0, 75.0, 69.0, 61.0, 60.0], 2),   # cuts at 2 and 3 tie: the first wins
     ],
 )
 def test_known_series(scores, expected):
@@ -35,7 +36,7 @@ def test_scale_invariance():
         size = int(rng.integers(2, 30))
         s = np.sort(rng.uniform(0.1, 50.0, size=size))[::-1]
         p = first_mean_change(s)
-        for factor in (1e-6, 1e3, 1e8):
+        for factor in (1e-13, 1e-6, 1e3, 1e8):
             assert first_mean_change(s * factor) == p
 
 
@@ -88,6 +89,21 @@ def test_beta_controls_sensitivity():
     assert first_mean_change(s, beta=1.0) == 2
     # beta = 0 refuses every cut
     assert first_mean_change(s, beta=0.0) == 1
+    # the decay's best cut at 3 leaves SSE2 = 4 of SST = 17.5
+    decay = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+    assert first_mean_change(decay, beta=0.25) == 3
+    assert first_mean_change(decay, beta=0.2) == 1
+    for beta in (0.0, 0.2, 0.25, 0.5, 1.0, 2.0):
+        assert first_mean_change(decay, beta=beta) == brute_force_cut(decay, beta)
+
+
+def test_flat_guard_is_relative_to_the_largest_magnitude():
+    s = np.array([3.0, 3.0, 1.0, 1.0])
+    for factor in (1e-200, 1e-13, 1.0, 1e13, 1e200):
+        assert first_mean_change(s * factor) == 2
+        assert first_mean_change(-s[::-1] * factor) == 2
+    assert first_mean_change([1.0 + 1e-13, 1.0, 1.0]) == 1
+    assert first_mean_change(np.zeros(4)) == 1
 
 
 descending = st.lists(

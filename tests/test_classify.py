@@ -13,6 +13,8 @@ from maxfs.classify import (
     load_csv,
 )
 
+from conftest import bcw_shaped
+
 XOR = Dataset(
     features=np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
     labels=np.array([0, 0, 1, 1]),
@@ -112,6 +114,20 @@ def test_batch_variant_solves_fewer_lps_on_overlapping_classes():
     assert len(full.removed_points) >= 2  # overlap forces real work
     assert batch.accuracy > 0.5 and full.accuracy > 0.5
     assert batch.lp_count < full.lp_count
+
+
+def test_batch_meets_the_paper_lp_budget_on_bcw_shaped_sets():
+    # the paper's 2e1 budget on the 683x9 breast-cancer data is 12 LPs;
+    # full probing with k = 1 needs about 40 on these sets
+    gaps = []
+    for seed in range(3):
+        ds = bcw_shaped(seed)
+        batch = classify(ds, "2e1")
+        probe = classify(ds, "2k1")
+        assert batch.lp_count <= 12, seed
+        assert abs(batch.accuracy - probe.accuracy) <= 0.02, seed
+        gaps.append(batch.accuracy - probe.accuracy)
+    assert abs(float(np.mean(gaps))) <= 0.01
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,10 @@ def test_recover_subcommand(capsys, recovery_files):
     assert rec["T"] == 2
     assert rec["support"] == sorted(int(j) for j in np.flatnonzero(x))
     assert rec["lp_count"] == 1
+    # the first-round bulk exit deletes both nonzeros at once
+    assert rec["removal_sizes"] == [2]
+    code, recs = run_cli(capsys, "recover", pa, pb, "--method", "bp")
+    assert code == 0 and recs[0]["removal_sizes"] == []
 
 
 def test_recover_postprocess_fields(capsys, recovery_files):

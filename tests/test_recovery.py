@@ -162,6 +162,26 @@ def test_method_b_and_c_iteration_counts_positive_when_bp_fails():
         assert res.lp_count > 1
 
 
+def test_removal_loop_methods_keep_their_rounds():
+    prob, _ = planted_problem(11, 10, 20, 8)
+    for fn in (method_b, method_c, method_me1e2, jokar_pfetsch):
+        res = fn(prob)
+        assert len(res.removal_sizes) == res.iterations >= 1, fn.__name__
+        assert min(res.removal_sizes) >= 1, fn.__name__
+        # Z after the first solve and after each solved round; an exit
+        # that deletes without solving leaves out its own round
+        assert res.iterations <= len(res.z_history) <= res.iterations + 1, fn.__name__
+    # me1e2 deletes the head of its ranking, a group at a time
+    me = method_me1e2(prob)
+    assert max(me.removal_sizes) > 1
+    assert me.lp_count < method_b(prob).lp_count
+    # method_m's fallback reports method_b's rounds
+    assert method_m(prob).removal_sizes == method_b(prob).removal_sizes
+    shortcut, _ = planted_problem(4, 16, 32, 3)
+    for res in (basis_pursuit(prob), method_m(shortcut)):
+        assert res.removal_sizes == () and res.z_history == ()
+
+
 # ----------------------------------------------------------------------
 # postprocessing
 

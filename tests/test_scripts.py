@@ -22,4 +22,13 @@ def test_call_records_repeat_exactly(workload):
     records = [json.loads(line) for line in runs[0].splitlines()]
     assert records and all(r["lp_count"] >= 1 for r in records)
     key = "removed_points" if workload.startswith("classify") else "support"
-    assert all(key in r for r in records)
+    assert all(key in r and "removal_sizes" in r for r in records)
+
+
+def test_classification_lp_costs_reports_the_accuracy_gap():
+    cmd = [sys.executable, str(SCRIPTS / "classification_lp_costs.py"), "--seeds", "1",
+           "--points", "40"]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True).stdout
+    summary = out.splitlines()[-1]
+    assert "mean LP reduction" in summary
+    assert "vs 2k1" in summary and "vs 2inf" in summary
