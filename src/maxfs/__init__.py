@@ -15,7 +15,6 @@ from .classify import (
 from .core import (
     ExitReason,
     MaxFsResult,
-    RemovalLedger,
     StrategyConfig,
     build_candidates_alg1,
     build_candidates_alg2,
@@ -41,7 +40,6 @@ from .simplex import (
     Sense,
     SimplexSolver,
     SolverError,
-    SolverOptions,
     make_problem,
 )
 from .systems import (
@@ -73,11 +71,9 @@ __all__ = [
     "MaxFsResult",
     "RecoveryProblem",
     "RecoveryResult",
-    "RemovalLedger",
     "Sense",
     "SimplexSolver",
     "SolverError",
-    "SolverOptions",
     "StrategyConfig",
     "SweepSpec",
     "basis_pursuit",

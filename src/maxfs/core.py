@@ -23,6 +23,8 @@ variable pairs instead of rows.  Two pieces carry it:
     that row is the unique remaining cause), or, with `batch`, solves
     once per round and deletes the head group of the ranking, cut where
     the score sequence first changes mean level (see `changepoint`).
+    It returns the search's one record, a `MaxFsResult`, to which
+    `solve_maxfs` adds a finishing solve and which recovery reads.
 
 An early bulk exit is available to both policies: when the candidate
 pool (every ranked entity, before the `k` cut) has at most `e2_ell`
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Callable, Protocol, Sequence
 
@@ -59,10 +61,7 @@ from .systems import ElasticModel, LinearSystem, elasticize
 __all__ = [
     "CostDeletionEnv",
     "ExitReason",
-    "LoopTelemetry",
     "MaxFsResult",
-    "RemovalEntry",
-    "RemovalLedger",
     "StrategyConfig",
     "build_candidates_alg1",
     "build_candidates_alg2",
@@ -213,45 +212,54 @@ class StrategyConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
-class RemovalEntry:
-    """One deletion. The Z after it is `z_history[iteration]` of the
-    search that made it."""
-
-    entity: int
-    iteration: int
-
-
-class RemovalLedger:
-    """Ordered record of deletions: unique entities, nondecreasing rounds."""
-
-    def __init__(self) -> None:
-        self.entries: list[RemovalEntry] = []
-        self._seen: set[int] = set()
-
-    def add(self, entity: int, iteration: int) -> None:
-        if entity in self._seen:
-            raise ValueError(f"entity {entity} recorded twice")
-        if self.entries and iteration < self.entries[-1].iteration:
-            raise ValueError("iteration numbers must not decrease")
-        self._seen.add(entity)
-        self.entries.append(RemovalEntry(entity, iteration))
-
-    def entities(self) -> list[int]:
-        return [e.entity for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 class ExitReason(Enum):
     FEASIBLE = "feasible"
     EMPTY_CANDIDATES = "empty_candidates"
     SINGLETON = "singleton"
     BULK_E2 = "bulk_e2"
+
+
+@dataclass
+class MaxFsResult:
+    """The record of one greedy search, over rows (`solve_maxfs`) or
+    over the variable pairs (u_j, v_j) of sparse recovery.
+
+    removed_rows    deleted entities in order: row indices, or variable
+                    indices j; deletions made before the search are not
+                    listed
+    removal_sizes   entities deleted per round (1 when probing); their
+                    sum is len(removed_rows)
+    z_history       Z after the first solve and after each solved round.
+                    A SINGLETON or BULK_E2 exit deletes without solving;
+                    `solve_maxfs` then appends its finishing solve's Z
+    final_solution  the last LP solved: for rows, the surviving
+                    system's; for recovery after those exits, the one
+                    the last cut was taken from
+    lp_count        LPs solved, probes and a finishing solve included
+    probes          tentative deletions tried
+    seconds         wall time of the search
+    exit_reason     why the rounds stopped
+
+    The surviving rows are feasible whenever final_z <= ztol at exit.
+    """
+
+    removed_rows: list[int]
+    removal_sizes: list[int]
+    z_history: list[float]
+    final_solution: LpSolution
+    lp_count: int
+    probes: int
+    seconds: float
+    exit_reason: ExitReason
+
+    @property
+    def iterations(self) -> int:
+        """Deletion rounds; a round deletes at least one entity."""
+        return len(self.removal_sizes)
+
+    @property
+    def final_z(self) -> float:
+        return self.final_solution.z
 
 
 class SearchEnv(Protocol):
@@ -267,21 +275,17 @@ class SearchEnv(Protocol):
 
     def candidates(self, sol: LpSolution) -> Ranked:
         """(pool, candidates, scores), as `rank_candidates` returns them."""
-        ...
 
     def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
         """Tentatively delete `entity`: re-solve warm, put the engine
         back, and return (solution, end-state for adoption); the end
         state is None unless the solution's Z is below `beat`."""
-        ...
 
     def adopt(self, entity: int, state: object) -> None:
         """Delete `entity` for real and install the probe end-state."""
-        ...
 
     def remove_batch(self, entities: Sequence[int]) -> None:
         """Delete entities without solving."""
-        ...
 
 
 # (solution, removed entities) -> (pool, candidates, scores)
@@ -364,17 +368,6 @@ class CostDeletionEnv:
             self.removed.add(e)
 
 
-@dataclass
-class LoopTelemetry:
-    exit_reason: ExitReason
-    iterations: int
-    ledger: RemovalLedger
-    z_history: list[float]
-    removal_sizes: list[int]
-    last_solution: LpSolution
-    probes: int
-
-
 def run_removal_loop(
     env: SearchEnv,
     *,
@@ -385,7 +378,7 @@ def run_removal_loop(
     e2_ell: int | None = None,
     e2_first_iteration_only: bool = False,
     max_iterations: int,
-) -> LoopTelemetry:
+) -> MaxFsResult:
     """Greedy deletion rounds until Z <= ztol.
 
     Each round ranks the candidates of the current solution and deletes
@@ -399,16 +392,16 @@ def run_removal_loop(
     positive final Z is acceptable; otherwise an empty candidate list
     while Z > ztol is an error. `max_iterations` caps the rounds.
     """
-    ledger = RemovalLedger()
+    t0 = time.perf_counter()
+    removed: list[int] = []
     removal_sizes: list[int] = []
     probes = 0
-    iteration = 0
     exit_reason: ExitReason | None = None
     sol = env.solve_current()
     z_history = [sol.z]
 
     while exit_on_empty or sol.z > ztol:
-        if iteration >= max_iterations:
+        if len(removal_sizes) >= max_iterations:
             raise SolverError(f"no convergence within {max_iterations} rounds")
         pool, ents, scores = env.candidates(sol)
         if not pool:
@@ -416,7 +409,6 @@ def run_removal_loop(
                 raise SolverError("objective positive but no candidates")
             exit_reason = ExitReason.EMPTY_CANDIDATES
             break
-        iteration += 1
 
         if not batch and len(pool) == 1:
             # the sole candidate is the only remaining cause; deleting it
@@ -426,7 +418,7 @@ def run_removal_loop(
             exit_reason = ExitReason.SINGLETON
         elif (
             e2_ell is not None
-            and (iteration == 1 or not e2_first_iteration_only)
+            and (not removal_sizes or not e2_first_iteration_only)
             and len(pool) <= e2_ell
         ):
             exit_reason = ExitReason.BULK_E2
@@ -441,7 +433,7 @@ def run_removal_loop(
                 if not exit_on_empty and sol.z <= ztol:
                     break  # a feasible probe cannot be beaten
             env.adopt(best, state)
-            ledger.add(best, iteration)
+            removed.append(best)
             removal_sizes.append(1)
             z_history.append(sol.z)
             continue
@@ -449,8 +441,7 @@ def run_removal_loop(
             ents = ents[: first_mean_change(scores, beta=beta)]
 
         env.remove_batch(ents)
-        for e in ents:
-            ledger.add(e, iteration)
+        removed.extend(ents)
         removal_sizes.append(len(ents))
         if exit_reason is not None:
             break
@@ -459,8 +450,15 @@ def run_removal_loop(
     else:
         exit_reason = ExitReason.FEASIBLE
 
-    return LoopTelemetry(
-        exit_reason, iteration, ledger, z_history, removal_sizes, sol, probes
+    return MaxFsResult(
+        removed_rows=removed,
+        removal_sizes=removal_sizes,
+        z_history=z_history,
+        final_solution=sol,
+        lp_count=env.lp_count,
+        probes=probes,
+        seconds=time.perf_counter() - t0,
+        exit_reason=exit_reason,
     )
 
 
@@ -475,33 +473,6 @@ def _row_ranking(model: ElasticModel, cfg: StrategyConfig) -> Ranking:
         return build_candidates_alg3(sol, model, removed, cfg.k)
 
     return rank
-
-
-@dataclass
-class MaxFsResult:
-    """Outcome of the greedy search on one elastic model.
-
-    `removed_rows` lists deletions in order; the surviving rows form a
-    feasible subsystem whenever `final_z <= ztol` held at exit.
-    `lp_count` counts every LP solved, probes and the finishing solve
-    included.
-    """
-
-    ledger: RemovalLedger
-    final_z: float
-    final_solution: LpSolution
-    model: ElasticModel
-    lp_count: int
-    iterations: int
-    probes: int
-    seconds: float
-    exit_reason: ExitReason
-    z_history: list[float]
-    removal_sizes: list[int]
-
-    @property
-    def removed_rows(self) -> list[int]:
-        return self.ledger.entities()
 
 
 def solve_maxfs(
@@ -523,7 +494,7 @@ def solve_maxfs(
     cap = cfg.max_iterations if cfg.max_iterations is not None else 10 * model.base.m
 
     t0 = time.perf_counter()
-    tel = run_removal_loop(
+    res = run_removal_loop(
         env,
         ztol=cfg.ztol,
         batch=cfg.use_e1,
@@ -532,27 +503,14 @@ def solve_maxfs(
         e2_first_iteration_only=cfg.e2_first_iteration_only,
         max_iterations=cap,
     )
-    final_sol = tel.last_solution
-    if tel.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2):
+    if res.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2):
         # those exits delete without solving; one finishing solve yields
         # the surviving system's solution and the definitive Z
-        final_sol = env.solve_current()
-        tel.z_history.append(final_sol.z)
-    seconds = time.perf_counter() - t0
+        res.final_solution = env.solve_current()
+        res.z_history.append(res.final_z)
+        res.lp_count = env.lp_count
+    res.seconds = time.perf_counter() - t0
 
-    if tel.exit_reason is not ExitReason.BULK_E2 and final_sol.z > cfg.ztol:
-        raise SolverError(f"search ended with Z={final_sol.z:.3e} above tolerance")
-
-    return MaxFsResult(
-        ledger=tel.ledger,
-        final_z=final_sol.z,
-        final_solution=final_sol,
-        model=replace(model, removed_rows=frozenset(env.removed)),
-        lp_count=env.lp_count,
-        iterations=tel.iterations,
-        probes=tel.probes,
-        seconds=seconds,
-        exit_reason=tel.exit_reason,
-        z_history=tel.z_history,
-        removal_sizes=tel.removal_sizes,
-    )
+    if res.exit_reason is not ExitReason.BULK_E2 and res.final_z > cfg.ztol:
+        raise SolverError(f"search ended with Z={res.final_z:.3e} above tolerance")
+    return res

@@ -59,7 +59,7 @@ import numpy as np
 from .core import (
     DUAL_TOL,
     CostDeletionEnv,
-    LoopTelemetry,
+    MaxFsResult,
     _check_k,
     rank_candidates,
     run_removal_loop,
@@ -150,11 +150,12 @@ def _finish(
     method: str,
     prob: RecoveryProblem,
     y: np.ndarray,
-    lp_count: int,
     t0: float,
-    tel: LoopTelemetry | None = None,
+    search: MaxFsResult | None = None,
     bp_shortcut_taken: bool = False,
 ) -> RecoveryResult:
+    """Check y and wrap it with its search's record; a result without a
+    search made its one basis-pursuit solve."""
     # y keeps its sub-threshold noise: zeroing it could break A y = b
     # at tight tolerance; the support ignores it instead
     resid = float(np.max(np.abs(prob.A @ y - prob.b)))
@@ -165,12 +166,12 @@ def _finish(
         method=method,
         y=y,
         support=support,
-        lp_count=lp_count,
-        iterations=tel.iterations if tel else 0,
+        lp_count=search.lp_count if search else 1,
+        iterations=search.iterations if search else 0,
         seconds=time.perf_counter() - t0,
         bp_shortcut_taken=bp_shortcut_taken,
-        removal_sizes=tuple(tel.removal_sizes) if tel else (),
-        z_history=tuple(tel.z_history) if tel else (),
+        removal_sizes=tuple(search.removal_sizes) if search else (),
+        z_history=tuple(search.z_history) if search else (),
     )
 
 
@@ -215,38 +216,33 @@ def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
     t0 = time.perf_counter()
     env = _split_env(prob, deleted_cost=None)  # nothing is deleted
     sol = env.solve_current()
-    return _finish("bp", prob, _split_y(sol), env.lp_count, t0)
+    return _finish("bp", prob, _split_y(sol), t0)
 
 
-def _cap(prob: RecoveryProblem) -> int:
-    return 10 * prob.n
+def _search(method: str, prob: RecoveryProblem, env, t0: float, **loop) -> RecoveryResult:
+    """Run the removal loop on `env`, capped at 10 n rounds; y is read
+    from its last solution."""
+    res = run_removal_loop(env, ztol=prob.ztol, max_iterations=10 * prob.n, **loop)
+    return _finish(method, prob, _split_y(res.final_solution), t0, res)
 
 
 def method_b(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     """Greedy probing over split-form pairs, deleted pairs cost 0.1."""
     t0 = time.perf_counter()
-    env = _split_env(prob, 0.1, k)
-    tel = run_removal_loop(
-        env, ztol=prob.ztol, exit_on_empty=True, max_iterations=_cap(prob)
-    )
-    return _finish("b", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
+    return _search("b", prob, _split_env(prob, 0.1, k), t0, exit_on_empty=True)
 
 
 def jokar_pfetsch(prob: RecoveryProblem, k: int | None = None) -> RecoveryResult:
     """Reference probing variant: deleted pairs cost 0, stop at Z = 0."""
     t0 = time.perf_counter()
-    env = _split_env(prob, 0.0, k)
-    tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
-    return _finish("jp", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
+    return _search("jp", prob, _split_env(prob, 0.0, k), t0)
 
 
 def method_c(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     """Greedy probing over nonzeros and priced variables, deleted pairs
     cost 0, stop at Z = 0."""
     t0 = time.perf_counter()
-    env = _split_env(prob, 0.0, k, dual_list=True)
-    tel = run_removal_loop(env, ztol=prob.ztol, max_iterations=_cap(prob))
-    return _finish("c", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
+    return _search("c", prob, _split_env(prob, 0.0, k, dual_list=True), t0)
 
 
 def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
@@ -260,7 +256,7 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     t0 = time.perf_counter()
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:
-        return _finish("m", prob, bp.y, 1, t0, bp_shortcut_taken=True)
+        return _finish("m", prob, bp.y, t0, bp_shortcut_taken=True)
     b = method_b(prob, k=k)
     return replace(b, method="m", lp_count=1 + b.lp_count, seconds=time.perf_counter() - t0)
 
@@ -276,18 +272,16 @@ def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResul
     t0 = time.perf_counter()
     if ell is None:
         ell = prob.m - 3
-    e2 = ell if ell >= 1 else None
-    env = _split_env(prob, 0.1)
-    tel = run_removal_loop(
-        env,
-        ztol=prob.ztol,
+    return _search(
+        "me1e2",
+        prob,
+        _split_env(prob, 0.1),
+        t0,
         batch=True,
         exit_on_empty=True,
-        e2_ell=e2,
+        e2_ell=ell if ell >= 1 else None,
         e2_first_iteration_only=True,
-        max_iterations=_cap(prob),
     )
-    return _finish("me1e2", prob, _split_y(tel.last_solution), env.lp_count, t0, tel)
 
 
 def postprocess(prob: RecoveryProblem, support) -> frozenset:

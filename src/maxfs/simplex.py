@@ -17,12 +17,13 @@ Design notes:
   singleton owns in a k x k kernel K, whose inverse is kept
   explicitly. Solves with B or B^T cost O(m k + k^2), a refactor is a
   gather plus inv(K), and each pivot updates K^-1 in O(m + k^2) by one
-  of four moves: a product-form column swap (dense for dense), a
-  bordering (dense for singleton), a deletion (singleton for dense) or
-  a Sherman-Morrison row swap (singleton for singleton on another
-  row). An elastic LP keeps k near its structural count n; a fully
-  dense basis is the case k = m of the same formulas. K^-1 is rebuilt
-  every `refactor_every` pivots.
+  of three moves: a product-form column swap (dense for dense), a
+  bordering (dense for singleton) or a Sherman-Morrison row swap
+  (singleton for singleton on another row). The fourth kind, a
+  singleton for a dense column, is rare enough to rebuild K^-1 instead.
+  An elastic LP keeps k near its structural count n; a fully dense
+  basis is the case k = m of the same formulas. K^-1 is rebuilt every
+  REFACTOR_EVERY pivots.
 * Phase 1 minimises the total artificial magnitude. A crash step first
   assigns each row's residual to its slack or to a singleton structural
   column when bounds allow, so elastic constructions (every row carries
@@ -58,7 +59,7 @@ Design notes:
   A structure with no pairs, such as the split form with its fixed
   equality slacks, skips the walk on one flag.
 * Anti-cycling: Dantzig pricing by default, switching to Bland's rule
-  after `bland_after` consecutive degenerate pivots, back on progress.
+  after BLAND_AFTER consecutive degenerate pivots, back on progress.
 """
 from __future__ import annotations
 
@@ -66,6 +67,25 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
+
+# a crash value may pass its bound by PRIMAL_TOL, and a leftover
+# artificial below it counts as zero
+PRIMAL_TOL = 1e-8
+# a column may enter only when its |reduced cost| exceeds DUAL_TOL; a
+# long step stops passing kinks once the slope rises to -DUAL_TOL
+DUAL_TOL = 1e-8
+# a basic column whose |change per unit step| is at most PIVOT_TOL
+# never blocks the ratio test
+PIVOT_TOL = 1e-9
+# phase 1 proves infeasibility when the artificials keep a total above
+# INFEAS_TOL * (1 + max|b|)
+INFEAS_TOL = 1e-7
+# pivots between rebuilds of the factorisation
+REFACTOR_EVERY = 64
+# consecutive degenerate pivots before Bland's rule takes over
+BLAND_AFTER = 40
+# iterations of one phase before the solve raises SolverError
+MAX_ITERATIONS = 500_000
 
 # Nonbasic/basic variable states.
 NB_LOWER = 0
@@ -209,17 +229,6 @@ class LpSolution:
     kink_passes: int = 0
 
 
-@dataclass
-class SolverOptions:
-    primal_tol: float = 1e-8
-    dual_tol: float = 1e-8
-    pivot_tol: float = 1e-9
-    infeas_tol: float = 1e-7      # phase-1 objective above this (scaled) is infeasible
-    refactor_every: int = 64
-    bland_after: int = 40         # consecutive degenerate pivots before Bland's rule
-    max_iterations: int = 500_000
-
-
 # the engine arrays a snapshot copies: basis, values and factorisation
 # (and the used rows of `_ct`)
 _STATE = ("_basis", "_vstat", "_x", "_prow", "_pval", "_rowpos", "_slot", "_dpos",
@@ -248,8 +257,7 @@ class SimplexSolver:
     `_kinv`, the inverse of K[s, t] = C[_krow[s], t].
     """
 
-    def __init__(self, options: SolverOptions | None = None):
-        self.opts = options or SolverOptions()
+    def __init__(self):
         self._structure: LpStructure | None = None
         self._have_state = False
 
@@ -411,8 +419,7 @@ class SimplexSolver:
         residual = self._b - self._A @ x[:n]
         basis = np.empty(m, dtype=np.int64)
         art_rows = []
-        tol = self.opts.primal_tol
-        used = np.zeros(n, dtype=bool)
+        tol = PRIMAL_TOL
         for i in range(m):
             r = residual[i]
             s = n + i
@@ -422,11 +429,7 @@ class SimplexSolver:
                 x[s] = r
                 continue
             # try a singleton structural column that can absorb the residual
-            placed = False
-            cand = np.nonzero(self._colrow[:n] == i)[0]
-            for j in cand:
-                if used[j] or vstat[j] == BASIC:
-                    continue
+            for j in np.nonzero(self._colrow[:n] == i)[0]:
                 g = self._A[i, j]
                 # residual was measured with x[j] at its bound; fold that back in
                 val = (r + g * x[j]) / g
@@ -434,20 +437,17 @@ class SimplexSolver:
                     basis[i] = j
                     vstat[j] = BASIC
                     x[j] = val
-                    used[j] = True
-                    placed = True
                     break
-            if placed:
-                continue
-            a = n + m + i
-            basis[i] = a
-            vstat[a] = BASIC
-            x[a] = r
-            if r >= 0.0:
-                self._lo[a], self._hi[a] = 0.0, np.inf
             else:
-                self._lo[a], self._hi[a] = -np.inf, 0.0
-            art_rows.append(i)
+                a = n + m + i
+                basis[i] = a
+                vstat[a] = BASIC
+                x[a] = r
+                if r >= 0.0:
+                    self._lo[a], self._hi[a] = 0.0, np.inf
+                else:
+                    self._lo[a], self._hi[a] = -np.inf, 0.0
+                art_rows.append(i)
 
         self._basis = basis
         self._vstat = vstat
@@ -469,7 +469,7 @@ class SimplexSolver:
             art = np.arange(n + m, n + 2 * m)
             z1 = float(np.abs(self._x[art]).sum())
             scale = 1.0 + float(np.max(np.abs(self._b))) if m else 1.0
-            if z1 > self.opts.infeas_tol * scale:
+            if z1 > INFEAS_TOL * scale:
                 return False
             self._pivot_out_artificials()
             self._lo[n + m:] = 0.0
@@ -591,7 +591,6 @@ class SimplexSolver:
         """Pivot to optimality under the current costs. Returns (status,
         y, d): the duals and reduced costs of the last pricing pass, None
         when phase 1 ends before pricing."""
-        opts = self.opts
         m, n = self._m, self._n
         stall = 0
         bland = False
@@ -602,9 +601,9 @@ class SimplexSolver:
         y = d = None
         while True:
             iters += 1
-            if iters > opts.max_iterations:
+            if iters > MAX_ITERATIONS:
                 raise SolverError("simplex iteration limit exceeded")
-            if self._pivots_since_refactor >= opts.refactor_every:
+            if self._pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
             if phase == 1 and float(np.abs(self._x[art]).sum()) <= 1e-10:
                 self._total_iterations += iters
@@ -613,7 +612,7 @@ class SimplexSolver:
             d = self._reduced_costs(y)
             vstat = self._vstat
             ad = np.abs(d)
-            can = movable & (ad > opts.dual_tol) & (_PRICE_SIGN[vstat] * d >= 0.0)
+            can = movable & (ad > DUAL_TOL) & (_PRICE_SIGN[vstat] * d >= 0.0)
             score = np.where(can, ad, -1.0)
             t = int(np.argmax(score))
             if score[t] < 0.0:
@@ -660,7 +659,7 @@ class SimplexSolver:
             just_refactored = False
             if degenerate:
                 stall += 1
-                if stall >= opts.bland_after:
+                if stall >= BLAND_AFTER:
                     bland = True
             else:
                 stall = 0
@@ -673,7 +672,7 @@ class SimplexSolver:
         means the ray is unbounded. `passed` holds the positions whose
         kink the step passes (None: none); `slope` is the objective's
         rate of change per unit step, sigma * d_t."""
-        ptol = self.opts.pivot_tol
+        ptol = PIVOT_TOL
         basis = self._basis
         delta = -sigma * w  # basic change per unit of entering movement
         up = delta > ptol
@@ -709,7 +708,7 @@ class SimplexSolver:
         None to keep the ordinary one. The kinks below the first other
         blocker and the entering bound are passed in ratio order; each
         raises the slope by |delta_p| (rho_j + rho_j'), rho = cost x side,
-        and the first one that would lift it to -dual_tol leaves."""
+        and the first one that would lift it to -DUAL_TOL leaves."""
         basis, partner = self._basis, self._partner
         c, side = self._costs, self._side
         j = basis[first]
@@ -717,7 +716,7 @@ class SimplexSolver:
         if jp < 0 or jp == t:
             return None
         rho = c[j] * side[j] + c[jp] * side[jp]
-        if rho < 0.0 or slope + abs(delta[first]) * rho >= -self.opts.dual_tol:
+        if rho < 0.0 or slope + abs(delta[first]) * rho >= -DUAL_TOL:
             return None
         # the convex kinks among the blockers are passable
         part = partner[basis]
@@ -734,7 +733,7 @@ class SimplexSolver:
         order = np.argsort(ratios[kp], kind="stable")
         kp = kp[order]
         slopes = slope + np.cumsum(np.abs(delta[kp]) * rho[order])
-        n_pass = int(np.searchsorted(slopes >= -self.opts.dual_tol, True))
+        n_pass = int(np.searchsorted(slopes >= -DUAL_TOL, True))
         if n_pass == 0:
             return None
         if n_pass < kp.size:
@@ -771,6 +770,11 @@ class SimplexSolver:
         rt = self._colrow[t]
         s = self._slot[pos]
         self._basis[pos] = t
+        self._vstat[t] = BASIC
+        if rt >= 0 and s >= 0:
+            # a singleton for a dense column is rare enough to rebuild
+            self._refactor()
+            return
         if rt < 0:
             a = self._A[:, t]
             if s >= 0:
@@ -781,12 +785,9 @@ class SimplexSolver:
             # unless `pos` owns rt, rt is a kernel row and its partner q
             # is dense: were q a singleton, w would be zero off q
             q = self._rowpos[rt]
-            if s >= 0:
-                self._shrink(pos, q, rt)
-            elif q != pos:
+            if q != pos:
                 self._swap_row(pos, q, rt)
             self._pval[pos] = self._colval[t]
-        self._vstat[t] = BASIC
         self._pivots_since_refactor += 1
 
     def _replace_dense(self, s: int, a: np.ndarray, w: np.ndarray) -> None:
@@ -832,25 +833,6 @@ class SimplexSolver:
         self._kinv = self._kinv[by_pos][:, by_row]
         self._install(np.arange(m), self._pval, np.arange(m))
 
-    def _shrink(self, pos: int, q: int, rt: int) -> None:
-        """A singleton on kernel row rt (paired with dense q) for the
-        dense column at `pos`: the row of `pos` pairs with q instead,
-        and slot s = slot[pos] leaves K."""
-        s, j = self._slot[pos], self._slot[q]
-        r = self._prow[pos]
-        k = self._k
-        kinv = self._kinv
-        kinv[:, [s, j]] = kinv[:, [j, s]]   # kernel rows: rt to slot s, r to slot j
-        kinv -= (kinv[:, s] / kinv[s, s])[:, None] * kinv[s]
-        keep = np.arange(k) != s
-        self._kinv = kinv[keep][:, keep]
-        self._ct[s:k - 1] = self._ct[s + 1:k]
-        self._dpos = self._dpos[keep]
-        self._slot[pos] = -1
-        self._slot[self._dpos] = np.arange(k - 1)
-        self._pair(pos, rt, q, r)
-        self._krow = self._prow[self._dpos]
-
     def _swap_row(self, pos: int, q: int, rt: int) -> None:
         """A singleton on kernel row rt (paired with dense q) for the
         singleton at `pos` on row r: r takes rt's kernel slot, a
@@ -863,10 +845,7 @@ class SimplexSolver:
         v[j] -= 1.0
         kinv -= col[:, None] * v
         self._krow[j] = r
-        self._pair(pos, rt, q, r)
-
-    def _pair(self, pos: int, rt: int, q: int, r: int) -> None:
-        """`pos` owns row rt; dense q pairs with row r."""
+        # `pos` owns row rt; dense q pairs with row r
         self._prow[pos], self._prow[q] = rt, r
         self._rowpos[rt], self._rowpos[r] = pos, q
 

@@ -23,8 +23,6 @@ import numpy as np
 
 from .simplex import LpProblem, LpSolution, Sense, SENSE_TOKENS, TOKEN_SENSES, make_problem
 
-ZTOL_DEFAULT = 1e-6
-
 
 def _as_sense(s) -> Sense:
     """Accept Sense values, their integer codes, or tokens like \">=\"."""

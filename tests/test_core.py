@@ -11,7 +11,6 @@ import pytest
 from maxfs.core import (
     CostDeletionEnv,
     ExitReason,
-    RemovalLedger,
     StrategyConfig,
     build_candidates_alg1,
     build_candidates_alg2,
@@ -20,7 +19,15 @@ from maxfs.core import (
     run_removal_loop,
     solve_maxfs,
 )
-from maxfs.recovery import RecoveryProblem, _split_env
+from maxfs import recovery
+from maxfs.recovery import (
+    RecoveryProblem,
+    _split_env,
+    jokar_pfetsch,
+    method_b,
+    method_c,
+    method_me1e2,
+)
 from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
 from maxfs.systems import ElasticMode, elasticize, system
 
@@ -214,7 +221,7 @@ def test_probing_loop_picks_min_probe_and_singleton_exits():
     # round 1 probes both and deletes the heavier entity; round 2 sees a
     # one-entry pool and deletes without probing
     assert tel.exit_reason is ExitReason.SINGLETON
-    assert tel.ledger.entities() == [0, 1]
+    assert tel.removed_rows == [0, 1]
     assert tel.probes == 2
     assert tel.iterations == 2
     assert tel.removal_sizes == [1, 1]
@@ -229,7 +236,7 @@ def test_probing_loop_early_adopts_a_feasible_probe():
     # the first probe already reaches ztol; the other two candidates of
     # the round are never probed
     assert tel.exit_reason is ExitReason.FEASIBLE
-    assert tel.ledger.entities() == [0]
+    assert tel.removed_rows == [0]
     assert tel.probes == 1
     assert tel.z_history == [5.5, 2.5]
     assert env.lp_count == 2
@@ -240,7 +247,7 @@ def test_probing_loop_feasible_at_start():
     tel = run_removal_loop(env, ztol=1e-6, max_iterations=50)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.iterations == 0
-    assert len(tel.ledger) == 0
+    assert tel.removed_rows == []
     assert env.lp_count == 1
 
 
@@ -249,7 +256,7 @@ def test_probing_loop_exit_on_empty_keeps_positive_z():
     tel = run_removal_loop(env, ztol=1e-6, exit_on_empty=True, max_iterations=50)
     # exit_on_empty never early-adopts; it drains the pool instead
     assert tel.exit_reason in (ExitReason.EMPTY_CANDIDATES, ExitReason.SINGLETON)
-    assert set(tel.ledger.entities()) == {0, 1}
+    assert set(tel.removed_rows) == {0, 1}
 
 
 def test_probing_loop_raises_on_empty_pool_with_positive_z():
@@ -293,7 +300,7 @@ def test_batch_loop_cuts_score_groups():
     assert tel.iterations == 4
     assert env.lp_count == tel.iterations + 1  # one solve per round plus the last
     # batch entries learn the z of the next solve
-    zs = [tel.z_history[e.iteration] for e in tel.ledger]
+    zs = [z for z, size in zip(tel.z_history[1:], tel.removal_sizes) for _ in range(size)]
     assert zs == [3.0, 3.0, 3.0, 2.0, 1.0, 0.0]
     assert tel.z_history == [33.0, 3.0, 2.0, 1.0, 0.0]
     # the cap counts removal rounds, as for probing: four fit a cap of 4
@@ -338,7 +345,7 @@ def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
     # round 1: a pool of three is above the threshold, so the one
     # candidate is probed; round 2: the pool of two goes out in bulk
     assert tel.exit_reason is ExitReason.BULK_E2
-    assert tel.ledger.entities() == [0, 1, 2]
+    assert tel.removed_rows == [0, 1, 2]
     assert tel.removal_sizes == [1, 2]
     assert env.active == set()
 
@@ -347,8 +354,8 @@ def test_batch_loop_exit_on_empty():
     env = ToyEnv([2.0, 1.0])
     tel = run_removal_loop(env, ztol=1e-6, batch=True, exit_on_empty=True, max_iterations=50)
     assert tel.exit_reason is ExitReason.EMPTY_CANDIDATES
-    assert set(tel.ledger.entities()) == {0, 1}
-    assert tel.last_solution.z == 0.0
+    assert set(tel.removed_rows) == {0, 1}
+    assert tel.final_z == 0.0
 
 
 def test_probe_restores_engine_state():
@@ -399,16 +406,70 @@ def test_probes_of_a_round_share_one_snapshot(monkeypatch):
     assert len(saves) == 3 + states  # a new round takes a new snapshot
 
 
-def test_ledger_rejects_duplicates_and_regressions():
-    led = RemovalLedger()
-    led.add(3, 1)
-    with pytest.raises(ValueError):
-        led.add(3, 2)
-    with pytest.raises(ValueError):
-        led.add(4, 0)
-    led.add(5, 1)
-    assert led.entities() == [3, 5]
-    assert len(led) == 2
+def check_record(res):
+    """What every search record keeps: one size per round, at least one
+    entity per round, sizes that add up to the deletions, and no entity
+    deleted twice."""
+    assert res.iterations == len(res.removal_sizes)
+    assert min(res.removal_sizes, default=1) >= 1
+    assert sum(res.removal_sizes) == len(res.removed_rows)
+    assert len(set(res.removed_rows)) == len(res.removed_rows)
+
+
+def test_search_record_invariants():
+    runs = {
+        ExitReason.FEASIBLE: run_removal_loop(
+            ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0]), ztol=1e-6, batch=True,
+            max_iterations=50,
+        ),
+        ExitReason.SINGLETON: run_removal_loop(
+            ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6, max_iterations=50
+        ),
+        ExitReason.BULK_E2: run_removal_loop(
+            ToyEnv([3.0, 2.0, 1.0], k=1), ztol=1e-6, e2_ell=2, max_iterations=50
+        ),
+        ExitReason.EMPTY_CANDIDATES: run_removal_loop(
+            ToyEnv([2.0, 1.0]), ztol=1e-6, batch=True, exit_on_empty=True,
+            max_iterations=50,
+        ),
+    }
+    for reason, res in runs.items():
+        assert res.exit_reason is reason
+        assert res.iterations >= 2, reason
+        check_record(res)
+        # a round that ends the search without solving adds no Z
+        unsolved = reason in (ExitReason.SINGLETON, ExitReason.BULK_E2)
+        assert len(res.z_history) == res.iterations + 1 - unsolved
+
+
+def test_real_searches_delete_each_entity_once(monkeypatch):
+    rng = np.random.default_rng(800)
+    for cfg in (
+        StrategyConfig(algorithm=2),
+        StrategyConfig(algorithm=2, use_e1=True),
+        StrategyConfig(algorithm=3, k=1, e2_ell=2),
+    ):
+        res = solve_maxfs(random_infeasible_system(rng, m_extra=5), cfg)
+        check_record(res)
+        assert res.iterations >= 2
+        # the finishing solve, if any, is the last Z
+        assert len(res.z_history) == res.iterations + 1
+        assert res.z_history[-1] == res.final_z
+
+    records = []
+    loop = recovery.run_removal_loop
+    monkeypatch.setattr(
+        recovery, "run_removal_loop", lambda *a, **kw: records.append(loop(*a, **kw)) or records[-1]
+    )
+    A, _, b = planted_instance(11, 8, 16, 6)
+    prob = RecoveryProblem(A, b)
+    for method in (method_b, method_c, method_me1e2, jokar_pfetsch):
+        out = method(prob)
+        res = records.pop()
+        check_record(res)
+        assert res.removed_rows, method.__name__
+        assert out.removal_sizes == tuple(res.removal_sizes)
+        assert out.lp_count == res.lp_count
 
 
 def test_strategy_config_validation():
@@ -529,10 +590,11 @@ def test_accepts_prebuilt_model_with_prior_removals():
     sys_ = system([[1.0], [1.0], [1.0]], [">=", "<=", "<="], [2.0, 1.0, 0.5])
     model = elasticize(sys_).remove_row(2)
     res = solve_maxfs(model)
-    # row 2 was gone before the search; the ledger records new work only
+    # row 2 was gone before the search; the record lists new work only
     assert 2 not in res.removed_rows
     assert len(res.removed_rows) == 1
-    assert 2 in res.model.removed_rows
+    # the final point breaks row 2 (x <= 0.5) at no cost: it stayed deleted
+    assert res.final_z <= 1e-6 and res.final_solution.x[0] > 0.5
 
 
 def test_full_elastic_model_runs():
@@ -557,7 +619,7 @@ def test_e2_bulk_exit_end_to_end():
     assert res.probes == 0
     assert len(res.removed_rows) == 2
     assert res.final_z <= 1e-6
-    assert [res.z_history[e.iteration] for e in res.ledger] == [res.final_z] * 2
+    assert res.removal_sizes == [2] and res.z_history[-1] == res.final_z
 
 
 def test_e2_bulk_exit_with_k_deletes_the_whole_pool():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxfs import simplex
 from maxfs.classify import Dataset, build_constraints
 from maxfs.recovery import RecoveryProblem, _split_env
 from maxfs.simplex import (
@@ -14,7 +15,6 @@ from maxfs.simplex import (
     Sense,
     SimplexSolver,
     SolverError,
-    SolverOptions,
     make_problem,
 )
 from maxfs.systems import ElasticMode, elasticize, system
@@ -199,12 +199,12 @@ def test_save_load_state_roundtrip():
     assert abs(back.z - sol.z) <= 1e-12
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     rng = np.random.default_rng(17)
     prob = random_lp(rng, m=6, n=6, bounded=True)
-    eng = SimplexSolver(SolverOptions(max_iterations=1))
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverError):
-        eng.solve(prob)
+        SimplexSolver().solve(prob)
 
 
 def test_make_problem_validation():
@@ -240,16 +240,18 @@ def test_random_small_lps_match_scipy(data):
 # ---------------------------------------------------------------------------
 # block-triangular basis: every basis-change kind, snapshots, counters
 
-KINDS = ("_replace_dense", "_grow", "_shrink", "_swap_row")
+KINDS = ("_replace_dense", "_grow", "_swap_row")
 
 
 @pytest.fixture
 def kinds(monkeypatch):
     """Counts of each basis-change kind the engine makes during a test,
-    and under "kinks" one (row, lam, rho_j + rho_j') per kink passed.
-    After every pivot and every kink pass, solves with the
-    factorisation must match the explicit basis matrix."""
+    under "rebuilds" the pivots that refactored instead, and under
+    "kinks" one (row, lam, rho_j + rho_j') per kink passed. After every
+    pivot and every kink pass, solves with the factorisation must match
+    the explicit basis matrix."""
     counts = dict.fromkeys(KINDS, 0)
+    counts["rebuilds"] = 0
     counts["kinks"] = []
     for name in KINDS:
         method = getattr(SimplexSolver, name)
@@ -272,7 +274,9 @@ def kinds(monkeypatch):
         assert np.abs(B.T @ self._btran(a) - a).max() <= tol
 
     def checked(self, t, pos, w):
+        refactors = self._refactors
         pivot(self, t, pos, w)
+        counts["rebuilds"] += self._refactors - refactors
         check(self, basis(self))
 
     def passed(self, pos, w):
@@ -417,7 +421,7 @@ def test_singleton_replaces_dense_column(kinds):
     prob = make_problem([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [-1, -1], [4.0, 2.0],
                         [0.0, 0.0], [np.inf, np.inf])
     k_changes = run_cost_sequence(prob, [prob.c, np.array([1.0, 1.0]), prob.c])
-    assert kinds["_shrink"] > 0 and kinds["_grow"] > 0
+    assert kinds["rebuilds"] > 0 and kinds["_grow"] > 0
     assert k_changes > 0
 
 
