@@ -15,10 +15,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from maxfs.classify import VARIANTS, ClassificationReport, Dataset, classify, load_csv
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from maxfs.classify import (  # noqa: E402
+    VARIANTS,
+    ClassificationReport,
+    Dataset,
+    classify,
+    load_csv,
+)
 
 
 def gaussian_overlap(seed: int, points: int) -> Dataset:

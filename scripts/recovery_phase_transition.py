@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from maxfs.bench import SweepSpec, run_sweep, summarize
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from maxfs.bench import SweepSpec, run_sweep, summarize  # noqa: E402
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -24,15 +24,23 @@ Design notes:
   An elastic LP keeps k near its structural count n; a fully dense
   basis is the case k = m of the same formulas. K^-1 is rebuilt every
   REFACTOR_EVERY pivots.
-* Phase 1 minimises the total artificial magnitude. A crash step first
-  assigns each row's residual to its slack or to a singleton structural
-  column when bounds allow, so elastic constructions (every row carries
-  a dedicated penalty column) normally start feasible and skip phase 1
-  entirely.
+* Cold starts. A crash step assigns each row's residual to its slack
+  or to a singleton structural column when bounds allow, and otherwise
+  to the row's artificial, which stays fixed at [0,0] and so starts
+  basic out of bounds. Elastic constructions (every row carries a
+  dedicated penalty column) start feasible and go straight to the
+  primal simplex. Otherwise a dual simplex (Koberstein 2005) runs from
+  the crash basis: costs shifted where a reduced cost has the wrong
+  sign make that basis dual feasible (the split form of sparse
+  recovery, all artificials with y = 0 and d = c >= 0, needs no
+  shift), each iteration sends the most violated basic variable to its
+  bound, and the primal simplex then finishes under the true costs from
+  the primal-feasible basis the dual one ends at.
 * Cost-only re-solves keep the current basis and primal values, which
-  stay feasible, and continue phase 2 from there. `save_state` and
-  `load_state` snapshot and restore that state, so a caller can try a
-  cost change and return to the incumbent basis without refactoring.
+  stay feasible, and continue the primal simplex from there.
+  `save_state` and `load_state` snapshot and restore that state, so a
+  caller can try a cost change and return to the incumbent basis
+  without refactoring.
   A snapshot holds O(m k + k^2) numbers and fits only the structure it
   was taken on. A solve that proves the LP infeasible leaves no state
   behind; the next solve starts cold.
@@ -60,6 +68,9 @@ Design notes:
   equality slacks, skips the walk on one flag.
 * Anti-cycling: Dantzig pricing by default, switching to Bland's rule
   after BLAND_AFTER consecutive degenerate pivots, back on progress.
+  The dual simplex does the same with dual steps, and its cost shift
+  leaves a small random margin on each shifted reduced cost so that
+  ties, and so degenerate dual steps, are rare.
 """
 from __future__ import annotations
 
@@ -68,8 +79,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-# a crash value may pass its bound by PRIMAL_TOL, and a leftover
-# artificial below it counts as zero
+# a crash value may pass its bound by PRIMAL_TOL, and the dual simplex
+# sends out only basic values past their bounds by more
 PRIMAL_TOL = 1e-8
 # a column may enter only when its |reduced cost| exceeds DUAL_TOL; a
 # long step stops passing kinks once the slope rises to -DUAL_TOL
@@ -77,14 +88,20 @@ DUAL_TOL = 1e-8
 # a basic column whose |change per unit step| is at most PIVOT_TOL
 # never blocks the ratio test
 PIVOT_TOL = 1e-9
-# phase 1 proves infeasibility when the artificials keep a total above
-# INFEAS_TOL * (1 + max|b|)
+# a cold start proves infeasibility when a basic value past its bound by
+# more than INFEAS_TOL * (1 + max|b|) has no column that can move it
+# back; a smaller violation that no column can remove is accepted, so
+# the basis it hands on may miss its bounds by that much
 INFEAS_TOL = 1e-7
+# a cold start's dual simplex gives each reduced cost of the crash basis
+# a margin of at least COST_PERTURB * (1 + |c_j|) on its right side
+COST_PERTURB = 1e-7
 # pivots between rebuilds of the factorisation
 REFACTOR_EVERY = 64
 # consecutive degenerate pivots before Bland's rule takes over
 BLAND_AFTER = 40
-# iterations of one phase before the solve raises SolverError
+# iterations of the dual or the primal simplex before the solve raises
+# SolverError
 MAX_ITERATIONS = 500_000
 
 # Nonbasic/basic variable states.
@@ -276,7 +293,7 @@ class SimplexSolver:
         if not self._have_state and not self._cold_start():
             y = self._dual_values()
             return self._solution(problem, LpStatus.INFEASIBLE, y, self._reduced_costs(y))
-        return self._solution(problem, *self._optimize(phase=2))
+        return self._solution(problem, *self._optimize())
 
     def save_state(self) -> "_Snapshot":
         """Full state snapshot (basis, values, factorisation). Restoring
@@ -321,7 +338,7 @@ class SimplexSolver:
         shi = np.where(senses == Sense.LE, np.inf, 0.0)
         lo[n:n + m] = slo
         hi[n:n + m] = shi
-        lo[n + m:] = 0.0           # artificials closed until phase 1 opens them
+        lo[n + m:] = 0.0           # artificials are fixed at 0
         hi[n + m:] = 0.0
         self._lo, self._hi = lo, hi
         self._costs = np.zeros(self._ncols)
@@ -342,6 +359,9 @@ class SimplexSolver:
         self._single_cols = _as_slice(single) if single.size else None
         self._single_rows = srow[single]
         self._single_vals = self._colval[single]
+        # the crash's candidates: singleton structural columns by row,
+        # lowest index first within a row
+        self._row_singles = single[np.argsort(self._single_rows, kind="stable")]
         self._bind_kinks()
 
     def _bind_kinks(self) -> None:
@@ -399,111 +419,170 @@ class SimplexSolver:
     # starting bases
 
     def _cold_start(self) -> bool:
-        """Crash a starting basis; run phase 1 if artificials are needed.
-        Returns False on proven infeasibility, leaving no warm state."""
+        """Crash a starting basis; when a row needs an artificial, run the
+        dual simplex from it to a primal-feasible basis. Returns False on
+        proven infeasibility, leaving no warm state."""
         m, n = self._m, self._n
-        self._lo[n + m:] = 0.0
-        self._hi[n + m:] = 0.0
+        lo, hi = self._lo, self._hi
         vstat = np.empty(self._ncols, dtype=np.int8)
         x = np.zeros(self._ncols)
         # structural variables to a finite bound, preferring the lower one
-        fin_lo = np.isfinite(self._lo[:n])
-        fin_hi = np.isfinite(self._hi[:n])
+        fin_lo = np.isfinite(lo[:n])
+        fin_hi = np.isfinite(hi[:n])
         vstat[:n] = np.where(fin_lo, NB_LOWER, np.where(fin_hi, NB_UPPER, NB_FREE))
-        x[:n] = np.where(fin_lo, self._lo[:n], np.where(fin_hi, self._hi[:n], 0.0))
+        x[:n] = np.where(fin_lo, lo[:n], np.where(fin_hi, hi[:n], 0.0))
         # a nonbasic slack sits at whichever of its bounds is zero
         vstat[n:n + m] = np.where(self._structure.senses == Sense.GE, NB_UPPER, NB_LOWER)
         vstat[n + m:] = NB_LOWER
-        x[n:] = 0.0
 
-        residual = self._b - self._A @ x[:n]
-        basis = np.empty(m, dtype=np.int64)
-        art_rows = []
+        # each row's residual goes to its slack when the slack's bounds
+        # allow, else to its lowest-index singleton structural column
+        # that can absorb it, else to its artificial
         tol = PRIMAL_TOL
-        for i in range(m):
-            r = residual[i]
-            s = n + i
-            if self._lo[s] - tol <= r <= self._hi[s] + tol:
-                basis[i] = s
-                vstat[s] = BASIC
-                x[s] = r
-                continue
-            # try a singleton structural column that can absorb the residual
-            for j in np.nonzero(self._colrow[:n] == i)[0]:
-                g = self._A[i, j]
-                # residual was measured with x[j] at its bound; fold that back in
-                val = (r + g * x[j]) / g
-                if self._lo[j] - tol <= val <= self._hi[j] + tol:
-                    basis[i] = j
-                    vstat[j] = BASIC
-                    x[j] = val
-                    break
-            else:
-                a = n + m + i
-                basis[i] = a
-                vstat[a] = BASIC
-                x[a] = r
-                if r >= 0.0:
-                    self._lo[a], self._hi[a] = 0.0, np.inf
-                else:
-                    self._lo[a], self._hi[a] = -np.inf, 0.0
-                art_rows.append(i)
+        residual = self._b - self._A @ x[:n]
+        slack = np.arange(n, n + m)
+        fits = (lo[slack] - tol <= residual) & (residual <= hi[slack] + tol)
+        basis = np.where(fits, slack, slack + m)
+        cand = self._row_singles
+        cand = cand[~fits[self._colrow[cand]]]
+        g = self._colval[cand]
+        # the residual was measured with x[j] at its bound; fold that back in
+        val = (residual[self._colrow[cand]] + g * x[cand]) / g
+        cand = cand[(lo[cand] - tol <= val) & (val <= hi[cand] + tol)]
+        rows = self._colrow[cand]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        basis[rows[first]] = cand[first]
+        vstat[basis] = BASIC
 
         self._basis = basis
         self._vstat = vstat
         self._x = x
         self._pivots_since_refactor = 0
-        self._refactor()
-
-        if art_rows:
-            phase1_costs = np.zeros(self._ncols)
-            for i in art_rows:
-                a = n + m + i
-                phase1_costs[a] = 1.0 if self._x[a] >= 0.0 else -1.0
-            saved = self._costs
-            self._costs = phase1_costs
-            status, _, _ = self._optimize(phase=1)
-            self._costs = saved
-            if status is not LpStatus.OPTIMAL:
-                raise SolverError("phase 1 ended in state %s" % status)
-            art = np.arange(n + m, n + 2 * m)
-            z1 = float(np.abs(self._x[art]).sum())
-            scale = 1.0 + float(np.max(np.abs(self._b))) if m else 1.0
-            if z1 > INFEAS_TOL * scale:
+        self._refactor()   # sets the basic values
+        if np.any(basis >= n + m):
+            if not self._dual_simplex():
                 return False
             self._pivot_out_artificials()
-            self._lo[n + m:] = 0.0
-            self._hi[n + m:] = 0.0
-            self._x[art] = np.where(np.abs(self._x[art]) < tol, 0.0, self._x[art])
         self._have_state = True
         return True
+
+    def _dual_simplex(self) -> bool:
+        """Dual simplex from the crash basis to a primal-feasible one
+        (Koberstein 2005, "The dual simplex method, techniques for a fast
+        and stable implementation"). The crash basis has out-of-bounds
+        basic artificials, and shifted costs make it dual feasible. Each
+        iteration sends the basic variable with the largest bound
+        violation to that bound; the entering column, from row r of
+        B^-1 A, keeps every reduced cost on its right side, ties to the
+        largest pivot. The reduced costs are updated, and recomputed
+        after each refactor. The true costs come back at the end, so the
+        primal simplex finishes from the feasible basis. Returns False
+        when a violation above INFEAS_TOL * (1 + max|b|) has no column to
+        remove it: row r of B^-1 A x = B^-1 b then proves the LP
+        infeasible whatever the costs."""
+        costs = self._costs
+        self._costs = shifted = costs.copy()
+        d = self._reduced_costs(self._dual_values())
+        movable = (self._hi - self._lo) > 0.0
+        vstat = self._vstat
+        # each nonbasic movable column whose reduced cost, signed for its
+        # bound state, lies below a small random margin takes the cost
+        # that puts it there, a free one the cost that zeroes it: the
+        # crash basis is then dual feasible, with few ties for the dual
+        # ratio test to stall on
+        sign = -_PRICE_SIGN[vstat]
+        target = (sign * COST_PERTURB * (1.0 + np.abs(costs))
+                  * np.random.default_rng(0).uniform(1.0, 2.0, d.size))
+        shift = movable & (vstat != BASIC) & (
+            (sign * (d - target) < 0.0) | ((vstat == NB_FREE) & (d != 0.0)))
+        shifted[shift] += target[shift] - d[shift]
+        d[shift] = target[shift]
+        infeasible = INFEAS_TOL * (1.0 + float(np.max(np.abs(self._b))))
+        iters = stall = 0
+        bland = just_refactored = False
+        try:
+            while True:
+                iters += 1
+                if iters > MAX_ITERATIONS:
+                    raise SolverError("simplex iteration limit exceeded")
+                if self._pivots_since_refactor >= REFACTOR_EVERY:
+                    self._refactor()
+                    d = self._reduced_costs(self._dual_values())
+                basis = self._basis
+                xb = self._x[basis]
+                below, above = self._lo[basis] - xb, xb - self._hi[basis]
+                viol = np.maximum(below, above)
+                out = np.flatnonzero(viol > PRIMAL_TOL)
+                if out.size == 0:
+                    return True
+                # Bland's rule sends the lowest-index variable out
+                r = int(out[np.argmin(basis[out])] if bland else np.argmax(viol))
+                to_upper = bool(above[r] > 0.0)
+                alpha = self._pivot_row(r)
+                # columns whose move, within their bounds, pushes the
+                # leaving variable toward the bound it leaves at
+                vstat = self._vstat
+                push = alpha if to_upper else -alpha
+                can = movable & (vstat != BASIC) & (
+                    ((push > PIVOT_TOL) & (vstat != NB_UPPER))
+                    | ((push < -PIVOT_TOL) & (vstat != NB_LOWER)))
+                cand = np.flatnonzero(can)
+                if cand.size == 0:
+                    if viol[r] > infeasible:
+                        return False
+                    if not bland:
+                        return True   # every violation left is below the tolerance
+                    stall, bland = 0, False
+                    continue
+                ratios = np.abs(d[cand]) / np.abs(alpha[cand])
+                best = float(ratios.min())
+                if bland:
+                    i = int(np.argmax(ratios <= best + 1e-9 * (1.0 + best)))
+                else:
+                    i = _largest_pivot(ratios, best, alpha[cand])
+                q = int(cand[i])
+                w = self._ftran(self._col(q))
+                if abs(w[r]) < 1e-11:
+                    if just_refactored:
+                        raise SolverError("numerically singular pivot")
+                    self._refactor()
+                    d = self._reduced_costs(self._dual_values())
+                    just_refactored = True
+                    continue
+                just_refactored = False
+                theta_d = d[q] / alpha[q]
+                p = basis[r]
+                bound = self._hi[p] if to_upper else self._lo[p]
+                theta_p = (xb[r] - bound) / w[r]
+                self._x[basis] -= theta_p * w
+                self._x[q] += theta_p
+                self._x[p] = bound
+                self._vstat[p] = NB_UPPER if to_upper else NB_LOWER
+                d -= theta_d * alpha
+                d[p], d[q] = -theta_d, 0.0
+                degenerate = bool(abs(theta_d) <= 1e-11)
+                self._pivots += 1
+                self._degenerate += degenerate
+                self._apply_pivot(q, r, w)
+                stall = stall + 1 if degenerate else 0
+                bland = stall >= BLAND_AFTER
+        finally:
+            self._costs = costs
+            self._total_iterations += iters
 
     def _pivot_out_artificials(self) -> None:
         """Swap basic near-zero artificials for real columns so that row
         duals are not pinned to zero by leftovers. Rows with no usable
         pivot are redundant; their artificial stays basic at [0,0]."""
         m, n = self._m, self._n
-        for pos in range(m):
+        for pos in np.flatnonzero(self._basis >= n + m):
             j = self._basis[pos]
-            if j < n + m:
+            alpha = self._pivot_row(pos)[: n + m]
+            cand = np.flatnonzero((self._vstat[: n + m] != BASIC) & (np.abs(alpha) > 1e-7))
+            if cand.size == 0:
                 continue
-            unit = np.zeros(m)
-            unit[pos] = 1.0
-            row = self._btran(unit)  # row `pos` of B^-1
-            # alpha_t = row . col(t) for structural and slack columns
-            alpha_struct = row @ self._A
-            alpha_slack = row
-            best = -1
-            for t in range(n + m):
-                if self._vstat[t] == BASIC:
-                    continue
-                a = alpha_struct[t] if t < n else alpha_slack[t - n]
-                if abs(a) > 1e-7:
-                    best = t
-                    break
-            if best < 0:
-                continue
-            self._apply_pivot(best, pos, self._ftran(self._col(best)))
+            t = int(cand[0])
+            self._apply_pivot(t, pos, self._ftran(self._col(t)))
             self._vstat[j] = NB_LOWER
             self._x[j] = 0.0
 
@@ -576,38 +655,40 @@ class SimplexSolver:
         return self._btran(self._costs[self._basis])
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
-        n = self._n
-        c = self._costs
-        d = np.empty(self._ncols)
-        dense, single = self._dense_cols, self._single_cols
-        d[dense] = c[dense] - self._dense_At.dot(y)
-        if single is not None:
-            d[single] = c[single] - self._single_vals * y[self._single_rows]
-        # slacks and artificials: two unit blocks
-        np.subtract(c[n:].reshape(2, -1), y, out=d[n:].reshape(2, -1))
-        return d
+        return self._costs - self._row_products(y)
 
-    def _optimize(self, phase: int):
-        """Pivot to optimality under the current costs. Returns (status,
-        y, d): the duals and reduced costs of the last pricing pass, None
-        when phase 1 ends before pricing."""
-        m, n = self._m, self._n
+    def _pivot_row(self, pos: int) -> np.ndarray:
+        """Row `pos` of B^-1 A, for every column."""
+        unit = np.zeros(self._m)
+        unit[pos] = 1.0
+        return self._row_products(self._btran(unit))
+
+    def _row_products(self, v: np.ndarray) -> np.ndarray:
+        """a_j . v for every column j."""
+        out = np.empty(self._ncols)
+        dense, single = self._dense_cols, self._single_cols
+        out[dense] = self._dense_At.dot(v)
+        if single is not None:
+            out[single] = self._single_vals * v[self._single_rows]
+        # slacks and artificials: two unit blocks
+        out[self._n:].reshape(2, -1)[:] = v
+        return out
+
+    def _optimize(self):
+        """Pivot to optimality under the current costs from a primal-
+        feasible basis. Returns (status, y, d): the duals and reduced
+        costs of the last pricing pass."""
         stall = 0
         bland = False
         iters = 0
         just_refactored = False
         movable = (self._hi - self._lo) > 0.0
-        art = slice(n + m, n + 2 * m)
-        y = d = None
         while True:
             iters += 1
             if iters > MAX_ITERATIONS:
                 raise SolverError("simplex iteration limit exceeded")
             if self._pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            if phase == 1 and float(np.abs(self._x[art]).sum()) <= 1e-10:
-                self._total_iterations += iters
-                return LpStatus.OPTIMAL, y, d
             y = self._dual_values()
             d = self._reduced_costs(y)
             vstat = self._vstat
@@ -628,8 +709,6 @@ class SimplexSolver:
             step, blocker, to_upper, passed = self._ratio_test(t, sigma, w, sigma * d[t], bland)
             if step is None:
                 self._total_iterations += iters
-                if phase == 1:
-                    raise SolverError("unbounded ray in phase 1")
                 return LpStatus.UNBOUNDED, y, d
             if blocker >= 0 and abs(w[blocker]) < 1e-11:
                 # pivot too small to trust; refresh the factorisation once

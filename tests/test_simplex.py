@@ -530,3 +530,172 @@ def test_kink_member_at_zero_is_not_passed(kinds):
     check_against_scipy(prob, sol)
     assert abs(sol.z - 2.0) <= 1e-12
     assert sol.degenerate_pivots >= 1
+
+
+# ---------------------------------------------------------------------------
+# cold starts: the dual simplex from the crash basis, against HiGHS
+
+
+@pytest.fixture
+def dual_starts(monkeypatch):
+    """One entry per cold start that runs the dual simplex: how many
+    nonbasic columns of the crash basis had a reduced cost of the wrong
+    sign for their bound state, and so needed a cost shift."""
+    shifts = []
+    run = SimplexSolver._dual_simplex
+
+    def counted(self):
+        d = self._reduced_costs(self._dual_values())
+        vstat = self._vstat
+        wrong = ((vstat == simplex.NB_LOWER) & (d < 0.0)) | ((vstat == simplex.NB_UPPER) & (d > 0.0))
+        wrong |= (vstat == simplex.NB_FREE) & (d != 0.0)
+        shifts.append(int(np.count_nonzero(wrong & (self._hi > self._lo))))
+        return run(self)
+
+    monkeypatch.setattr(SimplexSolver, "_dual_simplex", counted)
+    return shifts
+
+
+def cold_start_lp(rng, family):
+    """A seeded LP whose crash basis needs artificials (a third of its
+    rows or more are equalities). Columns start at a lower bound with a
+    negative cost, at an upper bound with a positive cost, or free, so
+    the crash basis is not dual feasible as it stands."""
+    m, n = int(rng.integers(5, 25)), int(rng.integers(5, 25))
+    A = np.round(rng.uniform(-5, 5, size=(m, n)), 3)
+    kind = rng.integers(0, 3, size=n)   # 0: [0, inf), 1: (-inf, 2], 2: free
+    lower = np.where(kind == 0, 0.0, -np.inf)
+    upper = np.where(kind == 1, 2.0, np.inf)
+    c = np.round(rng.uniform(0.1, 3, size=n), 3) * np.where(kind == 0, -1.0, 1.0)
+    c[kind == 2] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(kind == 2))
+    if family == "equality":
+        # bounded, mostly equality rows: always optimal
+        lower, upper = np.full(n, -2.0), np.full(n, 3.0)
+        senses = np.where(rng.random(m) < 0.8, 0, rng.choice([-1, 1], size=m))
+    else:
+        senses = rng.choice([-1, 0, 1], size=m, p=[0.3, 0.4, 0.3])
+    if family == "unbounded":
+        # the last two columns are one free column with two costs: the
+        # ray along their difference lowers Z without end
+        A[:, -1] = A[:, -2]
+        lower[-2:], upper[-2:] = -np.inf, np.inf
+        c[-2:] = (1.0, -2.0)
+    x0 = np.clip(rng.normal(size=n), np.maximum(lower, -3.0), np.minimum(upper, 3.0))
+    b = A @ x0 - senses * rng.uniform(0.0, 1.0, size=m)   # x0 is feasible
+    if family == "near-duplicate":
+        k = int(rng.integers(1, m))
+        A[k] = A[0] * (1.0 + rng.normal(scale=1e-6, size=n))
+        senses[k] = senses[0] = rng.choice([-1, 1])
+        b[[0, k]] = A[[0, k]] @ x0 - senses[[0, k]] * rng.uniform(0.0, 1e-3, size=2)
+    elif family == "scaled":
+        s = 10.0 ** rng.uniform(-4, 4, size=m)
+        A, b = A * s[:, None], b * s
+    elif family == "infeasible":
+        # equality rows 0, 1 and k = 0 + 1, whose right-hand sides disagree
+        k = int(rng.integers(2, m))
+        A[k] = A[0] + A[1]
+        senses[[0, 1, k]] = 0
+        b[[0, 1]] = A[[0, 1]] @ x0
+        b[k] = b[0] + b[1] + rng.uniform(0.5, 2.0)
+    return make_problem(c, A, senses, b, lower, upper)
+
+
+@pytest.mark.parametrize("family, statuses", [
+    ("mixed", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
+    ("equality", {LpStatus.OPTIMAL}),
+    ("scaled", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
+    ("near-duplicate", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
+    ("infeasible", {LpStatus.INFEASIBLE}),
+    ("unbounded", {LpStatus.UNBOUNDED}),
+])
+def test_cold_starts_match_highs(dual_starts, family, statuses):
+    # status and Z as HiGHS has them, from a crash basis that needs a
+    # cost shift in nearly every LP
+    rng = np.random.default_rng([43, sum(map(ord, family))])
+    seen = set()
+    for _ in range(30):
+        prob = cold_start_lp(rng, family)
+        sol = SimplexSolver().solve(prob)
+        check_against_scipy(prob, sol)
+        if sol.status is LpStatus.OPTIMAL and family != "scaled":
+            check_kkt(prob, sol)
+        seen.add(sol.status)
+    assert seen == statuses
+    assert len(dual_starts) == 30 and sum(s > 0 for s in dual_starts) >= 27
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_infeasibility_tolerance_scales_with_b(scale):
+    # x >= scale and x <= scale - eps: infeasible by eps, which counts
+    # only above INFEAS_TOL * (1 + max|b|)
+    tol = simplex.INFEAS_TOL * (1.0 + scale)
+    for gap, status in ((0.5, LpStatus.OPTIMAL), (2.0, LpStatus.INFEASIBLE)):
+        prob = make_problem([1.0], [[1.0], [1.0]], [1, -1], [scale, scale - gap * tol],
+                            [0.0], [np.inf])
+        assert SimplexSolver().solve(prob).status is status
+
+
+def test_elastic_cold_start_runs_no_dual_simplex(dual_starts):
+    # every row's residual fits its slack or its elastic column
+    model = large_elastic_model()
+    assert SimplexSolver().solve(model.lp_problem()).status is LpStatus.OPTIMAL
+    assert dual_starts == []
+
+
+def planted_recovery(rng, m, n, s):
+    """A uniform(-10, 10) in R^{m x n}, b = A y for a y with s Gaussian
+    nonzeros at random positions (the benchmark's generator)."""
+    A = rng.uniform(-10.0, 10.0, size=(m, n))
+    y = np.zeros(n)
+    y[rng.choice(n, size=s, replace=False)] = rng.standard_normal(s)
+    return RecoveryProblem(A, A @ y)
+
+
+def replaceable_artificials(eng):
+    """Basis positions held by an artificial that a nonbasic structural
+    or slack column could replace: its row of B^-1 A is nonzero there."""
+    n, m = eng._n, eng._m
+    found = []
+    for pos in np.flatnonzero(eng._basis >= n + m):
+        unit = np.zeros(m)
+        unit[pos] = 1.0
+        row = eng._btran(unit)
+        alpha = np.concatenate([eng._A.T @ row, row])
+        if np.any((eng._vstat[: n + m] != simplex.BASIC) & (np.abs(alpha) > 1e-7)):
+            found.append(int(pos))
+    return found
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_basis_pursuit_cold_solve_pivot_budget(dual_starts, i):
+    # the split form's all-artificial crash basis is dual feasible as it
+    # stands (y = 0, d = c >= 0)
+    m, n = 128, 256
+    problem = _split_env(planted_recovery(np.random.default_rng([41, i]), m, n, 52), None).problem
+    eng = SimplexSolver()
+    sol = eng.solve(problem)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.pivots <= 4 * m
+    _, z = scipy_lp(problem.c, problem.A, problem.senses, problem.b, problem.lower,
+                    problem.upper)
+    assert abs(sol.z - z) <= 1e-9 * abs(z)
+    assert dual_starts == [0]
+    assert replaceable_artificials(eng) == []
+
+
+def test_leftover_artificial_is_pivoted_out(monkeypatch):
+    # here the dual simplex ends with one artificial basic at about 6e-14
+    leftovers = []
+    pivot_out = SimplexSolver._pivot_out_artificials
+
+    def counted(self):
+        leftovers.append(int(np.count_nonzero(self._basis >= self._n + self._m)))
+        pivot_out(self)
+
+    monkeypatch.setattr(SimplexSolver, "_pivot_out_artificials", counted)
+    problem = _split_env(planted_recovery(np.random.default_rng([41, 1]), 64, 128, 20),
+                         None).problem
+    eng = SimplexSolver()
+    assert eng.solve(problem).status is LpStatus.OPTIMAL
+    assert leftovers == [1]
+    assert not np.any(eng._basis >= eng._n + eng._m)
