@@ -1,10 +1,11 @@
 """Per-call results of one benchmark workload, one JSON line per op.
 
 Runs every op of a `perfbench` workload once and prints what the call
-decided: its layer, LP count, rounds, removed points (classification)
-or support (recovery), the batch sizes, and for classification the
-accuracy. Two checkouts give the same lines exactly when they make
-the same decisions on these inputs, so compare them with `diff`:
+decided: its layer, LP count, rounds, pivots and degenerate pivots over
+its LPs, removed points (classification) or support (recovery), the
+batch sizes, and for classification the accuracy. Two checkouts give
+the same lines exactly when they make the same decisions on these
+inputs, down to the pivot counts, so compare them with `diff`:
 
     python3 scripts/call_records.py --workload classify-batch --seed 301 > new.jsonl
     python3 scripts/call_records.py --workload recovery --seed 301 --tiny
@@ -29,7 +30,8 @@ from maxfs.classify import ClassificationReport  # noqa: E402
 
 
 def record(layer: str, out) -> dict:
-    rec = {"layer": layer, "lp_count": out.lp_count, "iterations": out.iterations}
+    rec = {"layer": layer, "lp_count": out.lp_count, "iterations": out.iterations,
+           "pivots": out.pivots, "degenerate_pivots": out.degenerate_pivots}
     if isinstance(out, ClassificationReport):
         rec["removed_points"] = list(out.removed_points)
         rec["accuracy"] = out.accuracy

@@ -165,6 +165,8 @@ class ClassificationReport:
     misclassified: tuple
     removed_points: tuple
     lp_count: int
+    pivots: int
+    degenerate_pivots: int
     iterations: int
     removal_sizes: tuple
     seconds: float
@@ -206,6 +208,8 @@ def classify(
         misclassified=wrong,
         removed_points=tuple(res.removed_rows),
         lp_count=res.lp_count,
+        pivots=res.pivots,
+        degenerate_pivots=res.degenerate_pivots,
         iterations=res.iterations,
         removal_sizes=tuple(res.removal_sizes),
         seconds=time.perf_counter() - t0,

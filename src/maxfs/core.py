@@ -236,6 +236,8 @@ class MaxFsResult:
                     system's; for recovery after those exits, the one
                     the last cut was taken from
     lp_count        LPs solved, probes and a finishing solve included
+    pivots          basis changes over those LPs
+    degenerate_pivots  the basis changes among them with a zero step
     probes          tentative deletions tried
     seconds         wall time of the search
     exit_reason     why the rounds stopped
@@ -248,6 +250,8 @@ class MaxFsResult:
     z_history: list[float]
     final_solution: LpSolution
     lp_count: int
+    pivots: int
+    degenerate_pivots: int
     probes: int
     seconds: float
     exit_reason: ExitReason
@@ -266,10 +270,13 @@ class SearchEnv(Protocol):
     """What `run_removal_loop` needs from the problem being searched.
 
     Entities are row indices for `solve_maxfs` and variable-pair indices
-    in the recovery module; the loop never looks inside them.
+    in the recovery module; the loop never looks inside them. The
+    counters cover every LP solved so far.
     """
 
     lp_count: int
+    pivots: int
+    degenerate_pivots: int
 
     def solve_current(self) -> LpSolution: ...
 
@@ -324,12 +331,14 @@ class CostDeletionEnv:
         self.infeasible = infeasible
         self.costs = problem.c.copy()
         self.removed: set[int] = set()
-        self.lp_count = 0
+        self.lp_count = self.pivots = self.degenerate_pivots = 0
         self._incumbent = None
 
     def _solve(self, costs: np.ndarray) -> LpSolution:
         sol = self.engine.solve(self.problem.with_costs(costs))
         self.lp_count += 1
+        self.pivots += sol.pivots
+        self.degenerate_pivots += sol.degenerate_pivots
         if sol.status is LpStatus.INFEASIBLE and self.infeasible is not None:
             raise ValueError(self.infeasible)
         if sol.status is not LpStatus.OPTIMAL:
@@ -456,6 +465,8 @@ def run_removal_loop(
         z_history=z_history,
         final_solution=sol,
         lp_count=env.lp_count,
+        pivots=env.pivots,
+        degenerate_pivots=env.degenerate_pivots,
         probes=probes,
         seconds=time.perf_counter() - t0,
         exit_reason=exit_reason,
@@ -508,7 +519,8 @@ def solve_maxfs(
         # the surviving system's solution and the definitive Z
         res.final_solution = env.solve_current()
         res.z_history.append(res.final_z)
-        res.lp_count = env.lp_count
+        res.lp_count, res.pivots = env.lp_count, env.pivots
+        res.degenerate_pivots = env.degenerate_pivots
     res.seconds = time.perf_counter() - t0
 
     if res.exit_reason is not ExitReason.BULK_E2 and res.final_z > cfg.ztol:

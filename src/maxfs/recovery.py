@@ -125,16 +125,19 @@ class RecoveryResult:
     The support is the set of entries of `y` larger than the zero
     threshold; off-support entries are below it but may carry solver
     noise. Every result is checked to reproduce b within RESIDUAL_TOL.
-    The removal-loop methods record each round: `removal_sizes` counts
-    the variables it deleted and `z_history` holds Z after the first
-    solve and after each solved round. Both are empty for basis pursuit
-    and the method_m shortcut.
+    `lp_count`, `pivots` and `degenerate_pivots` count over every LP the
+    method solved. The removal-loop methods record each round:
+    `removal_sizes` counts the variables it deleted and `z_history`
+    holds Z after the first solve and after each solved round. Both are
+    empty for basis pursuit and the method_m shortcut.
     """
 
     method: str
     y: np.ndarray
     support: frozenset
     lp_count: int
+    pivots: int
+    degenerate_pivots: int
     iterations: int
     seconds: float
     bp_shortcut_taken: bool = False
@@ -151,11 +154,11 @@ def _finish(
     prob: RecoveryProblem,
     y: np.ndarray,
     t0: float,
+    env: CostDeletionEnv,
     search: MaxFsResult | None = None,
-    bp_shortcut_taken: bool = False,
 ) -> RecoveryResult:
-    """Check y and wrap it with its search's record; a result without a
-    search made its one basis-pursuit solve."""
+    """Check y and wrap it with the counts of `env`, whose LPs made it,
+    and the rounds of its search; basis pursuit has no search."""
     # y keeps its sub-threshold noise: zeroing it could break A y = b
     # at tight tolerance; the support ignores it instead
     resid = float(np.max(np.abs(prob.A @ y - prob.b)))
@@ -166,10 +169,11 @@ def _finish(
         method=method,
         y=y,
         support=support,
-        lp_count=search.lp_count if search else 1,
+        lp_count=env.lp_count,
+        pivots=env.pivots,
+        degenerate_pivots=env.degenerate_pivots,
         iterations=search.iterations if search else 0,
         seconds=time.perf_counter() - t0,
-        bp_shortcut_taken=bp_shortcut_taken,
         removal_sizes=tuple(search.removal_sizes) if search else (),
         z_history=tuple(search.z_history) if search else (),
     )
@@ -216,14 +220,14 @@ def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
     t0 = time.perf_counter()
     env = _split_env(prob, deleted_cost=None)  # nothing is deleted
     sol = env.solve_current()
-    return _finish("bp", prob, _split_y(sol), t0)
+    return _finish("bp", prob, _split_y(sol), t0, env)
 
 
 def _search(method: str, prob: RecoveryProblem, env, t0: float, **loop) -> RecoveryResult:
     """Run the removal loop on `env`, capped at 10 n rounds; y is read
     from its last solution."""
     res = run_removal_loop(env, ztol=prob.ztol, max_iterations=10 * prob.n, **loop)
-    return _finish(method, prob, _split_y(res.final_solution), t0, res)
+    return _finish(method, prob, _split_y(res.final_solution), t0, env, res)
 
 
 def method_b(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
@@ -256,9 +260,11 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     t0 = time.perf_counter()
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:
-        return _finish("m", prob, bp.y, t0, bp_shortcut_taken=True)
+        return replace(bp, method="m", bp_shortcut_taken=True, seconds=time.perf_counter() - t0)
     b = method_b(prob, k=k)
-    return replace(b, method="m", lp_count=1 + b.lp_count, seconds=time.perf_counter() - t0)
+    return replace(b, method="m", lp_count=bp.lp_count + b.lp_count, pivots=bp.pivots + b.pivots,
+                   degenerate_pivots=bp.degenerate_pivots + b.degenerate_pivots,
+                   seconds=time.perf_counter() - t0)
 
 
 def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResult:

@@ -71,9 +71,35 @@ Design notes:
   The dual simplex does the same with dual steps, and its cost shift
   leaves a small random margin on each shifted reduced cost so that
   ties, and so degenerate dual steps, are rare.
+* One primal iteration solves B^T y = c_B, prices d = c - A^T y over
+  every column, takes the eligible column t with the largest |d_t|,
+  solves B w = a_t, runs the ratio test over the m basic values, moves
+  the values and updates K^-1. A dual iteration takes the most violated
+  basic row r instead, forms row r of B^-1 A from B^T v = e_r and the
+  same products, runs the dual ratio test over the columns that can
+  move the right way, and updates d in place. On a full kernel each
+  step is one or a few numpy calls on arrays of length m, k^2 or
+  n + 2m, so a pivot costs about as much in call overhead as in
+  arithmetic; the bookkeeping below keeps the calls per iteration few.
+* Entering eligibility is kept in step with the basis instead of being
+  rebuilt from the column states at every pass: `_price` holds, per
+  column, -1 at a lower and +1 at an upper bound when the column can
+  move, and 0 when it is basic, fixed or free; `_free_nb` lists the
+  free nonbasic columns, priced apart. Pricing is then one product
+  price * d (an eligible column scores |d_j| > DUAL_TOL), and the dual
+  loop's candidates are the sign of price * alpha. Every change of
+  column state goes through `_to_bound` (a column leaves or flips),
+  `_apply_pivot` (a column enters) or `_pass_kinks`. A cold start
+  builds both arrays from the column states and a snapshot copies
+  them, so `load_state` restores them with the basis. What depends
+  only on the bounds (which columns can move, which are free, the cost
+  shift's random margins) is computed once per structure. A primal
+  pivot with an exactly zero step moves no value, so the value update
+  is skipped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -110,10 +136,10 @@ NB_UPPER = 1
 NB_FREE = 2
 BASIC = 3
 
-# by state, the sign of reduced cost that lets a column enter: below
-# zero at its lower bound, above zero at its upper bound, either when
-# free, never when basic (nan fails every comparison)
-_PRICE_SIGN = np.array([-1.0, 1.0, 0.0, np.nan])
+# by state, the sign of reduced cost that lets a movable column enter:
+# below zero at its lower bound, above zero at its upper bound. Free
+# nonbasic columns are priced apart and basic ones never enter (0)
+_PRICE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 class Sense(IntEnum):
@@ -246,10 +272,10 @@ class LpSolution:
     kink_passes: int = 0
 
 
-# the engine arrays a snapshot copies: basis, values and factorisation
-# (and the used rows of `_ct`)
-_STATE = ("_basis", "_vstat", "_x", "_prow", "_pval", "_rowpos", "_slot", "_dpos",
-          "_krow", "_kinv")
+# the engine arrays a snapshot copies: basis, values, entering
+# eligibility and factorisation (and the used rows of `_ct`)
+_STATE = ("_basis", "_vstat", "_x", "_price", "_free_nb", "_prow", "_pval", "_rowpos",
+          "_slot", "_dpos", "_krow", "_kinv")
 
 
 @dataclass
@@ -272,6 +298,14 @@ class SimplexSolver:
     kernel row `_krow[s] = _prow[_dpos[s]]`, its column `_ct[s]` (C
     transposed, rows beyond k are spare capacity) and row s of
     `_kinv`, the inverse of K[s, t] = C[_krow[s], t].
+
+    Column states and eligibility: `_vstat[j]` is NB_LOWER, NB_UPPER,
+    NB_FREE or BASIC and `_x[j]` the value. `_price[j]` is the sign of
+    reduced cost that lets j enter (-1 at lower, +1 at upper, 0 when
+    basic, fixed or free) and `_free_nb` the free nonbasic columns;
+    both change with `_vstat` at every status change and are rebuilt
+    only by a cold start. `_movable`, `_free` and `_margins` depend on
+    the bounds alone and are set when a structure is bound.
     """
 
     def __init__(self):
@@ -286,7 +320,7 @@ class SimplexSolver:
         restarts from that basis instead of scratch."""
         if self._structure is not problem.structure:
             self._bind(problem.structure)
-        self._set_costs(problem.c)
+        self._costs[: self._n] = problem.c
         self._total_iterations = 0
         self._pivots = self._bound_flips = self._degenerate = self._refactors = 0
         self._kink_passes = 0
@@ -341,7 +375,13 @@ class SimplexSolver:
         lo[n + m:] = 0.0           # artificials are fixed at 0
         hi[n + m:] = 0.0
         self._lo, self._hi = lo, hi
-        self._costs = np.zeros(self._ncols)
+        # 1.0 for a column that can move, 0.0 for a fixed one
+        self._movable = ((hi - lo) > 0.0).astype(float)
+        self._free = np.flatnonzero(np.isneginf(lo) & np.isposinf(hi))
+        self._costs = np.zeros(self._ncols)   # slacks and artificials cost 0
+        self._ratios = np.empty(m)
+        # the dual simplex's cost-shift margins, one draw per column
+        self._margins = np.random.default_rng(0).uniform(1.0, 2.0, self._ncols)
         # every column's singleton row (-1: dense) and its value there;
         # slacks and artificials are unit columns
         nnz = np.count_nonzero(structure.A, axis=0)
@@ -390,10 +430,6 @@ class SimplexSolver:
         self._side = np.zeros(self._ncols)
         self._side[:nc] = side
         self._kinks = j.size > 0
-
-    def _set_costs(self, c: np.ndarray) -> None:
-        self._costs[: self._n] = c
-        self._costs[self._n:] = 0.0
 
     def _install(self, prow: np.ndarray, pval: np.ndarray, dpos: np.ndarray) -> None:
         """Set the position maps and gather C; `_kinv` is the caller's."""
@@ -457,6 +493,8 @@ class SimplexSolver:
         self._basis = basis
         self._vstat = vstat
         self._x = x
+        self._price = _PRICE_SIGN[vstat] * self._movable
+        self._free_nb = self._free[vstat[self._free] == NB_FREE]
         self._pivots_since_refactor = 0
         self._refactor()   # sets the basic values
         if np.any(basis >= n + m):
@@ -483,18 +521,16 @@ class SimplexSolver:
         costs = self._costs
         self._costs = shifted = costs.copy()
         d = self._reduced_costs(self._dual_values())
-        movable = (self._hi - self._lo) > 0.0
-        vstat = self._vstat
         # each nonbasic movable column whose reduced cost, signed for its
         # bound state, lies below a small random margin takes the cost
         # that puts it there, a free one the cost that zeroes it: the
         # crash basis is then dual feasible, with few ties for the dual
-        # ratio test to stall on
-        sign = -_PRICE_SIGN[vstat]
-        target = (sign * COST_PERTURB * (1.0 + np.abs(costs))
-                  * np.random.default_rng(0).uniform(1.0, 2.0, d.size))
-        shift = movable & (vstat != BASIC) & (
-            (sign * (d - target) < 0.0) | ((vstat == NB_FREE) & (d != 0.0)))
+        # ratio test to stall on. Basic and fixed columns have price 0
+        sign = -self._price
+        target = sign * COST_PERTURB * (1.0 + np.abs(costs)) * self._margins
+        shift = sign * (d - target) < 0.0
+        free = self._free_nb
+        shift[free] = d[free] != 0.0
         shifted[shift] += target[shift] - d[shift]
         d[shift] = target[shift]
         infeasible = INFEAS_TOL * (1.0 + float(np.max(np.abs(self._b))))
@@ -512,21 +548,25 @@ class SimplexSolver:
                 xb = self._x[basis]
                 below, above = self._lo[basis] - xb, xb - self._hi[basis]
                 viol = np.maximum(below, above)
-                out = np.flatnonzero(viol > PRIMAL_TOL)
-                if out.size == 0:
+                r = int(viol.argmax())
+                if viol[r] <= PRIMAL_TOL:
                     return True
-                # Bland's rule sends the lowest-index variable out
-                r = int(out[np.argmin(basis[out])] if bland else np.argmax(viol))
+                if bland:
+                    # Bland's rule sends the lowest-index variable out
+                    out = (viol > PRIMAL_TOL).nonzero()[0]
+                    r = int(out[basis[out].argmin()])
                 to_upper = bool(above[r] > 0.0)
                 alpha = self._pivot_row(r)
                 # columns whose move, within their bounds, pushes the
-                # leaving variable toward the bound it leaves at
-                vstat = self._vstat
-                push = alpha if to_upper else -alpha
-                can = movable & (vstat != BASIC) & (
-                    ((push > PIVOT_TOL) & (vstat != NB_UPPER))
-                    | ((push < -PIVOT_TOL) & (vstat != NB_LOWER)))
-                cand = np.flatnonzero(can)
+                # leaving variable toward the bound it leaves at: one
+                # at its lower bound (price -1) must rise, one at its
+                # upper bound (+1) fall, a free one may go either way
+                push = self._price * alpha
+                can = push < -PIVOT_TOL if to_upper else push > PIVOT_TOL
+                free = self._free_nb
+                if free.size:
+                    can[free] = np.abs(alpha[free]) > PIVOT_TOL
+                cand = can.nonzero()[0]
                 if cand.size == 0:
                     if viol[r] > infeasible:
                         return False
@@ -534,12 +574,13 @@ class SimplexSolver:
                         return True   # every violation left is below the tolerance
                     stall, bland = 0, False
                     continue
-                ratios = np.abs(d[cand]) / np.abs(alpha[cand])
-                best = float(ratios.min())
+                alpha_c = alpha[cand]
+                ratios = np.abs(d[cand] / alpha_c)
+                best = float(ratios[ratios.argmin()])
                 if bland:
-                    i = int(np.argmax(ratios <= best + 1e-9 * (1.0 + best)))
+                    i = int((ratios <= best + 1e-9 * (1.0 + best)).argmax())
                 else:
-                    i = _largest_pivot(ratios, best, alpha[cand])
+                    i = _largest_pivot(ratios, best, alpha_c)
                 q = int(cand[i])
                 w = self._ftran(self._col(q))
                 if abs(w[r]) < 1e-11:
@@ -556,8 +597,7 @@ class SimplexSolver:
                 theta_p = (xb[r] - bound) / w[r]
                 self._x[basis] -= theta_p * w
                 self._x[q] += theta_p
-                self._x[p] = bound
-                self._vstat[p] = NB_UPPER if to_upper else NB_LOWER
+                self._to_bound(p, to_upper)
                 d -= theta_d * alpha
                 d[p], d[q] = -theta_d, 0.0
                 degenerate = bool(abs(theta_d) <= 1e-11)
@@ -578,13 +618,13 @@ class SimplexSolver:
         for pos in np.flatnonzero(self._basis >= n + m):
             j = self._basis[pos]
             alpha = self._pivot_row(pos)[: n + m]
-            cand = np.flatnonzero((self._vstat[: n + m] != BASIC) & (np.abs(alpha) > 1e-7))
-            if cand.size == 0:
+            # the nonbasic column with the largest pivot enters
+            alpha = np.where(self._vstat[: n + m] != BASIC, np.abs(alpha), 0.0)
+            t = int(alpha.argmax())
+            if alpha[t] <= 1e-7:
                 continue
-            t = int(cand[0])
             self._apply_pivot(t, pos, self._ftran(self._col(t)))
-            self._vstat[j] = NB_LOWER
-            self._x[j] = 0.0
+            self._to_bound(j, False)
 
     # ------------------------------------------------------------------
     # core iteration
@@ -682,7 +722,6 @@ class SimplexSolver:
         bland = False
         iters = 0
         just_refactored = False
-        movable = (self._hi - self._lo) > 0.0
         while True:
             iters += 1
             if iters > MAX_ITERATIONS:
@@ -691,20 +730,19 @@ class SimplexSolver:
                 self._refactor()
             y = self._dual_values()
             d = self._reduced_costs(y)
-            vstat = self._vstat
-            ad = np.abs(d)
-            can = movable & (ad > DUAL_TOL) & (_PRICE_SIGN[vstat] * d >= 0.0)
-            score = np.where(can, ad, -1.0)
-            t = int(np.argmax(score))
-            if score[t] < 0.0:
+            # |d_j| for a column that may enter, at most DUAL_TOL for
+            # one that may not
+            score = self._price * d
+            free = self._free_nb
+            if free.size:
+                score[free] = np.abs(d[free])
+            t = int(score.argmax())
+            if score[t] <= DUAL_TOL:
                 self._total_iterations += iters
                 return LpStatus.OPTIMAL, y, d
             if bland:
-                t = int(np.argmax(can))
-            if vstat[t] == NB_UPPER or (vstat[t] == NB_FREE and d[t] > 0.0):
-                sigma = -1.0
-            else:
-                sigma = 1.0
+                t = int((score > DUAL_TOL).argmax())
+            sigma = -1.0 if d[t] > 0.0 else 1.0
             w = self._ftran(self._col(t))
             step, blocker, to_upper, passed = self._ratio_test(t, sigma, w, sigma * d[t], bland)
             if step is None:
@@ -723,17 +761,15 @@ class SimplexSolver:
             if blocker == -1:
                 # bound flip: entering variable runs to its opposite bound
                 self._x[self._basis] -= step * sigma * w
-                self._x[t] = self._hi[t] if sigma > 0 else self._lo[t]
-                self._vstat[t] = NB_UPPER if sigma > 0 else NB_LOWER
+                self._to_bound(t, sigma > 0.0)
                 self._bound_flips += 1
             else:
                 self._pivots += 1
                 self._degenerate += degenerate
-                self._x[self._basis] -= step * sigma * w
-                self._x[t] = self._x[t] + sigma * step
-                leave = self._basis[blocker]
-                self._x[leave] = self._hi[leave] if to_upper else self._lo[leave]
-                self._vstat[leave] = NB_UPPER if to_upper else NB_LOWER
+                if step != 0.0:   # a zero step moves no value
+                    self._x[self._basis] -= step * sigma * w
+                    self._x[t] += sigma * step
+                self._to_bound(self._basis[blocker], to_upper)
                 self._apply_pivot(t, blocker, w)
             just_refactored = False
             if degenerate:
@@ -756,22 +792,21 @@ class SimplexSolver:
         delta = -sigma * w  # basic change per unit of entering movement
         up = delta > ptol
         room = np.where(up, self._hi[basis], self._lo[basis]) - self._x[basis]
-        ratios = np.full(self._m, np.inf)
+        ratios = self._ratios
+        ratios.fill(np.inf)
         np.divide(room, delta, out=ratios, where=up | (delta < -ptol))
         np.maximum(ratios, 0.0, out=ratios)
-        best = float(ratios.min()) if self._m else np.inf
-        own = self._hi[t] - self._lo[t]
-        if not np.isfinite(own):
-            own = np.inf
+        best = float(ratios[ratios.argmin()]) if self._m else math.inf
+        own = float(self._hi[t] - self._lo[t])
         if own < best - 1e-12:
             return own, -1, False, None
-        if not np.isfinite(best):
+        if best == math.inf:
             return None, None, None, None
         if bland:
             # anti-cycling needs the lowest-index leaving variable too,
             # not just the lowest-index entering one
-            idx = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
-            pos = idx[int(np.argmin(self._basis[idx]))]
+            idx = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
+            pos = idx[basis[idx].argmin()]
         else:
             pos = _largest_pivot(ratios, best, w)
             if self._kinks and best > 1e-11:
@@ -799,20 +834,20 @@ class SimplexSolver:
             return None
         # the convex kinks among the blockers are passable
         part = partner[basis]
-        kp = np.flatnonzero((part >= 0) & (part != t) & (ratios < np.inf))
+        kp = ((part >= 0) & (part != t) & (ratios < np.inf)).nonzero()[0]
         bj, bp = basis[kp], part[kp]
         rho = c[bj] * side[bj] + c[bp] * side[bp]
         convex = rho >= 0.0
         kp, rho = kp[convex], rho[convex]
         other = ratios.copy()
         other[kp] = np.inf
-        wall = float(other.min())
+        wall = float(other[other.argmin()])
         below = ratios[kp] < min(own, wall)
         kp, rho = kp[below], rho[below]
-        order = np.argsort(ratios[kp], kind="stable")
+        order = ratios[kp].argsort(kind="stable")
         kp = kp[order]
-        slopes = slope + np.cumsum(np.abs(delta[kp]) * rho[order])
-        n_pass = int(np.searchsorted(slopes >= -DUAL_TOL, True))
+        slopes = slope + (np.abs(delta[kp]) * rho[order]).cumsum()
+        n_pass = int((slopes >= -DUAL_TOL).searchsorted(True))
         if n_pass == 0:
             return None
         if n_pass < kp.size:
@@ -820,7 +855,7 @@ class SimplexSolver:
             return float(ratios[stop]), int(stop), bool(delta[stop] > 0), kp[:n_pass]
         if own < wall - 1e-12:
             return own, -1, False, kp
-        if not np.isfinite(wall):
+        if wall == math.inf:
             return None, None, None, None
         pos = _largest_pivot(other, wall, w)
         return wall, int(pos), bool(delta[pos] > 0), kp
@@ -837,6 +872,8 @@ class SimplexSolver:
         self._x[j] = 0.0
         self._vstat[j] = np.where(self._side[j] > 0.0, NB_LOWER, NB_UPPER)
         self._vstat[jp] = BASIC
+        self._price[j] = -self._side[j]
+        self._price[jp] = 0.0
         self._basis[pos] = jp
         self._pval[pos] *= lam
         w[pos] *= lam
@@ -849,7 +886,10 @@ class SimplexSolver:
         rt = self._colrow[t]
         s = self._slot[pos]
         self._basis[pos] = t
+        if self._vstat[t] == NB_FREE:
+            self._free_nb = self._free_nb[self._free_nb != t]
         self._vstat[t] = BASIC
+        self._price[t] = 0.0
         if rt >= 0 and s >= 0:
             # a singleton for a dense column is rare enough to rebuild
             self._refactor()
@@ -868,6 +908,13 @@ class SimplexSolver:
                 self._swap_row(pos, q, rt)
             self._pval[pos] = self._colval[t]
         self._pivots_since_refactor += 1
+
+    def _to_bound(self, j: int, upper: bool) -> None:
+        """Column j becomes nonbasic at its upper or lower bound."""
+        if upper:
+            self._x[j], self._vstat[j], self._price[j] = self._hi[j], NB_UPPER, self._movable[j]
+        else:
+            self._x[j], self._vstat[j], self._price[j] = self._lo[j], NB_LOWER, -self._movable[j]
 
     def _replace_dense(self, s: int, a: np.ndarray, w: np.ndarray) -> None:
         """Dense for dense in slot s: a product-form update of K^-1."""
@@ -962,5 +1009,7 @@ def _as_slice(idx: np.ndarray):
 def _largest_pivot(ratios: np.ndarray, best: float, w: np.ndarray) -> int:
     """Among the blockers tied at step `best`, the position with the
     largest pivot magnitude, for stability."""
-    idx = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
-    return idx[int(np.argmax(np.abs(w[idx])))]
+    idx = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
+    if idx.size == 1:
+        return idx[0]
+    return idx[np.abs(w[idx]).argmax()]

@@ -184,7 +184,7 @@ class ToyEnv:
         self.w = dict(enumerate(map(float, weights)))
         self.active = set(self.w)
         self.k = k
-        self.lp_count = 0
+        self.lp_count = self.pivots = self.degenerate_pivots = 0
 
     def _z(self):
         return sum(self.w[e] for e in self.active)
@@ -536,6 +536,25 @@ def test_lp_count_formula_for_probing():
         res = solve_maxfs(sys_, StrategyConfig(algorithm=2))
         finishing = 1 if res.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2) else 0
         assert res.lp_count == 1 + res.probes + finishing
+
+
+def test_pivot_counts_cover_every_lp():
+    # probing, batch and bulk exits (with their finishing solve) alike
+    class Recording(SimplexSolver):
+        def solve(self, problem):
+            sol = super().solve(problem)
+            self.solutions.append(sol)
+            return sol
+
+    rng = np.random.default_rng(150)
+    for cfg in (StrategyConfig(algorithm=2), StrategyConfig(algorithm=2, use_e1=True),
+                StrategyConfig(algorithm=3, k=1, e2_ell=2)):
+        eng = Recording()
+        eng.solutions = []
+        res = solve_maxfs(random_infeasible_system(rng, m_extra=3), cfg, engine=eng)
+        assert len(eng.solutions) == res.lp_count
+        assert res.pivots == sum(sol.pivots for sol in eng.solutions) > 0
+        assert res.degenerate_pivots == sum(sol.degenerate_pivots for sol in eng.solutions)
 
 
 def test_lp_count_is_iterations_plus_one_for_batch():

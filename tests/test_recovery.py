@@ -17,7 +17,7 @@ from maxfs.recovery import (
     method_me1e2,
     postprocess,
 )
-from maxfs.simplex import SolverError
+from maxfs.simplex import SimplexSolver, SolverError
 
 from conftest import planted_instance, scipy_lp, zeroing_lp
 
@@ -106,6 +106,8 @@ def test_bp_is_single_lp():
     res = basis_pursuit(prob)
     assert res.lp_count == 1
     assert res.iterations == 0
+    sol = SimplexSolver().solve(_split_env(prob, None).problem)
+    assert (res.pivots, res.degenerate_pivots) == (sol.pivots, sol.degenerate_pivots)
 
 
 def test_method_m_shortcut_on_bp_recoverable_instance():
@@ -115,6 +117,7 @@ def test_method_m_shortcut_on_bp_recoverable_instance():
     res = method_m(prob)
     assert res.bp_shortcut_taken
     assert res.lp_count == 1
+    assert (res.pivots, res.degenerate_pivots) == (bp.pivots, bp.degenerate_pivots)
     assert np.array_equal(res.y, bp.y)
 
 
@@ -127,6 +130,8 @@ def test_method_m_falls_through_when_bp_is_dense():
     assert not res.bp_shortcut_taken
     b_res = method_b(prob)
     assert res.lp_count == 1 + b_res.lp_count
+    assert res.pivots == bp.pivots + b_res.pivots
+    assert res.degenerate_pivots == bp.degenerate_pivots + b_res.degenerate_pivots
     assert np.array_equal(res.y, b_res.y)
 
 

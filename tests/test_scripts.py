@@ -21,6 +21,7 @@ def test_call_records_repeat_exactly(workload):
     assert runs[0] == runs[1]
     records = [json.loads(line) for line in runs[0].splitlines()]
     assert records and all(r["lp_count"] >= 1 for r in records)
+    assert all(0 <= r["degenerate_pivots"] <= r["pivots"] for r in records)
     key = "removed_points" if workload.startswith("classify") else "support"
     assert all(key in r and "removal_sizes" in r for r in records)
 

@@ -83,7 +83,7 @@ def check_kkt(prob, sol):
     assert abs(gap) <= 1e-6 * (1.0 + abs(sol.z))
 
 
-def test_matches_scipy_on_random_lps():
+def check_random_corpus():
     rng = np.random.default_rng(7)
     optimal = 0
     for _ in range(120):
@@ -94,6 +94,10 @@ def test_matches_scipy_on_random_lps():
             optimal += 1
             check_kkt(prob, sol)
     assert optimal >= 30  # the mix must actually exercise the optimal path
+
+
+def test_matches_scipy_on_random_lps():
+    check_random_corpus()
 
 
 def test_matches_scipy_on_bounded_lps():
@@ -107,9 +111,9 @@ def test_matches_scipy_on_bounded_lps():
             check_kkt(prob, sol)
 
 
-def test_beale_degenerate_example():
-    # classic cycling instance for the naive pivot rule
-    prob = make_problem(
+def beale_lp():
+    # classic cycling instance for the naive pivot rule; its optimum is -0.05
+    return make_problem(
         c=[-0.75, 150.0, -0.02, 6.0],
         A=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
         senses=[-1, -1, -1],
@@ -117,7 +121,10 @@ def test_beale_degenerate_example():
         lower=[0.0] * 4,
         upper=[np.inf] * 4,
     )
-    sol = SimplexSolver().solve(prob)
+
+
+def test_beale_degenerate_example():
+    sol = SimplexSolver().solve(beale_lp())
     assert sol.status is LpStatus.OPTIMAL
     assert abs(sol.z - (-0.05)) <= 1e-9
 
@@ -249,7 +256,8 @@ def kinds(monkeypatch):
     under "rebuilds" the pivots that refactored instead, and under
     "kinks" one (row, lam, rho_j + rho_j') per kink passed. After every
     pivot and every kink pass, solves with the factorisation must match
-    the explicit basis matrix."""
+    the explicit basis matrix, and the entering eligibility the column
+    states."""
     counts = dict.fromkeys(KINDS, 0)
     counts["rebuilds"] = 0
     counts["kinks"] = []
@@ -278,6 +286,7 @@ def kinds(monkeypatch):
         pivot(self, t, pos, w)
         counts["rebuilds"] += self._refactors - refactors
         check(self, basis(self))
+        check_eligibility(self)
 
     def passed(self, pos, w):
         j = self._basis[pos]
@@ -292,12 +301,21 @@ def kinds(monkeypatch):
         pass_kinks(self, pos, w)
         B = basis(self)
         check(self, B)
+        check_eligibility(self)
         # the adjusted w still solves B w = a_t in the new basis
         assert np.abs(B @ w - a_t).max() <= 1e-8 * (1.0 + np.abs(a_t).max())
 
     monkeypatch.setattr(SimplexSolver, "_apply_pivot", checked)
     monkeypatch.setattr(SimplexSolver, "_pass_kinks", passed)
     return counts
+
+
+def check_eligibility(eng):
+    """The price signs and free nonbasic columns the engine keeps up to
+    date are the ones its column states give."""
+    assert np.array_equal(eng._price, simplex._PRICE_SIGN[eng._vstat] * eng._movable)
+    free = eng._free
+    assert np.array_equal(eng._free_nb, free[eng._vstat[free] == simplex.NB_FREE])
 
 
 def check_against_fresh_engine(prob, sol):
@@ -699,3 +717,139 @@ def test_leftover_artificial_is_pivoted_out(monkeypatch):
     assert eng.solve(problem).status is LpStatus.OPTIMAL
     assert leftovers == [1]
     assert not np.any(eng._basis >= eng._n + eng._m)
+
+
+def test_leftover_artificial_gives_way_to_the_largest_pivot(monkeypatch):
+    # row 2 is row 0 + 1000 x row 1, so an artificial stays basic at 0
+    # after the dual simplex. Its row of B^-1 A is about 1e-3 at the
+    # lowest-index column that could replace it and 1 at another: the
+    # one with the largest |alpha| enters
+    chosen = []
+    pivot = SimplexSolver._apply_pivot
+
+    def recorded(self, t, pos, w):
+        if self._basis[pos] >= self._n + self._m:
+            alpha = np.abs(self._pivot_row(pos)[: self._n + self._m])
+            alpha[self._vstat[: self._n + self._m] == simplex.BASIC] = 0.0
+            chosen.append((abs(alpha[t]), alpha.max()))
+        pivot(self, t, pos, w)
+
+    monkeypatch.setattr(SimplexSolver, "_apply_pivot", recorded)
+    A = np.array([[1.0, 0.1, 2.0], [1.0, 3.0, -1.0], [0.0, 0.0, 0.0]])
+    b = np.array([1.0, 2.0, 0.0])
+    A[2], b[2] = A[0] + 1000.0 * A[1], b[0] + 1000.0 * b[1]
+    prob = make_problem([1.0, 1.0, 1.0], A, [0, 0, 0], b, [0.0] * 3, [np.inf] * 3)
+    sol = SimplexSolver().solve(prob)
+    check_against_scipy(prob, sol)
+    assert chosen and all(a == best for a, best in chosen)
+
+
+# ---------------------------------------------------------------------------
+# Bland's rule, and the entering eligibility across snapshots
+
+
+@pytest.fixture
+def bland_pivots(monkeypatch):
+    """Bland's rule after every degenerate pivot (BLAND_AFTER = 1). Counts
+    the pivots Bland's rule chose in the primal and in the dual loop: a
+    pivot chosen by the default rule goes through `_largest_pivot`, one
+    chosen by Bland's rule does not."""
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+    counts = {"primal": 0, "dual": 0, "artificials": 0}
+    loop = ["primal"]
+
+    def tagged(name, method):
+        def run(self):
+            loop.append(name)
+            try:
+                return method(self)
+            finally:
+                loop.pop()
+        return run
+
+    for name, attr in (("dual", "_dual_simplex"), ("artificials", "_pivot_out_artificials")):
+        monkeypatch.setattr(SimplexSolver, attr, tagged(name, getattr(SimplexSolver, attr)))
+    pivot, largest = SimplexSolver._apply_pivot, simplex._largest_pivot
+
+    def counted_pivot(self, *args):
+        counts[loop[-1]] += 1
+        return pivot(self, *args)
+
+    def counted_largest(*args):
+        counts[loop[-1]] -= 1
+        return largest(*args)
+
+    monkeypatch.setattr(SimplexSolver, "_apply_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_largest_pivot", counted_largest)
+    return counts
+
+
+def test_bland_rule_on_the_random_corpus(bland_pivots):
+    # degenerate primal pivots are rare here; degenerate dual steps of
+    # the cold starts are not
+    check_random_corpus()
+    assert bland_pivots["dual"] > 0
+
+
+def test_bland_rule_on_beale(bland_pivots):
+    sol = SimplexSolver().solve(beale_lp())
+    assert sol.status is LpStatus.OPTIMAL
+    assert abs(sol.z - (-0.05)) <= 1e-9
+    assert bland_pivots["primal"] > 0
+
+
+def test_bland_rule_in_the_dual_loop(bland_pivots):
+    # a +-1 matrix makes ties, and so zero dual steps, in the split form's
+    # cold dual simplex
+    rng = np.random.default_rng([41, 0])
+    A = rng.choice([-1.0, 0.0, 1.0], size=(16, 32))
+    y = np.zeros(32)
+    y[rng.choice(32, size=6, replace=False)] = rng.integers(1, 3, size=6)
+    problem = _split_env(RecoveryProblem(A, A @ y), None).problem
+    sol = SimplexSolver().solve(problem)
+    check_against_scipy(problem, sol)
+    assert bland_pivots["dual"] > 0
+
+
+def snapshot_case(case):
+    """An LP, detour costs and final costs for a save/detour/restore."""
+    if case == "free column":
+        # x0 >= 1 fixes the duals, and w (free, cost 0) prices to 0 and
+        # stays nonbasic; the detour makes w enter, the final costs too
+        inf = np.inf
+        prob = make_problem([1.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+                            [1, 1, -1], [1.0, 0.0, 5.0], [0.0, -inf, 0.0], [inf, inf, inf])
+        return prob, [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]
+    if case == "split form":
+        prob = planted_recovery(np.random.default_rng([41, 2]), 16, 32, 6)
+        problem = _split_env(prob, None).problem
+        nonzero = np.flatnonzero(SimplexSolver().solve(problem).x)
+        detour, final = problem.c.copy(), problem.c.copy()
+        detour[nonzero[:3]] = 0.0
+        final[nonzero[3:5]] = 0.0
+        return problem, detour, final
+    rng = np.random.default_rng(47)
+    X = np.vstack([rng.normal(0.0, 1.0, size=(30, 2)), rng.normal(1.0, 1.0, size=(30, 2))])
+    model = elasticize(build_constraints(Dataset(X, np.repeat([0, 1], 30))))
+    costs = removal_costs(model, 3)
+    return model.problem.with_costs(costs[0]), costs[3], costs[1]
+
+
+@pytest.mark.parametrize("case", ["free column", "split form", "elastic"])
+def test_restored_state_solves_like_the_state_it_saved(case):
+    # a probe's detour changes which columns may enter; load_state must
+    # bring that back with the basis, or the next solve prices stale signs
+    prob, detour, final = snapshot_case(case)
+    eng, kept = SimplexSolver(), SimplexSolver()
+    eng.solve(prob)
+    kept.solve(prob)
+    snap = eng.save_state()
+    eng.solve(prob.with_costs(detour))
+    eng.load_state(snap)
+    check_eligibility(eng)
+    back, ref = eng.solve(prob.with_costs(final)), kept.solve(prob.with_costs(final))
+    assert ref.pivots > 0
+    assert (back.pivots, back.degenerate_pivots) == (ref.pivots, ref.degenerate_pivots)
+    # the same arithmetic on copied arrays: a BLAS product may round
+    # differently at another memory alignment, so x agrees to rounding
+    assert np.allclose(back.x, ref.x, rtol=1e-12, atol=1e-12)
