@@ -5,6 +5,12 @@ seed sequence, so any instance can be regenerated in isolation and a
 sweep parallelizes without changing its results. All methods at one
 (S, index) share the same instance, which keeps the method comparison
 paired rather than across different random draws.
+
+Sharing the instance also shares its basis-pursuit solve: every method
+starts from the problem's basis-pursuit optimum, which the first method
+of `spec.methods` solves for and records (see `recovery`). That first
+method's `seconds` include the solve and later ones' leave it out; LP
+counts, supports and exactness do not depend on method order.
 """
 
 from __future__ import annotations
@@ -162,7 +168,10 @@ def run_sweep(spec: SweepSpec) -> list[BenchRecord]:
 
 def summarize(spec: SweepSpec, records: list[BenchRecord]) -> dict:
     """Per method x S means plus each method's critical sparsity: the
-    largest tested S at which every instance recovered exactly."""
+    largest tested S at which every instance recovered exactly. Each
+    instance's basis-pursuit LP is solved once, inside the first method
+    of `spec.methods`, so only that method's `mean_seconds` include it;
+    `mean_lp` counts it for every method."""
     rows = []
     critical: dict[str, int | None] = {}
     for name in spec.methods:

@@ -35,8 +35,8 @@ round, where the list is still dominated by genuinely bad rows.
 
 Every candidate list comes from `rank_candidates`: score vectors over
 all entities, each with a mask of the eligible ones, in; the entities
-ranked by score, ties to the lower index, out. The row rankings, all
-computed from the current elastic solution, are:
+ranked by score, ties (equal up to `TIE_TOL`) to the lower index, out.
+The row rankings, all computed from the current elastic solution, are:
 
 1. rows with a nonzero dual price, ranked by |dual price|,
 2. violated rows ranked by violation x |dual price|,
@@ -55,7 +55,7 @@ from typing import AbstractSet, Callable, Protocol, Sequence
 import numpy as np
 
 from .changepoint import first_mean_change
-from .simplex import LpProblem, LpSolution, LpStatus, SimplexSolver, SolverError
+from .simplex import Basis, LpProblem, LpSolution, LpStatus, SimplexSolver, SolverError
 from .systems import ElasticModel, LinearSystem, elasticize
 
 __all__ = [
@@ -77,6 +77,11 @@ __all__ = [
 VIOLATION_TOL = 1e-8
 DUAL_TOL = 1e-8
 
+# each list ranks its scores rounded to a multiple of TIE_TOL * (1 + the
+# largest |score| it ranks): scores that only rounding noise tells apart
+# tie, and ties go to the lower index
+TIE_TOL = 1e-9
+
 # (pool, candidates, scores), see `rank_candidates`
 Ranked = tuple[list[int], list[int], np.ndarray]
 
@@ -90,13 +95,14 @@ def rank_candidates(
 
     Each list is a pair of vectors over all entities: scores and a mask
     of the eligible ones. A list orders its eligible entities outside
-    `removed` by score, highest first and ties to the lower index.
+    `removed` by score, highest first, and ties (scores equal once
+    rounded, see TIE_TOL) to the lower index.
     Returns (pool, candidates, scores):
 
     pool        every ranked entity once, list by list
     candidates  the first `k` of each list, less those an earlier
                 list's candidates hold; the pool itself when k is None
-    scores      the candidates' scores
+    scores      the candidates' scores, unrounded
     """
     live = np.ones(lists[0][0].size, dtype=bool)
     live[np.fromiter(removed, dtype=np.intp, count=len(removed))] = False
@@ -105,7 +111,9 @@ def rank_candidates(
     pool, top, scores = [], [], []
     for score, eligible in lists:
         idx = np.flatnonzero(eligible & live)
-        ranked = idx[np.argsort(-score[idx], kind="stable")]
+        s = score[idx]
+        grid = TIE_TOL * (1.0 + np.abs(s).max(initial=0.0))
+        ranked = idx[np.argsort(-np.round(s / grid), kind="stable")]
         head = ranked[:k]
         head = head[~held[head]]
         held[head] = True
@@ -307,7 +315,9 @@ class CostDeletionEnv:
     restarts warm from the engine's incumbent basis. `rank` orders the
     candidates of a solution. When `infeasible` is given, an infeasible
     LP raises ValueError with that message; otherwise any status but
-    OPTIMAL is a SolverError.
+    OPTIMAL is a SolverError. When `start` is given, the first solve
+    begins from the basis it returns instead of a cold start, and the
+    pivots that reached that basis count toward that LP.
 
     Every probe of a round starts from the same incumbent, so the first
     probe snapshots it and the others reuse that snapshot until a
@@ -322,6 +332,7 @@ class CostDeletionEnv:
         rank: Ranking,
         engine: SimplexSolver | None = None,
         infeasible: str | None = None,
+        start: Callable[[], Basis] | None = None,
     ):
         self.problem = problem
         self.columns = columns
@@ -333,9 +344,18 @@ class CostDeletionEnv:
         self.removed: set[int] = set()
         self.lp_count = self.pivots = self.degenerate_pivots = 0
         self._incumbent = None
+        self._start = start
 
     def _solve(self, costs: np.ndarray) -> LpSolution:
-        sol = self.engine.solve(self.problem.with_costs(costs))
+        problem = self.problem.with_costs(costs)
+        if self._start is None:
+            sol = self.engine.solve(problem)
+        else:
+            start, self._start = self._start(), None
+            sol = self.engine.solve(problem, start)
+            # the solve that reached the start basis began this LP
+            self.pivots += start.pivots
+            self.degenerate_pivots += start.degenerate_pivots
         self.lp_count += 1
         self.pivots += sol.pivots
         self.degenerate_pivots += sol.degenerate_pivots

@@ -45,6 +45,15 @@ The probing methods (b, c, m, jp) take `k`: each round keeps the first
 `k` entries of each ranked list, None keeps them all, and k < 1 raises
 ValueError.
 
+Every method's first LP is basis pursuit, and every method starts from
+the problem's basis-pursuit optimum: the first call on a problem solves
+that LP cold and records its optimal basis on the problem (the basis and
+column states only, no factorisation), and every call, the first one
+too, installs that basis and prices it, with no pivot when it is still
+optimal. The pivots of the cold solve count toward each call's first
+LP, so a method's counts and results do not depend on which methods ran
+on the problem before it; only its time does.
+
 `postprocess` prunes a support set: a variable is dropped when the
 remaining support columns still reproduce b without it.
 """
@@ -52,7 +61,8 @@ remaining support columns still reproduce b without it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,7 +74,16 @@ from .core import (
     rank_candidates,
     run_removal_loop,
 )
-from .simplex import LpSolution, Sense, SolverError, make_problem
+from .simplex import (
+    Basis,
+    LpProblem,
+    LpSolution,
+    LpStatus,
+    Sense,
+    SimplexSolver,
+    SolverError,
+    make_problem,
+)
 
 __all__ = [
     "RecoveryProblem",
@@ -85,16 +104,21 @@ RESIDUAL_TOL = 1e-6  # every returned y must satisfy ||A y - b||_inf <= this
 
 @dataclass(frozen=True)
 class RecoveryProblem:
-    """An underdetermined dense system A y = b with m < n."""
+    """An underdetermined dense system A y = b with m < n.
+
+    `A` and `b` are read-only copies of the caller's arrays, since the
+    basis-pursuit optimum recorded on first use (`_bp`) holds only while
+    they stay as they are; `dataclasses.replace` starts a new record."""
 
     A: np.ndarray
     b: np.ndarray
     zero_tol: float = ZERO_TOL
     ztol: float = 1e-6
+    _bp: Basis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A = np.array(self.A, dtype=float)
+        b = np.array(self.b, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be 2-d")
         m, n = A.shape
@@ -106,6 +130,7 @@ class RecoveryProblem:
             raise ValueError("b length must match row count of A")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("A and b must be finite")
+        A.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -191,12 +216,14 @@ def _split_env(
     """Split form: columns (u, v), y = u - v, entity j owns (u_j, v_j).
     Candidates are the undeleted nonzeros ranked by |y_j|; with
     `dual_list`, then those with |a_j^T p| above DUAL_TOL ranked by it,
-    p the row duals. `k` truncates each list."""
+    p the row duals. `k` truncates each list. The first solve starts
+    from the basis-pursuit optimum (`_bp_optimum`)."""
     _check_k(k)
     n = prob.n
     A_lp = np.hstack([prob.A, -prob.A])
     senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
     problem = make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=np.zeros(2 * n))
+    engine = SimplexSolver()
 
     def rank(sol: LpSolution, removed):
         y = np.abs(_split_y(sol))
@@ -207,7 +234,20 @@ def _split_env(
         return rank_candidates(lists, removed, k)
 
     columns = [(j, n + j) for j in range(n)]
-    return CostDeletionEnv(problem, columns, deleted_cost, rank, infeasible=_RANGE_ERROR)
+    start = partial(_bp_optimum, prob, problem, engine)
+    return CostDeletionEnv(problem, columns, deleted_cost, rank, engine, _RANGE_ERROR, start)
+
+
+def _bp_optimum(prob: RecoveryProblem, problem: LpProblem, engine: SimplexSolver) -> Basis:
+    """The basis-pursuit optimum recorded on `prob`; the first call
+    fills the record by a cold solve of `problem`, the split form at
+    unit costs, on `engine`."""
+    if prob._bp is None:
+        # Z >= 0 bounds the split form below: only infeasibility stops it
+        if engine.solve(problem).status is not LpStatus.OPTIMAL:
+            raise ValueError(_RANGE_ERROR)
+        object.__setattr__(prob, "_bp", engine.basis())
+    return prob._bp
 
 
 def _split_y(sol: LpSolution) -> np.ndarray:
@@ -261,10 +301,9 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:
         return replace(bp, method="m", bp_shortcut_taken=True, seconds=time.perf_counter() - t0)
-    b = method_b(prob, k=k)
-    return replace(b, method="m", lp_count=bp.lp_count + b.lp_count, pivots=bp.pivots + b.pivots,
-                   degenerate_pivots=bp.degenerate_pivots + b.degenerate_pivots,
-                   seconds=time.perf_counter() - t0)
+    # method_b's first LP is the one basis pursuit solved: its counts
+    # hold that LP once
+    return replace(method_b(prob, k=k), method="m", seconds=time.perf_counter() - t0)
 
 
 def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResult:

@@ -44,6 +44,17 @@ Design notes:
   A snapshot holds O(m k + k^2) numbers and fits only the structure it
   was taken on. A solve that proves the LP infeasible leaves no state
   behind; the next solve starts cold.
+* Starts from a given basis. `solve(problem, start)` takes a `Basis`,
+  as `basis()` returns it after a solve: the basic column of each
+  position and the state of every column, O(m + n) small integers with
+  no factorisation, usable on any structure of the same shape. The
+  nonbasic columns go to their bounds, K^-1 is rebuilt and the basic
+  values recomputed, and the primal simplex goes on from there, so a
+  basis that is still optimal costs one pricing pass and no pivot. A
+  singular basis (K's 1-norm condition number above START_COND) or one
+  whose values miss their bounds by more than a cold start accepts
+  gives way to a cold start. Sparse recovery keeps its basis-pursuit
+  optimum so, and starts every method from it.
 * Long steps over kinks (Fourer 1985, "A simplex algorithm for
   piecewise-linear programming I"; the primal twin of the dual
   bound-flipping ratio test). A kink pair is two singleton columns on
@@ -89,13 +100,13 @@ Design notes:
   price * d (an eligible column scores |d_j| > DUAL_TOL), and the dual
   loop's candidates are the sign of price * alpha. Every change of
   column state goes through `_to_bound` (a column leaves or flips),
-  `_apply_pivot` (a column enters) or `_pass_kinks`. A cold start
-  builds both arrays from the column states and a snapshot copies
-  them, so `load_state` restores them with the basis. What depends
-  only on the bounds (which columns can move, which are free, the cost
-  shift's random margins) is computed once per structure. A primal
-  pivot with an exactly zero step moves no value, so the value update
-  is skipped.
+  `_apply_pivot` (a column enters) or `_pass_kinks`. A cold start and
+  a start basis build both arrays from the column states (`_take_basis`)
+  and a snapshot copies them, so `load_state` restores them with the
+  basis. What depends only on the bounds (which columns can move, which
+  are free, the cost shift's random margins) is computed once per
+  structure. A primal pivot with an exactly zero step moves no value,
+  so the value update is skipped.
 """
 from __future__ import annotations
 
@@ -122,6 +133,9 @@ INFEAS_TOL = 1e-7
 # a cold start's dual simplex gives each reduced cost of the crash basis
 # a margin of at least COST_PERTURB * (1 + |c_j|) on its right side
 COST_PERTURB = 1e-7
+# a start basis (`SimplexSolver.solve`) whose kernel K has a 1-norm
+# condition number above START_COND counts as singular
+START_COND = 1e12
 # pivots between rebuilds of the factorisation
 REFACTOR_EVERY = 64
 # consecutive degenerate pivots before Bland's rule takes over
@@ -272,6 +286,20 @@ class LpSolution:
     kink_passes: int = 0
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A basis to start a solve from (`SimplexSolver.solve`'s `start`),
+    over the engine's n + 2m columns (structural, slack, artificial):
+    the basic column of each position and every column's state, plus
+    the pivots and degenerate pivots of the solve that reached it. No
+    factorisation: a start refactors."""
+
+    basis: np.ndarray
+    vstat: np.ndarray
+    pivots: int
+    degenerate_pivots: int
+
+
 # the engine arrays a snapshot copies: basis, values, entering
 # eligibility and factorisation (and the used rows of `_ct`)
 _STATE = ("_basis", "_vstat", "_x", "_price", "_free_nb", "_prow", "_pval", "_rowpos",
@@ -304,8 +332,9 @@ class SimplexSolver:
     reduced cost that lets j enter (-1 at lower, +1 at upper, 0 when
     basic, fixed or free) and `_free_nb` the free nonbasic columns;
     both change with `_vstat` at every status change and are rebuilt
-    only by a cold start. `_movable`, `_free` and `_margins` depend on
-    the bounds alone and are set when a structure is bound.
+    only when a basis is taken whole (`_take_basis`). `_movable`,
+    `_free` and `_margins` depend on the bounds alone and are set when
+    a structure is bound.
     """
 
     def __init__(self):
@@ -315,19 +344,28 @@ class SimplexSolver:
     # ------------------------------------------------------------------
     # public API
 
-    def solve(self, problem: LpProblem) -> LpSolution:
+    def solve(self, problem: LpProblem, start: Basis | None = None) -> LpSolution:
         """Solve `problem`. A prior solve on the same structure object
-        restarts from that basis instead of scratch."""
+        restarts from that basis instead of scratch. With `start`, the
+        solve begins from that basis instead (see `_install_basis`)."""
         if self._structure is not problem.structure:
             self._bind(problem.structure)
         self._costs[: self._n] = problem.c
         self._total_iterations = 0
         self._pivots = self._bound_flips = self._degenerate = self._refactors = 0
         self._kink_passes = 0
+        if start is not None:
+            self._have_state = self._install_basis(start)
         if not self._have_state and not self._cold_start():
             y = self._dual_values()
             return self._solution(problem, LpStatus.INFEASIBLE, y, self._reduced_costs(y))
         return self._solution(problem, *self._optimize())
+
+    def basis(self) -> Basis:
+        """The basis the last solve ended at, with that solve's pivots."""
+        if not self._have_state:
+            raise SolverError("no solved state to read")
+        return Basis(self._basis.copy(), self._vstat.copy(), self._pivots, self._degenerate)
 
     def save_state(self) -> "_Snapshot":
         """Full state snapshot (basis, values, factorisation). Restoring
@@ -454,6 +492,28 @@ class SimplexSolver:
     # ------------------------------------------------------------------
     # starting bases
 
+    def _install_basis(self, start: Basis) -> bool:
+        """Take `start`'s basis and column states, nonbasic columns at
+        their bounds; refactor and recompute the basic values. Returns
+        False, so that the solve starts cold, when that basis is singular
+        (see START_COND) or a basic value misses its bounds by more than
+        a cold start accepts (INFEAS_TOL * (1 + max|b|))."""
+        if start.basis.shape != (self._m,) or start.vstat.shape != (self._ncols,):
+            raise ValueError("start basis does not fit this LP structure")
+        basis, vstat = start.basis.copy(), start.vstat.copy()
+        x = np.where(vstat == NB_LOWER, self._lo, np.where(vstat == NB_UPPER, self._hi, 0.0))
+        try:
+            self._take_basis(basis, vstat, x)
+        except SolverError:
+            return False
+        k = self._k
+        knorm = np.abs(self._ct[:k, self._krow]).sum(axis=1).max(initial=0.0)
+        if knorm * np.abs(self._kinv).sum(axis=0).max(initial=0.0) > START_COND:
+            return False
+        xb = self._x[basis]
+        miss = np.maximum(self._lo[basis] - xb, xb - self._hi[basis])
+        return bool(miss.max(initial=0.0) <= INFEAS_TOL * (1.0 + np.abs(self._b).max(initial=0.0)))
+
     def _cold_start(self) -> bool:
         """Crash a starting basis; when a row needs an artificial, run the
         dual simplex from it to a primal-feasible basis. Returns False on
@@ -490,19 +550,22 @@ class SimplexSolver:
         basis[rows[first]] = cand[first]
         vstat[basis] = BASIC
 
-        self._basis = basis
-        self._vstat = vstat
-        self._x = x
-        self._price = _PRICE_SIGN[vstat] * self._movable
-        self._free_nb = self._free[vstat[self._free] == NB_FREE]
-        self._pivots_since_refactor = 0
-        self._refactor()   # sets the basic values
+        self._take_basis(basis, vstat, x)
         if np.any(basis >= n + m):
             if not self._dual_simplex():
                 return False
             self._pivot_out_artificials()
         self._have_state = True
         return True
+
+    def _take_basis(self, basis: np.ndarray, vstat: np.ndarray, x: np.ndarray) -> None:
+        """Set the basis, the column states and the nonbasic values, with
+        the entering eligibility that follows from them; the refactor
+        sets the basic values."""
+        self._basis, self._vstat, self._x = basis, vstat, x
+        self._price = _PRICE_SIGN[vstat] * self._movable
+        self._free_nb = self._free[vstat[self._free] == NB_FREE]
+        self._refactor()
 
     def _dual_simplex(self) -> bool:
         """Dual simplex from the crash basis to a primal-feasible one

@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from maxfs.classify import Dataset
-from maxfs.simplex import make_problem
+from maxfs.simplex import SimplexSolver, make_problem
 from maxfs.systems import LinearSystem, system
 
 # ---------------------------------------------------------------------------
@@ -242,3 +242,17 @@ def bcw_shaped(seed) -> Dataset:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def cold_starts(monkeypatch):
+    """One entry per cold start of any `SimplexSolver`."""
+    calls = []
+    cold_start = SimplexSolver._cold_start
+
+    def counted(self):
+        calls.append(1)
+        return cold_start(self)
+
+    monkeypatch.setattr(SimplexSolver, "_cold_start", counted)
+    return calls

@@ -99,6 +99,18 @@ def test_parallel_matches_serial():
     ]
 
 
+def test_sweep_results_do_not_depend_on_method_order():
+    # the first method solves each instance's basis-pursuit LP for all
+    def outcome(methods):
+        spec = small_spec(m=10, n=20, s_levels=(3, 7), instances=3, methods=methods)
+        return {(r.method, r.S, r.instance): (r.T, r.correct, r.lp_count)
+                for r in run_sweep(spec)}
+
+    forward = outcome(("bp", "c", "me1e2"))
+    assert forward == outcome(("me1e2", "c", "bp"))
+    assert any(lp > 1 for _, _, lp in forward.values())
+
+
 def test_summarize_levels_and_critical_sparsity():
     spec = small_spec()
     records = run_sweep(spec)

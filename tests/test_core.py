@@ -171,6 +171,19 @@ def test_rank_candidates_overlapping_lists_dedup_after_the_cut():
     assert pool == cands == [] and scores.size == 0
 
 
+def test_rank_candidates_ties_ignore_rounding_noise():
+    # entities 1..8 tie at 1 up to noise of 1e-15, which must not order
+    # them; the returned scores keep the noise
+    noise = np.random.default_rng(5).uniform(-1e-15, 1e-15, 8)
+    score = np.concatenate([[0.5], 1.0 + noise, [2.0]])
+    pool, cands, scores = rank_candidates([(score, score > 0.0)])
+    assert pool == cands == [9, *range(1, 9), 0]
+    assert scores.tolist() == score[cands].tolist()
+    # a gap far above the tolerance still orders
+    score[4] += 1e-6
+    assert rank_candidates([(score, score > 0.0)])[0][:3] == [9, 4, 1]
+
+
 # ----------------------------------------------------------------------
 # the removal loop, on a scripted environment with no LP inside
 

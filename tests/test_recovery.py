@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -129,9 +133,10 @@ def test_method_m_falls_through_when_bp_is_dense():
     res = method_m(prob)
     assert not res.bp_shortcut_taken
     b_res = method_b(prob)
-    assert res.lp_count == 1 + b_res.lp_count
-    assert res.pivots == bp.pivots + b_res.pivots
-    assert res.degenerate_pivots == bp.degenerate_pivots + b_res.degenerate_pivots
+    # method_b's first LP is basis pursuit's, solved once and counted once
+    assert res.lp_count == b_res.lp_count
+    assert (res.pivots, res.degenerate_pivots) == (b_res.pivots, b_res.degenerate_pivots)
+    assert res.pivots >= bp.pivots
     assert np.array_equal(res.y, b_res.y)
 
 
@@ -185,6 +190,68 @@ def test_removal_loop_methods_keep_their_rounds():
     shortcut, _ = planted_problem(4, 16, 32, 3)
     for res in (basis_pursuit(prob), method_m(shortcut)):
         assert res.removal_sizes == () and res.z_history == ()
+
+
+# ----------------------------------------------------------------------
+# the recorded basis-pursuit optimum
+
+HISTORY_CASES = [(11, 10, 20, 8), (4, 16, 32, 3), (12, 24, 48, 10)]
+
+
+@pytest.mark.parametrize("case", HISTORY_CASES)
+def test_bp_lp_is_solved_cold_once_per_problem(cold_starts, case):
+    prob, _ = planted_problem(*case)
+    for fn in ALL_METHODS:
+        check_result(prob, fn(prob))
+    assert len(cold_starts) == 1
+
+
+@pytest.mark.parametrize("case", HISTORY_CASES)
+def test_results_do_not_depend_on_call_history(case):
+    shared, _ = planted_problem(*case)
+    for fn in ALL_METHODS:
+        fn(shared)
+    for fn in ALL_METHODS:
+        late = fn(shared)   # after every method ran on this problem
+        fresh = fn(planted_problem(*case)[0])
+        name = fn.__name__
+        assert late.support == fresh.support, name
+        assert (late.lp_count, late.pivots, late.degenerate_pivots) == (
+            fresh.lp_count, fresh.pivots, fresh.degenerate_pivots), name
+        assert late.removal_sizes == fresh.removal_sizes, name
+        assert late.z_history == pytest.approx(fresh.z_history, rel=1e-12, abs=1e-12), name
+        assert np.max(np.abs(late.y - fresh.y)) <= 1e-12, name
+
+
+def test_env_and_engine_are_freed_without_the_collector():
+    # a reference cycle would keep every method call's LP alive until
+    # the garbage collector ran
+    prob, _ = planted_problem(4, 16, 32, 3)
+    env = _split_env(prob, 0.0, dual_list=True)
+    env.solve_current()
+    engine = weakref.ref(env.engine)
+    gc.disable()
+    try:
+        del env
+        assert engine() is None
+    finally:
+        gc.enable()
+
+
+def test_problem_data_are_read_only_copies():
+    A, _, b = planted_instance(3, 6, 12, 2)
+    prob = RecoveryProblem(A, b)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.A[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        prob.b[0] = 1.0
+    A[0, 0] += 1.0
+    b[0] += 1.0
+    assert prob.A[0, 0] != A[0, 0] and prob.b[0] != b[0]
+    basis_pursuit(prob)
+    assert prob._bp is not None
+    assert dataclasses.replace(prob)._bp is None
+    assert dataclasses.replace(prob, b=-prob.b)._bp is None
 
 
 # ----------------------------------------------------------------------

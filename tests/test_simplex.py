@@ -11,6 +11,7 @@ from maxfs import simplex
 from maxfs.classify import Dataset, build_constraints
 from maxfs.recovery import RecoveryProblem, _split_env
 from maxfs.simplex import (
+    Basis,
     LpStatus,
     Sense,
     SimplexSolver,
@@ -853,3 +854,62 @@ def test_restored_state_solves_like_the_state_it_saved(case):
     # the same arithmetic on copied arrays: a BLAS product may round
     # differently at another memory alignment, so x agrees to rounding
     assert np.allclose(back.x, ref.x, rtol=1e-12, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# starting from a given basis
+
+
+def split_form(sign=1.0):
+    prob = planted_recovery(np.random.default_rng([41, 3]), 24, 48, 10)
+    return _split_env(RecoveryProblem(prob.A, sign * prob.b), None).problem
+
+
+def test_optimal_start_basis_prices_once(cold_starts):
+    problem = split_form()
+    eng = SimplexSolver()
+    sol = eng.solve(problem)
+    start = eng.basis()
+    assert (start.pivots, start.degenerate_pivots) == (sol.pivots, sol.degenerate_pivots) != (0, 0)
+    again = SimplexSolver()
+    warm = again.solve(problem, start)
+    assert cold_starts == [1]
+    assert warm.status is LpStatus.OPTIMAL
+    assert (warm.pivots, warm.refactors) == (0, 1)
+    assert np.allclose(warm.x, sol.x, rtol=1e-12, atol=1e-12)
+    check_eligibility(again)
+    # the engine goes on warm from the installed basis
+    assert again.solve(problem).pivots == 0 and cold_starts == [1]
+
+
+@pytest.mark.parametrize("case", ["misses its bounds", "singular"])
+def test_unusable_start_basis_starts_cold(cold_starts, case):
+    eng = SimplexSolver()
+    eng.solve(split_form())
+    start = eng.basis()
+    if case == "misses its bounds":
+        # the optimum for b has positive basic values; for -b they flip
+        problem = split_form(-1.0)
+    else:
+        # u_j and v_j, whose column is -a_j, both basic
+        problem = split_form()
+        basis, vstat = start.basis.copy(), start.vstat.copy()
+        p = int(np.flatnonzero(basis < problem.n)[0])
+        q = (p + 1) % basis.size
+        partner = (basis[p] + problem.n // 2) % problem.n
+        vstat[basis[q]], vstat[partner] = simplex.NB_LOWER, simplex.BASIC
+        basis[q] = partner
+        start = Basis(basis, vstat, 0, 0)
+    cold_starts.clear()
+    sol = SimplexSolver().solve(problem, start)
+    assert cold_starts == [1]
+    check_against_scipy(problem, sol)
+    assert sol.status is LpStatus.OPTIMAL
+
+
+def test_start_basis_must_fit_the_structure():
+    eng = SimplexSolver()
+    eng.solve(split_form())
+    problem = _split_env(planted_recovery(np.random.default_rng([41, 4]), 8, 16, 2), None).problem
+    with pytest.raises(ValueError, match="does not fit"):
+        SimplexSolver().solve(problem, eng.basis())
