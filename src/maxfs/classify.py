@@ -48,15 +48,17 @@ class Dataset:
 
     def __post_init__(self):
         F = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
+        y = np.asarray(self.labels)
         if F.ndim != 2 or F.shape[0] < 1 or F.shape[1] < 1:
             raise ValueError("features must be a nonempty 2-d array")
         if y.shape != (F.shape[0],):
             raise ValueError("one label per point required")
         if not np.all(np.isfinite(F)):
             raise ValueError("features must be finite")
+        # checked before the cast, which would truncate 0.5 to 0
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
+        y = y.astype(int)
         if len(np.unique(y)) < 2:
             raise ValueError("dataset must contain both classes")
         names = tuple(self.feature_names) or tuple(f"x{j}" for j in range(F.shape[1]))

@@ -102,19 +102,21 @@ ZERO_TOL = 1e-7     # |value| above this counts as a nonzero
 RESIDUAL_TOL = 1e-6  # every returned y must satisfy ||A y - b||_inf <= this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryProblem:
     """An underdetermined dense system A y = b with m < n.
 
     `A` and `b` are read-only copies of the caller's arrays, since the
     basis-pursuit optimum recorded on first use (`_bp`) holds only while
-    they stay as they are; `dataclasses.replace` starts a new record."""
+    they stay as they are; `dataclasses.replace` starts a new record.
+    Since each problem holds its own record, problems compare and hash
+    by identity: two built from the same data are unequal."""
 
     A: np.ndarray
     b: np.ndarray
     zero_tol: float = ZERO_TOL
     ztol: float = 1e-6
-    _bp: Basis | None = field(default=None, init=False, repr=False, compare=False)
+    _bp: Basis | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)

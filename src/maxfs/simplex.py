@@ -6,13 +6,13 @@ costs.
 
 Design notes:
 
-* One slack column per row (fixed at [0,0] for equality rows) plus one
-  artificial column per row brings the working matrix to n + 2m columns.
-  Columns n..n+2m are all unit vectors, so the matrix [A | I | I] is
-  never materialised; pricing needs A.T y over the dense structural
-  columns only, and one product per singleton structural column.
+* One slack column per row (fixed at [0,0] for equality rows) brings
+  the working matrix to n + m columns. Columns n..n+m are unit vectors,
+  so the matrix [A | I] is never materialised; pricing needs A.T y over
+  the dense structural columns only, and one product per singleton
+  structural column.
 * The basis is kept block-triangular. Every basic singleton column
-  (a slack, an artificial, or a structural column with one nonzero)
+  (a slack or a structural column with one nonzero)
   owns its row; the k dense basic columns C meet the k rows no
   singleton owns in a k x k kernel K, whose inverse is kept
   explicitly. Solves with B or B^T cost O(m k + k^2), a refactor is a
@@ -25,17 +25,17 @@ Design notes:
   basis is the case k = m of the same formulas. K^-1 is rebuilt every
   REFACTOR_EVERY pivots.
 * Cold starts. A crash step assigns each row's residual to its slack
-  or to a singleton structural column when bounds allow, and otherwise
-  to the row's artificial, which stays fixed at [0,0] and so starts
-  basic out of bounds. Elastic constructions (every row carries a
+  when the slack's bounds allow, else to a singleton structural column
+  that can absorb it, and otherwise leaves it to the slack anyway,
+  basic out of its bounds. Elastic constructions (every row carries a
   dedicated penalty column) start feasible and go straight to the
   primal simplex. Otherwise a dual simplex (Koberstein 2005) runs from
   the crash basis: costs shifted where a reduced cost has the wrong
   sign make that basis dual feasible (the split form of sparse
-  recovery, all artificials with y = 0 and d = c >= 0, needs no
-  shift), each iteration sends the most violated basic variable to its
-  bound, and the primal simplex then finishes under the true costs from
-  the primal-feasible basis the dual one ends at.
+  recovery, all slacks with y = 0 and d = c >= 0, needs no shift),
+  each iteration sends the most violated basic variable to its bound,
+  and the primal simplex then finishes under the true costs from the
+  primal-feasible basis the dual one ends at.
 * Cost-only re-solves keep the current basis and primal values, which
   stay feasible, and continue the primal simplex from there.
   `save_state` and `load_state` snapshot and restore that state, so a
@@ -90,7 +90,7 @@ Design notes:
   same products, runs the dual ratio test over the columns that can
   move the right way, and updates d in place. On a full kernel each
   step is one or a few numpy calls on arrays of length m, k^2 or
-  n + 2m, so a pivot costs about as much in call overhead as in
+  n + m, so a pivot costs about as much in call overhead as in
   arithmetic; the bookkeeping below keeps the calls per iteration few.
 * Entering eligibility is kept in step with the basis instead of being
   rebuilt from the column states at every pass: `_price` holds, per
@@ -289,7 +289,7 @@ class LpSolution:
 @dataclass(frozen=True)
 class Basis:
     """A basis to start a solve from (`SimplexSolver.solve`'s `start`),
-    over the engine's n + 2m columns (structural, slack, artificial):
+    over the engine's n + m columns (structural, slack):
     the basic column of each position and every column's state, plus
     the pivots and degenerate pivots of the solve that reached it. No
     factorisation: a start refactors."""
@@ -397,7 +397,7 @@ class SimplexSolver:
         self._have_state = False
         m, n = structure.m, structure.n
         self._m, self._n = m, n
-        self._ncols = n + 2 * m
+        self._ncols = n + m
         self._A = structure.A
         self._b = structure.b
         lo = np.empty(self._ncols)
@@ -406,26 +406,21 @@ class SimplexSolver:
         hi[:n] = structure.upper
         senses = structure.senses
         # slack bounds by sense: LE [0,inf), GE (-inf,0], EQ [0,0]
-        slo = np.where(senses == Sense.GE, -np.inf, 0.0)
-        shi = np.where(senses == Sense.LE, np.inf, 0.0)
-        lo[n:n + m] = slo
-        hi[n:n + m] = shi
-        lo[n + m:] = 0.0           # artificials are fixed at 0
-        hi[n + m:] = 0.0
+        lo[n:] = np.where(senses == Sense.GE, -np.inf, 0.0)
+        hi[n:] = np.where(senses == Sense.LE, np.inf, 0.0)
         self._lo, self._hi = lo, hi
         # 1.0 for a column that can move, 0.0 for a fixed one
         self._movable = ((hi - lo) > 0.0).astype(float)
         self._free = np.flatnonzero(np.isneginf(lo) & np.isposinf(hi))
-        self._costs = np.zeros(self._ncols)   # slacks and artificials cost 0
+        self._costs = np.zeros(self._ncols)   # slacks cost 0
         self._ratios = np.empty(m)
         # the dual simplex's cost-shift margins, one draw per column
         self._margins = np.random.default_rng(0).uniform(1.0, 2.0, self._ncols)
         # every column's singleton row (-1: dense) and its value there;
-        # slacks and artificials are unit columns
+        # slacks are unit columns
         nnz = np.count_nonzero(structure.A, axis=0)
         srow = np.where(nnz == 1, np.argmax(structure.A != 0.0, axis=0), -1)
-        rows = np.arange(m)
-        self._colrow = np.concatenate([srow, rows, rows])
+        self._colrow = np.concatenate([srow, np.arange(m)])
         self._colval = np.ones(self._ncols)
         single = np.flatnonzero(srow >= 0)
         self._colval[single] = structure.A[srow[single], single]
@@ -449,10 +444,9 @@ class SimplexSolver:
         the other half line. `_partner[j]` is j's partner (-1: none),
         `_lam[j]` the factor, `_side[j]` +1 for [0, inf) and -1 for
         (-inf, 0]."""
-        m, nc = self._m, self._n + self._m
-        lo, hi = self._lo[:nc], self._hi[:nc]
+        m, lo, hi = self._m, self._lo, self._hi
         up, down = (lo == 0.0) & (hi == np.inf), (lo == -np.inf) & (hi == 0.0)
-        cand = np.flatnonzero((self._colrow[:nc] >= 0) & (up | down))
+        cand = np.flatnonzero((self._colrow >= 0) & (up | down))
         rows = self._colrow[cand]
         cand = cand[np.bincount(rows, minlength=m)[rows] == 2]
         cand = cand[np.argsort(self._colrow[cand], kind="stable")]
@@ -465,8 +459,7 @@ class SimplexSolver:
         self._partner[j], self._partner[jp] = jp, j
         self._lam = np.ones(self._ncols)
         self._lam[j] = self._lam[jp] = lam
-        self._side = np.zeros(self._ncols)
-        self._side[:nc] = side
+        self._side = side
         self._kinks = j.size > 0
 
     def _install(self, prow: np.ndarray, pval: np.ndarray, dpos: np.ndarray) -> None:
@@ -486,7 +479,7 @@ class SimplexSolver:
         if j < self._n:
             return self._A[:, j]
         e = np.zeros(self._m)
-        e[(j - self._n) % self._m] = 1.0
+        e[j - self._n] = 1.0
         return e
 
     # ------------------------------------------------------------------
@@ -515,9 +508,9 @@ class SimplexSolver:
         return bool(miss.max(initial=0.0) <= INFEAS_TOL * (1.0 + np.abs(self._b).max(initial=0.0)))
 
     def _cold_start(self) -> bool:
-        """Crash a starting basis; when a row needs an artificial, run the
-        dual simplex from it to a primal-feasible basis. Returns False on
-        proven infeasibility, leaving no warm state."""
+        """Crash a starting basis; when a slack starts basic out of its
+        bounds, run the dual simplex from it to a primal-feasible basis.
+        Returns False on proven infeasibility, leaving no warm state."""
         m, n = self._m, self._n
         lo, hi = self._lo, self._hi
         vstat = np.empty(self._ncols, dtype=np.int8)
@@ -528,17 +521,15 @@ class SimplexSolver:
         vstat[:n] = np.where(fin_lo, NB_LOWER, np.where(fin_hi, NB_UPPER, NB_FREE))
         x[:n] = np.where(fin_lo, lo[:n], np.where(fin_hi, hi[:n], 0.0))
         # a nonbasic slack sits at whichever of its bounds is zero
-        vstat[n:n + m] = np.where(self._structure.senses == Sense.GE, NB_UPPER, NB_LOWER)
-        vstat[n + m:] = NB_LOWER
+        vstat[n:] = np.where(self._structure.senses == Sense.GE, NB_UPPER, NB_LOWER)
 
         # each row's residual goes to its slack when the slack's bounds
         # allow, else to its lowest-index singleton structural column
-        # that can absorb it, else to its artificial
+        # that can absorb it, else to its slack out of bounds
         tol = PRIMAL_TOL
         residual = self._b - self._A @ x[:n]
-        slack = np.arange(n, n + m)
-        fits = (lo[slack] - tol <= residual) & (residual <= hi[slack] + tol)
-        basis = np.where(fits, slack, slack + m)
+        basis = np.arange(n, n + m)
+        fits = (lo[n:] - tol <= residual) & (residual <= hi[n:] + tol)
         cand = self._row_singles
         cand = cand[~fits[self._colrow[cand]]]
         g = self._colval[cand]
@@ -548,13 +539,14 @@ class SimplexSolver:
         rows = self._colrow[cand]
         first = np.flatnonzero(np.diff(rows, prepend=-1))
         basis[rows[first]] = cand[first]
+        fits[rows[first]] = True
         vstat[basis] = BASIC
 
         self._take_basis(basis, vstat, x)
-        if np.any(basis >= n + m):
+        if not fits.all():
             if not self._dual_simplex():
                 return False
-            self._pivot_out_artificials()
+            self._pivot_out_fixed_slacks()
         self._have_state = True
         return True
 
@@ -570,8 +562,8 @@ class SimplexSolver:
     def _dual_simplex(self) -> bool:
         """Dual simplex from the crash basis to a primal-feasible one
         (Koberstein 2005, "The dual simplex method, techniques for a fast
-        and stable implementation"). The crash basis has out-of-bounds
-        basic artificials, and shifted costs make it dual feasible. Each
+        and stable implementation"). The crash basis has basic slacks out
+        of their bounds, and shifted costs make it dual feasible. Each
         iteration sends the basic variable with the largest bound
         violation to that bound; the entering column, from row r of
         B^-1 A, keeps every reduced cost on its right side, ties to the
@@ -673,16 +665,16 @@ class SimplexSolver:
             self._costs = costs
             self._total_iterations += iters
 
-    def _pivot_out_artificials(self) -> None:
-        """Swap basic near-zero artificials for real columns so that row
-        duals are not pinned to zero by leftovers. Rows with no usable
-        pivot are redundant; their artificial stays basic at [0,0]."""
-        m, n = self._m, self._n
-        for pos in np.flatnonzero(self._basis >= n + m):
-            j = self._basis[pos]
-            alpha = self._pivot_row(pos)[: n + m]
+    def _pivot_out_fixed_slacks(self) -> None:
+        """Swap the basic fixed (equality-row) slacks the dual simplex left
+        for other columns so that row duals are not pinned to zero. Rows
+        with no usable pivot are redundant; their slack stays basic at 0."""
+        basis = self._basis
+        fixed = (basis >= self._n) & (self._lo[basis] == self._hi[basis])
+        for pos in np.flatnonzero(fixed):
+            j = basis[pos]
             # the nonbasic column with the largest pivot enters
-            alpha = np.where(self._vstat[: n + m] != BASIC, np.abs(alpha), 0.0)
+            alpha = np.where(self._vstat != BASIC, np.abs(self._pivot_row(pos)), 0.0)
             t = int(alpha.argmax())
             if alpha[t] <= 1e-7:
                 continue
@@ -751,7 +743,7 @@ class SimplexSolver:
         nz = np.nonzero(vals)[0]
         if nz.size:
             rhs -= self._A[:, nz] @ vals[nz]
-        # nonbasic slacks/artificials sit at a zero bound; no contribution
+        # nonbasic slacks sit at a zero bound; no contribution
         self._x[self._basis] = self._ftran(rhs)
 
     def _dual_values(self) -> np.ndarray:
@@ -773,8 +765,7 @@ class SimplexSolver:
         out[dense] = self._dense_At.dot(v)
         if single is not None:
             out[single] = self._single_vals * v[self._single_rows]
-        # slacks and artificials: two unit blocks
-        out[self._n:].reshape(2, -1)[:] = v
+        out[self._n:] = v   # slacks: one unit block
         return out
 
     def _optimize(self):

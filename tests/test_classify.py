@@ -32,11 +32,15 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.array([0, 2]))  # label outside {0,1}
     with pytest.raises(ValueError):
+        Dataset(np.ones((2, 2)), np.array([0.5, 1.7]))  # would truncate to 0, 1
+    with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.array([0]))  # length mismatch
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([0, 1]))
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.array([0, 1]), feature_names=("a",))
+    for labels in (np.array([0.0, 1.0]), np.array([False, True])):
+        assert Dataset(np.ones((2, 2)), labels).labels.tolist() == [0, 1]
 
 
 def test_build_constraints_layout():

@@ -53,6 +53,15 @@ def test_problem_validation():
         RecoveryProblem(np.empty((0, 2)), np.empty(0))  # no rows
 
 
+def test_problems_compare_by_identity():
+    # each problem holds its own basis-pursuit record
+    A, b = np.ones((2, 4)), np.ones(2)
+    p = RecoveryProblem(A, b)
+    assert p == p
+    assert p != RecoveryProblem(A, b)
+    assert p in {p}
+
+
 @pytest.mark.parametrize("fn", [method_b, method_c, method_m, jokar_pfetsch])
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_one_is_rejected(fn, k):

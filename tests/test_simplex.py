@@ -182,7 +182,7 @@ def test_unchanged_costs_resolve_instantly():
 
 def test_infeasible_solve_leaves_no_warm_state():
     # a re-solve after proven infeasibility must start cold, not from
-    # the phase-1 basis with its artificials still open
+    # the basis the dual simplex stopped at, still out of bounds
     prob = make_problem([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1, -1], [3.0, 1.0],
                         [0.0, 0.0], [np.inf, np.inf])
     eng = SimplexSolver()
@@ -576,10 +576,11 @@ def dual_starts(monkeypatch):
 
 
 def cold_start_lp(rng, family):
-    """A seeded LP whose crash basis needs artificials (a third of its
-    rows or more are equalities). Columns start at a lower bound with a
-    negative cost, at an upper bound with a positive cost, or free, so
-    the crash basis is not dual feasible as it stands."""
+    """A seeded LP whose crash basis leaves slacks basic out of their
+    bounds (a third of its rows or more are equalities, or, in the
+    inequality family, every row is LE or GE). Columns start at a lower
+    bound with a negative cost, at an upper bound with a positive cost,
+    or free, so the crash basis is not dual feasible as it stands."""
     m, n = int(rng.integers(5, 25)), int(rng.integers(5, 25))
     A = np.round(rng.uniform(-5, 5, size=(m, n)), 3)
     kind = rng.integers(0, 3, size=n)   # 0: [0, inf), 1: (-inf, 2], 2: free
@@ -591,6 +592,10 @@ def cold_start_lp(rng, family):
         # bounded, mostly equality rows: always optimal
         lower, upper = np.full(n, -2.0), np.full(n, 3.0)
         senses = np.where(rng.random(m) < 0.8, 0, rng.choice([-1, 1], size=m))
+    elif family == "inequality":
+        # LE and GE rows only: each slack has one finite bound, which
+        # the dual simplex sends it back to when the crash leaves it out
+        senses = rng.choice([-1, 1], size=m)
     else:
         senses = rng.choice([-1, 0, 1], size=m, p=[0.3, 0.4, 0.3])
     if family == "unbounded":
@@ -626,6 +631,7 @@ def cold_start_lp(rng, family):
     ("near-duplicate", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
     ("infeasible", {LpStatus.INFEASIBLE}),
     ("unbounded", {LpStatus.UNBOUNDED}),
+    ("inequality", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
 ])
 def test_cold_starts_match_highs(dual_starts, family, statuses):
     # status and Z as HiGHS has them, from a crash basis that needs a
@@ -640,7 +646,10 @@ def test_cold_starts_match_highs(dual_starts, family, statuses):
             check_kkt(prob, sol)
         seen.add(sol.status)
     assert seen == statuses
-    assert len(dual_starts) == 30 and sum(s > 0 for s in dual_starts) >= 27
+    # an inequality LP's crash basis is now and then primal feasible as
+    # it stands, and then no dual simplex runs
+    assert len(dual_starts) == 30 or (family == "inequality" and len(dual_starts) >= 27)
+    assert sum(s > 0 for s in dual_starts) >= 27
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -670,24 +679,29 @@ def planted_recovery(rng, m, n, s):
     return RecoveryProblem(A, A @ y)
 
 
-def replaceable_artificials(eng):
-    """Basis positions held by an artificial that a nonbasic structural
+def basic_fixed_slacks(eng):
+    """Basis positions held by a fixed (equality-row) slack."""
+    basis = eng._basis
+    return np.flatnonzero((basis >= eng._n) & (eng._lo[basis] == eng._hi[basis]))
+
+
+def replaceable_fixed_slacks(eng):
+    """Basis positions held by a fixed slack that a nonbasic structural
     or slack column could replace: its row of B^-1 A is nonzero there."""
-    n, m = eng._n, eng._m
     found = []
-    for pos in np.flatnonzero(eng._basis >= n + m):
-        unit = np.zeros(m)
+    for pos in basic_fixed_slacks(eng):
+        unit = np.zeros(eng._m)
         unit[pos] = 1.0
         row = eng._btran(unit)
         alpha = np.concatenate([eng._A.T @ row, row])
-        if np.any((eng._vstat[: n + m] != simplex.BASIC) & (np.abs(alpha) > 1e-7)):
+        if np.any((eng._vstat != simplex.BASIC) & (np.abs(alpha) > 1e-7)):
             found.append(int(pos))
     return found
 
 
 @pytest.mark.parametrize("i", range(5))
 def test_basis_pursuit_cold_solve_pivot_budget(dual_starts, i):
-    # the split form's all-artificial crash basis is dual feasible as it
+    # the split form's all-slack crash basis is dual feasible as it
     # stands (y = 0, d = c >= 0)
     m, n = 128, 256
     problem = _split_env(planted_recovery(np.random.default_rng([41, i]), m, n, 52), None).problem
@@ -699,29 +713,29 @@ def test_basis_pursuit_cold_solve_pivot_budget(dual_starts, i):
                     problem.upper)
     assert abs(sol.z - z) <= 1e-9 * abs(z)
     assert dual_starts == [0]
-    assert replaceable_artificials(eng) == []
+    assert replaceable_fixed_slacks(eng) == []
 
 
-def test_leftover_artificial_is_pivoted_out(monkeypatch):
-    # here the dual simplex ends with one artificial basic at about 6e-14
+def test_leftover_fixed_slack_is_pivoted_out(monkeypatch):
+    # here the dual simplex ends with one fixed slack basic at about 6e-14
     leftovers = []
-    pivot_out = SimplexSolver._pivot_out_artificials
+    pivot_out = SimplexSolver._pivot_out_fixed_slacks
 
     def counted(self):
-        leftovers.append(int(np.count_nonzero(self._basis >= self._n + self._m)))
+        leftovers.append(basic_fixed_slacks(self).size)
         pivot_out(self)
 
-    monkeypatch.setattr(SimplexSolver, "_pivot_out_artificials", counted)
+    monkeypatch.setattr(SimplexSolver, "_pivot_out_fixed_slacks", counted)
     problem = _split_env(planted_recovery(np.random.default_rng([41, 1]), 64, 128, 20),
                          None).problem
     eng = SimplexSolver()
     assert eng.solve(problem).status is LpStatus.OPTIMAL
     assert leftovers == [1]
-    assert not np.any(eng._basis >= eng._n + eng._m)
+    assert basic_fixed_slacks(eng).size == 0
 
 
-def test_leftover_artificial_gives_way_to_the_largest_pivot(monkeypatch):
-    # row 2 is row 0 + 1000 x row 1, so an artificial stays basic at 0
+def test_leftover_fixed_slack_gives_way_to_the_largest_pivot(monkeypatch):
+    # row 2 is row 0 + 1000 x row 1, so a fixed slack stays basic at 0
     # after the dual simplex. Its row of B^-1 A is about 1e-3 at the
     # lowest-index column that could replace it and 1 at another: the
     # one with the largest |alpha| enters
@@ -729,9 +743,9 @@ def test_leftover_artificial_gives_way_to_the_largest_pivot(monkeypatch):
     pivot = SimplexSolver._apply_pivot
 
     def recorded(self, t, pos, w):
-        if self._basis[pos] >= self._n + self._m:
-            alpha = np.abs(self._pivot_row(pos)[: self._n + self._m])
-            alpha[self._vstat[: self._n + self._m] == simplex.BASIC] = 0.0
+        if pos in basic_fixed_slacks(self):
+            alpha = np.abs(self._pivot_row(pos))
+            alpha[self._vstat == simplex.BASIC] = 0.0
             chosen.append((abs(alpha[t]), alpha.max()))
         pivot(self, t, pos, w)
 
@@ -756,7 +770,7 @@ def bland_pivots(monkeypatch):
     pivot chosen by the default rule goes through `_largest_pivot`, one
     chosen by Bland's rule does not."""
     monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
-    counts = {"primal": 0, "dual": 0, "artificials": 0}
+    counts = {"primal": 0, "dual": 0, "pivot_out": 0}
     loop = ["primal"]
 
     def tagged(name, method):
@@ -768,7 +782,7 @@ def bland_pivots(monkeypatch):
                 loop.pop()
         return run
 
-    for name, attr in (("dual", "_dual_simplex"), ("artificials", "_pivot_out_artificials")):
+    for name, attr in (("dual", "_dual_simplex"), ("pivot_out", "_pivot_out_fixed_slacks")):
         monkeypatch.setattr(SimplexSolver, attr, tagged(name, getattr(SimplexSolver, attr)))
     pivot, largest = SimplexSolver._apply_pivot, simplex._largest_pivot
 
