@@ -15,7 +15,6 @@ counts, supports and exactness do not depend on method order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +156,14 @@ def run_sweep(spec: SweepSpec) -> list[BenchRecord]:
     """All (S, instance, method) records, deterministically ordered."""
     tasks = [(spec, S, i) for S in spec.s_levels for i in range(spec.instances)]
     if spec.workers and spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # imported here so that `import maxfs` loads no multiprocessing;
+        # spawned, not forked, workers: a fork would copy a process that
+        # holds BLAS threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=spec.workers, mp_context=ctx) as pool:
             chunks = list(pool.map(_run_instance, tasks))
     else:
         chunks = [_run_instance(t) for t in tasks]

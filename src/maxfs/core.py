@@ -212,9 +212,10 @@ class StrategyConfig:
         _check_k(self.k)
         if self.e2_ell is not None and self.e2_ell < 1:
             raise ValueError("e2_ell must be at least 1")
-        if self.beta < 0.0:
+        # written so that NaN fails too
+        if not self.beta >= 0.0:
             raise ValueError("beta must be nonnegative")
-        if self.ztol < 0.0:
+        if not self.ztol >= 0.0:
             raise ValueError("ztol must be nonnegative")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")

@@ -6,11 +6,13 @@ costs.
 
 Design notes:
 
-* One slack column per row (fixed at [0,0] for equality rows) brings
-  the working matrix to n + m columns. Columns n..n+m are unit vectors,
-  so the matrix [A | I] is never materialised; pricing needs A.T y over
-  the dense structural columns only, and one product per singleton
-  structural column.
+* The working matrix is [A | U | I]: the structure's dense block A,
+  its unit columns U (one row index and one value each; an elastic
+  LP's penalty columns, see `LpStructure`), and one slack column per
+  row (fixed at [0,0] for equality rows), n + m columns in all, with n
+  counting A's and U's. Only A is stored as a matrix; pricing needs
+  A.T y over its dense columns only, and one product per singleton
+  column of A or U.
 * The basis is kept block-triangular. Every basic singleton column
   (a slack or a structural column with one nonzero)
   owns its row; the k dense basic columns C meet the k rows no
@@ -111,7 +113,7 @@ Design notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -178,13 +180,21 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpStructure:
-    """Everything about an LP except its objective."""
+    """Everything about an LP except its objective.
+
+    The constraint matrix is the dense block `A` followed by unit
+    columns: column A.shape[1] + i holds `unit_vals[i]` in row
+    `unit_rows[i]` and zeros elsewhere. An elastic LP keeps its penalty
+    columns so, in O(m) numbers instead of an m x m block; `make_problem`
+    builds structures without unit columns."""
 
     A: np.ndarray
     senses: np.ndarray
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    unit_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    unit_vals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def m(self) -> int:
@@ -192,7 +202,7 @@ class LpStructure:
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[1] + self.unit_rows.size
 
 
 @dataclass(frozen=True)
@@ -208,6 +218,7 @@ class LpProblem:
 
     @property
     def A(self) -> np.ndarray:
+        """The dense block; the structure's unit columns follow it."""
         return self.structure.A
 
     @property
@@ -241,15 +252,43 @@ class LpProblem:
         return LpProblem(c=c, structure=self.structure)
 
 
+def sense_codes(senses) -> np.ndarray:
+    """Row senses as int8 codes (-1 LE, 0 EQ, 1 GE), read from Sense
+    values, their integer codes (1.0 counts as 1) or the tokens "<=",
+    "=" and ">=". Raises ValueError naming the first row that is none of
+    these."""
+    raw = np.asarray(senses).ravel()
+    if raw.dtype.kind in "USO":
+        text = raw.astype(str)
+        codes = np.full(raw.size, np.nan)
+        for tok, sense in TOKEN_SENSES.items():
+            codes[text == tok] = sense
+        # codes written as text, as numpy makes of a list mixing them
+        # with tokens
+        for i in np.flatnonzero(np.isnan(codes)):
+            try:
+                codes[i] = float(text[i])
+            except ValueError:
+                raise ValueError(f"row {i}: unknown sense {text[i]!r}") from None
+    else:
+        codes = raw.astype(float)
+    bad = ~np.isin(codes, (-1.0, 0.0, 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"row {i}: sense {raw[i]!r} is not -1, 0, 1 or a sense token")
+    return codes.astype(np.int8)
+
+
 def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
-    """Validate arrays and build an LpProblem. Default bounds are free."""
+    """Validate arrays and build an LpProblem. Default bounds are free;
+    a bound may be infinite but not NaN."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d array")
     m, n = A.shape
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
-    senses = np.asarray([Sense(int(s)) for s in np.asarray(senses).ravel()], dtype=np.int8)
+    senses = sense_codes(senses)
     if c.shape != (n,):
         raise ValueError(f"c has shape {c.shape}, expected ({n},)")
     if b.shape != (m,):
@@ -260,6 +299,8 @@ def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bound vectors must have length n")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("bounds must not be NaN")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
@@ -417,20 +458,22 @@ class SimplexSolver:
         # the dual simplex's cost-shift margins, one draw per column
         self._margins = np.random.default_rng(0).uniform(1.0, 2.0, self._ncols)
         # every column's singleton row (-1: dense) and its value there;
-        # slacks are unit columns
-        nnz = np.count_nonzero(structure.A, axis=0)
-        srow = np.where(nnz == 1, np.argmax(structure.A != 0.0, axis=0), -1)
-        self._colrow = np.concatenate([srow, np.arange(m)])
-        self._colval = np.ones(self._ncols)
-        single = np.flatnonzero(srow >= 0)
-        self._colval[single] = structure.A[srow[single], single]
+        # the structure's unit columns and the slacks are singletons
+        A = structure.A
+        nd = A.shape[1]
+        srow = np.where(np.count_nonzero(A, axis=0) == 1, np.argmax(A != 0.0, axis=0), -1)
+        self._colrow = np.concatenate([srow, structure.unit_rows, np.arange(m)])
+        self._colval = np.concatenate([np.ones(nd), structure.unit_vals, np.ones(m)])
+        in_a = np.flatnonzero(srow >= 0)
+        self._colval[in_a] = A[srow[in_a], in_a]
+        single = np.flatnonzero(self._colrow[:n] >= 0)
         # pricing: one product with the dense structural columns, one
         # elementwise term for the singleton ones
         dense = np.flatnonzero(srow < 0)
-        self._dense_At = np.ascontiguousarray(structure.A[:, dense].T)
+        self._dense_At = np.ascontiguousarray(A[:, dense].T)
         self._dense_cols = _as_slice(dense)
         self._single_cols = _as_slice(single) if single.size else None
-        self._single_rows = srow[single]
+        self._single_rows = self._colrow[single]
         self._single_vals = self._colval[single]
         # the crash's candidates: singleton structural columns by row,
         # lowest index first within a row
@@ -476,10 +519,10 @@ class SimplexSolver:
         self._ct[:k] = self._A[:, self._basis[dpos]].T
 
     def _col(self, j: int) -> np.ndarray:
-        if j < self._n:
+        if j < self._A.shape[1]:
             return self._A[:, j]
-        e = np.zeros(self._m)
-        e[j - self._n] = 1.0
+        e = np.zeros(self._m)   # a unit column or a slack
+        e[self._colrow[j]] = self._colval[j]
         return e
 
     # ------------------------------------------------------------------
@@ -527,7 +570,7 @@ class SimplexSolver:
         # allow, else to its lowest-index singleton structural column
         # that can absorb it, else to its slack out of bounds
         tol = PRIMAL_TOL
-        residual = self._b - self._A @ x[:n]
+        residual = self._b - self._times(x[:n])
         basis = np.arange(n, n + m)
         fits = (lo[n:] - tol <= residual) & (residual <= hi[n:] + tol)
         cand = self._row_singles
@@ -736,15 +779,20 @@ class SimplexSolver:
         return self._dpos.size
 
     def _recompute_basics(self) -> None:
-        m, n = self._m, self._n
-        rhs = self._b.copy()
+        n = self._n
         nonbasic = self._vstat[:n] != BASIC
-        vals = self._x[:n] * nonbasic
-        nz = np.nonzero(vals)[0]
-        if nz.size:
-            rhs -= self._A[:, nz] @ vals[nz]
         # nonbasic slacks sit at a zero bound; no contribution
-        self._x[self._basis] = self._ftran(rhs)
+        self._x[self._basis] = self._ftran(self._b - self._times(self._x[:n] * nonbasic))
+
+    def _times(self, v: np.ndarray) -> np.ndarray:
+        """The sum of a_j v_j over the structural columns j, the dense
+        block's and the unit columns; only the nonzero v_j are read."""
+        nd, n = self._A.shape[1], self._n
+        nz = np.flatnonzero(v[:nd])
+        out = self._A[:, nz] @ v[nz] if nz.size else np.zeros(self._m)
+        if n > nd:
+            out += np.bincount(self._colrow[nd:n], self._colval[nd:n] * v[nd:], minlength=self._m)
+        return out
 
     def _dual_values(self) -> np.ndarray:
         return self._btran(self._costs[self._basis])

@@ -4,7 +4,11 @@ A system is rows `a_i . x (<=|=|>=) b_i` plus optional variable bounds.
 Elasticisation appends one nonnegative penalty column per inequality row
 (a pair for equality rows) so that the relaxed LP is always feasible and
 its objective measures total constraint violation; in full mode each
-finite variable bound is lifted into a penalised row of its own.
+finite variable bound is lifted into a penalised row of its own. The
+penalty columns are the LP structure's unit columns (+1 on a GE row, -1
+on an LE row, +1 then -1 on an equality row), stored as a row index and
+a value each, so the elastic LP holds the system's dense block and
+O(m) numbers more, not an m x m block.
 
 Row removal never rebuilds the LP: a removed row keeps its penalty
 columns but their objective coefficients drop to zero, which makes the
@@ -21,19 +25,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .simplex import LpProblem, LpSolution, Sense, SENSE_TOKENS, TOKEN_SENSES, make_problem
-
-
-def _as_sense(s) -> Sense:
-    """Accept Sense values, their integer codes, or tokens like \">=\"."""
-    text = str(s)
-    if text in TOKEN_SENSES:
-        return TOKEN_SENSES[text]
-    return Sense(int(s))
+from .simplex import (
+    LpProblem,
+    LpSolution,
+    LpStructure,
+    Sense,
+    SENSE_TOKENS,
+    TOKEN_SENSES,
+    sense_codes,
+)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Rows `coeffs[i] . x (<=|=|>=) rhs[i]` with bounds lower <= x <= upper.
+    Senses may be given as `simplex.sense_codes` reads them; bounds may be
+    infinite but not NaN."""
+
     coeffs: np.ndarray   # (m, n)
     senses: np.ndarray   # (m,) of Sense values
     rhs: np.ndarray      # (m,)
@@ -47,8 +55,7 @@ class LinearSystem:
         m, n = coeffs.shape
         if m < 1 or n < 1:
             raise ValueError("system needs at least one row and one column")
-        senses = np.asarray([_as_sense(s) for s in np.asarray(self.senses).ravel()],
-                            dtype=np.int8)
+        senses = sense_codes(self.senses)
         rhs = np.asarray(self.rhs, dtype=float)
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
@@ -60,6 +67,8 @@ class LinearSystem:
             raise ValueError("coefficients must be finite")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("right-hand sides must be finite")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         if np.any(~coeffs.any(axis=1)):
@@ -159,72 +168,50 @@ class ElasticModel:
 
 def elasticize(base: LinearSystem, mode: ElasticMode = ElasticMode.STANDARD) -> ElasticModel:
     m, n = base.m, base.n
-    full = mode is ElasticMode.FULL
-    n_pairs = int(np.sum(base.senses == Sense.EQ))
-    n_row_elastic = m + n_pairs
-    fin_lo = np.isfinite(base.lower) if full else np.zeros(n, dtype=bool)
-    fin_hi = np.isfinite(base.upper) if full else np.zeros(n, dtype=bool)
-    n_bound_rows = int(fin_lo.sum() + fin_hi.sum())
+    # full mode's bound rows in variable order, a lower bound before an
+    # upper one: entry 2j stands for x_j's lower bound, 2j + 1 its upper
+    lifted = np.flatnonzero(np.isfinite(np.column_stack([base.lower, base.upper]))
+                            & (mode is ElasticMode.FULL))
+    var, upper_side = lifted // 2, lifted % 2 == 1
+    nb = lifted.size
+    nrows = m + nb
 
-    ncols = n + n_row_elastic + n_bound_rows
-    nrows = m + n_bound_rows
-    A = np.zeros((nrows, ncols))
-    A[:m, :n] = base.coeffs
-    senses = np.empty(nrows, dtype=np.int8)
-    senses[:m] = base.senses
-    b = np.empty(nrows)
-    b[:m] = base.rhs
+    A = np.zeros((nrows, n))
+    A[:m] = base.coeffs
+    A[m + np.arange(nb), var] = 1.0
+    senses = np.concatenate([base.senses, np.where(upper_side, Sense.LE, Sense.GE)])
+    senses = senses.astype(np.int8)
+    b = np.concatenate([base.rhs, np.where(upper_side, base.upper[var], base.lower[var])])
 
-    col = n
-    row_elastics = []
-    for i in range(m):
-        s = Sense(int(base.senses[i]))
-        if s is Sense.GE:
-            A[i, col] = 1.0
-            row_elastics.append((col,))
-            col += 1
-        elif s is Sense.LE:
-            A[i, col] = -1.0
-            row_elastics.append((col,))
-            col += 1
-        else:
-            A[i, col] = 1.0
-            A[i, col + 1] = -1.0
-            row_elastics.append((col, col + 1))
-            col += 2
+    # penalty columns in row order: one per row, +1 on GE rows and -1 on
+    # LE rows, an equality row's pair +1 then -1, then one per bound row
+    eq = base.senses == Sense.EQ
+    per_row = np.concatenate([1 + eq, np.ones(nb, dtype=np.intp)])
+    unit_rows = np.repeat(np.arange(nrows), per_row)
+    first = np.cumsum(per_row) - per_row
+    unit_vals = np.where(senses == Sense.LE, -1.0, 1.0)[unit_rows]
+    unit_vals[first[:m][eq] + 1] = -1.0
+    ncols = n + unit_rows.size
 
-    lower = np.full(ncols, 0.0)
+    lower = np.zeros(ncols)
     upper = np.full(ncols, np.inf)
     lower[:n] = base.lower
     upper[:n] = base.upper
-
-    bound_rows = []
-    lp_row = m
-    for j in range(n):
-        if fin_lo[j]:
-            A[lp_row, j] = 1.0
-            A[lp_row, col] = 1.0
-            senses[lp_row] = Sense.GE
-            b[lp_row] = base.lower[j]
-            lower[j] = -np.inf
-            bound_rows.append((j, "lower", lp_row, col))
-            col += 1
-            lp_row += 1
-        if fin_hi[j]:
-            A[lp_row, j] = 1.0
-            A[lp_row, col] = -1.0
-            senses[lp_row] = Sense.LE
-            b[lp_row] = base.upper[j]
-            upper[j] = np.inf
-            bound_rows.append((j, "upper", lp_row, col))
-            col += 1
-            lp_row += 1
-
+    lower[var[~upper_side]] = -np.inf
+    upper[var[upper_side]] = np.inf
     costs = np.zeros(ncols)
     costs[n:] = 1.0
-    problem = make_problem(costs, A, senses, b, lower, upper)
-    return ElasticModel(base=base, mode=mode, problem=problem,
-                        row_elastics=tuple(row_elastics), bound_rows=tuple(bound_rows))
+    structure = LpStructure(A=A, senses=senses, b=b, lower=lower, upper=upper,
+                            unit_rows=unit_rows, unit_vals=unit_vals)
+
+    cols = (n + first).tolist()
+    row_elastics = tuple((c, c + 1) if pair else (c,)
+                         for c, pair in zip(cols[:m], eq.tolist()))
+    bound_rows = tuple((j, "upper" if hi else "lower", m + i, c)
+                       for i, (j, hi, c) in enumerate(zip(var.tolist(), upper_side.tolist(),
+                                                          cols[m:])))
+    return ElasticModel(base=base, mode=mode, problem=LpProblem(c=costs, structure=structure),
+                        row_elastics=row_elastics, bound_rows=bound_rows)
 
 
 # ----------------------------------------------------------------------

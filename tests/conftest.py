@@ -90,6 +90,16 @@ def scipy_lp(c, A, senses, b, lower, upper):
     return res.status, (res.fun if res.status == 0 else None)
 
 
+def lp_matrix(problem):
+    """An LP's whole constraint matrix [A | U]: the dense block followed
+    by its unit columns written out, as the oracle needs it."""
+    structure = problem.structure
+    k = structure.unit_rows.size
+    units = np.zeros((problem.m, k))
+    units[structure.unit_rows, np.arange(k)] = structure.unit_vals
+    return np.hstack([problem.A, units])
+
+
 def zeroing_lp(A, b, weights=None):
     """The l1 recovery LP min sum_j w_j |y_j| s.t. A y = b written out with
     y free and one row y_j + e_j^+ - e_j^- = 0 per variable, its e pair

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maxfs
 from maxfs.bench import BenchRecord, SweepSpec, gen_instance, run_sweep, summarize
 
 
@@ -32,6 +37,16 @@ def test_spec_validation():
         small_spec(methods=())
     with pytest.raises(ValueError):
         small_spec(workers=0)
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported where a parallel sweep starts it, so a plain
+    # `import maxfs` loads neither it nor multiprocessing
+    src = str(Path(maxfs.__file__).resolve().parent.parent)
+    code = "import sys, maxfs; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True, env={"PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_compression_ratio():

@@ -199,6 +199,13 @@ def test_exit_code_2_on_malformed_input(capsys, tmp_path):
     assert main(["maxfs", str(p)]) == 2
 
 
+def test_exit_code_2_on_nan_bound(capsys, tmp_path):
+    p = tmp_path / "nan.txt"
+    p.write_text("2 1\n1 >= 2\n1 <= 1\nnan 5\n")
+    assert main(["maxfs", str(p)]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_rank_deficient_rhs(capsys, tmp_path):
     # b outside the range of A is an input problem, not a solver failure
     A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])

@@ -496,6 +496,11 @@ def test_strategy_config_validation():
         StrategyConfig(beta=-1.0)
     with pytest.raises(ValueError):
         StrategyConfig(max_iterations=0)
+    # NaN passes every comparison-based check written the other way round
+    with pytest.raises(ValueError, match="ztol"):
+        StrategyConfig(ztol=float("nan"))
+    with pytest.raises(ValueError, match="beta"):
+        StrategyConfig(beta=float("nan"))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from maxfs.simplex import (
 )
 from maxfs.systems import ElasticMode, elasticize, system
 
-from conftest import scipy_lp, zeroing_lp
+from conftest import lp_matrix, scipy_lp, zeroing_lp
 
 STATUS_CODE = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
 
@@ -51,7 +53,7 @@ def random_feasible_lp(rng, m, n):
 
 
 def check_against_scipy(prob, sol):
-    status, z = scipy_lp(prob.c, prob.A, prob.senses, prob.b, prob.lower, prob.upper)
+    status, z = scipy_lp(prob.c, lp_matrix(prob), prob.senses, prob.b, prob.lower, prob.upper)
     assert STATUS_CODE[sol.status] == status, (sol.status, status)
     if status == 0:
         scale = 1.0 + abs(z)
@@ -224,6 +226,25 @@ def test_make_problem_validation():
         make_problem([1.0], [[np.inf]], [1], [0.0])  # nonfinite
     with pytest.raises(ValueError):
         make_problem([1.0], [[1.0]], [1], [0.0], [1.0], [0.0])  # crossed bounds
+    # a NaN bound passes `lower > upper`; it must not be solved as a number
+    for lo, hi in (([np.nan], [5.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            make_problem([1.0], [[1.0]], [1], [1.0], lo, hi)
+    # infinite bounds stay legal: min x over x >= 1, -inf <= x <= 5
+    prob = make_problem([1.0], [[1.0]], [1], [1.0], [-np.inf], [5.0])
+    assert SimplexSolver().solve(prob).z == 1.0
+
+
+def test_make_problem_senses():
+    A, b = [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]
+    for senses in ([1, 0, -1], [Sense.GE, Sense.EQ, Sense.LE], [">=", "=", "<="],
+                   [1.0, 0.0, -1.0], np.array([1, 0, -1], dtype=np.int8), [Sense.GE, "=", -1]):
+        prob = make_problem([0.0], A, senses, b)
+        assert list(prob.senses) == [1, 0, -1] and prob.senses.dtype == np.int8
+    for bad, row in (([1, 0.5, -1], 1), ([1, 0, -0.7], 2), ([1, 0, 2], 2), ([1, -2, 0], 1),
+                     ([">=", ">", "<="], 1), (["=>", "=", "<="], 0), ([1, 0, np.nan], 2)):
+        with pytest.raises(ValueError, match=f"row {row}"):
+            make_problem([0.0], A, bad, b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -462,6 +483,10 @@ def test_snapshot_of_a_large_elastic_lp_is_small():
     m = model.problem.m
     floats = sum(arr.nbytes for arr in snap.arrays.values()) / 8
     assert floats < 0.05 * m * m
+    # nor the LP itself: its penalty columns are unit columns
+    structure = model.problem.structure
+    floats = sum(getattr(structure, f.name).nbytes for f in fields(structure)) / 8
+    assert floats < 0.05 * m * m
 
 
 def test_snapshot_from_another_structure_is_refused():
@@ -507,7 +532,7 @@ def test_large_elastic_lp_passes_its_kinks():
     sol = SimplexSolver().solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.pivots <= 100 and sol.kink_passes > 0
-    _, z = scipy_lp(prob.c, prob.A, prob.senses, prob.b, prob.lower, prob.upper)
+    _, z = scipy_lp(prob.c, lp_matrix(prob), prob.senses, prob.b, prob.lower, prob.upper)
     assert abs(sol.z - z) <= 1e-9 * abs(z)
 
 

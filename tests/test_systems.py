@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfs.simplex import LpStatus, Sense, SimplexSolver
+from maxfs.core import StrategyConfig, solve_maxfs
+from maxfs.simplex import LpStatus, Sense, SimplexSolver, make_problem
 from maxfs.systems import (
     ElasticMode,
     elasticize,
@@ -22,12 +25,41 @@ from maxfs.systems import (
     write_vector,
 )
 
+from conftest import lp_matrix
+
 
 def test_system_accepts_token_and_integer_senses():
     a = system([[1.0, 2.0]], [">="], [3.0])
     b = system([[1.0, 2.0]], [1], [3.0])
     c = system([[1.0, 2.0]], [Sense.GE], [3.0])
-    assert int(a.senses[0]) == int(b.senses[0]) == int(c.senses[0]) == 1
+    d = system([[1.0, 2.0]], [1.0], [3.0])
+    assert int(a.senses[0]) == int(b.senses[0]) == int(c.senses[0]) == int(d.senses[0]) == 1
+    mixed = system([[1.0], [1.0], [1.0]], [Sense.LE, "=", 1], [1.0, 1.0, 1.0])
+    assert list(mixed.senses) == [-1, 0, 1]
+
+
+@pytest.mark.parametrize("senses, row", [
+    ([">=", 1.5], 1),          # fractional codes are not truncated
+    ([-0.7, ">="], 0),
+    ([">=", 3], 1),            # out of range
+    ([">=", ">"], 1),          # unknown token
+    (["ge", "<="], 0),
+])
+def test_system_rejects_bad_senses(senses, row):
+    with pytest.raises(ValueError, match=f"row {row}"):
+        system([[1.0], [2.0]], senses, [1.0, 2.0])
+
+
+def test_nan_bounds_are_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        system([[1.0]], [">="], [1.0], lower=[np.nan], upper=[5.0])
+    with pytest.raises(ValueError, match="NaN"):
+        system([[1.0]], [">="], [1.0], lower=[0.0], upper=[np.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        parse_system("1 1\n1 >= 1\nnan 5\n")
+    # infinite bounds stay legal
+    sys_ = parse_system("1 1\n1 >= 1\n-inf inf\n")
+    assert sys_.lower[0] == -np.inf and sys_.upper[0] == np.inf
 
 
 def test_system_validation():
@@ -56,9 +88,14 @@ def test_elasticize_standard_shapes():
     # penalty columns priced at one, structurals at zero
     assert list(model.problem.c) == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
     # sign pattern: GE adds, LE subtracts, EQ carries both
-    A = model.problem.A
+    A = lp_matrix(model.problem)
     assert A[0, 2] == 1.0 and A[1, 3] == -1.0
     assert A[2, 4] == 1.0 and A[2, 5] == -1.0
+    # the penalty columns are unit columns, stored as a row and a sign each
+    structure = model.problem.structure
+    assert model.problem.A.shape == (3, 2)
+    assert list(structure.unit_rows) == [0, 1, 2, 2]
+    assert list(structure.unit_vals) == [1.0, -1.0, 1.0, -1.0]
 
 
 def test_elasticize_full_lifts_finite_bounds():
@@ -75,6 +112,59 @@ def test_elasticize_full_lifts_finite_bounds():
     # the original bound is freed; the penalised rows take over
     assert model.problem.lower[0] == -np.inf
     assert model.problem.upper[0] == np.inf
+
+
+def dense_elastic_problem(base, mode):
+    """The elastic LP with its penalty columns written into a dense
+    block, one row at a time: the reference for `elasticize`."""
+    m, n = base.m, base.n
+    lifted = [(j, side, bound) for j in range(n)
+              for side, bound in (("lower", base.lower[j]), ("upper", base.upper[j]))
+              if mode is ElasticMode.FULL and np.isfinite(bound)]
+    n_pen = m + int(np.sum(base.senses == Sense.EQ)) + len(lifted)
+    A = np.zeros((m + len(lifted), n + n_pen))
+    A[:m, :n] = base.coeffs
+    senses, b = list(base.senses), list(base.rhs)
+    lower = np.concatenate([base.lower, np.zeros(n_pen)])
+    upper = np.concatenate([base.upper, np.full(n_pen, np.inf)])
+    col = n
+    for i, s in enumerate(base.senses):
+        for sign in {1: (1.0,), -1: (-1.0,), 0: (1.0, -1.0)}[int(s)]:
+            A[i, col] = sign
+            col += 1
+    for r, (j, side, bound) in enumerate(lifted, start=m):
+        A[r, j] = 1.0
+        A[r, col] = 1.0 if side == "lower" else -1.0
+        senses.append(1 if side == "lower" else -1)
+        b.append(bound)
+        if side == "lower":
+            lower[j] = -np.inf
+        else:
+            upper[j] = np.inf
+        col += 1
+    c = np.concatenate([np.zeros(n), np.ones(n_pen)])
+    return make_problem(c, A, senses, b, lower, upper)
+
+
+@pytest.mark.parametrize("mode", list(ElasticMode))
+@pytest.mark.parametrize("algorithm, use_e1", [(1, False), (1, True), (2, True)])
+def test_unit_columns_solve_like_the_dense_block(mode, algorithm, use_e1):
+    rng = np.random.default_rng(43)
+    A = np.round(rng.uniform(-5, 5, size=(15, 3)), 3)
+    senses = [">=", "<=", "="] * 5
+    base = system(A, senses, np.round(rng.uniform(-6, 6, size=15), 3),
+                  lower=[-1.0, -np.inf, 0.0], upper=[1.0, 2.0, np.inf])
+    model = elasticize(base, mode)
+    dense = dense_elastic_problem(base, mode)
+    assert np.array_equal(lp_matrix(model.problem), dense.A)
+    for name in ("c", "senses", "b", "lower", "upper"):
+        assert np.array_equal(getattr(model.problem, name), getattr(dense, name)), name
+    cfg = StrategyConfig(algorithm=algorithm, use_e1=use_e1)
+    ref = solve_maxfs(replace(model, problem=dense), cfg)
+    res = solve_maxfs(model, cfg)
+    assert ref.removed_rows and res.removed_rows == ref.removed_rows
+    assert abs(res.final_z - ref.final_z) <= 1e-9
+    assert np.max(np.abs(res.final_solution.x - ref.final_solution.x)) <= 1e-9
 
 
 def test_full_elastic_objective_counts_bound_violation():
