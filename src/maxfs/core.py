@@ -179,7 +179,8 @@ class StrategyConfig:
     algorithm   candidate ranking (1, 2, or 3; see the module docstring)
     k           keep the first k entries of each ranked list; None
                 keeps them all
-    use_e1      batch removal instead of per-candidate probing
+    use_e1      batch removal instead of per-candidate probing; not
+                with algorithm 3
     e2_ell      bulk exit when the candidate pool, counted before the
                 `k` cut, has at most this many rows; None disables it
     e2_first_iteration_only
@@ -209,6 +210,10 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (1, 2, 3):
             raise ValueError("algorithm must be 1, 2, or 3")
+        if self.algorithm == 3 and self.use_e1:
+            # E1 cuts one descending series; algorithm 3 joins two lists
+            # whose scores are on different scales
+            raise ValueError("algorithm 3 does not combine with E1: its joined list has no cut")
         _check_k(self.k)
         if self.e2_ell is not None and self.e2_ell < 1:
             raise ValueError("e2_ell must be at least 1")
@@ -314,11 +319,10 @@ class CostDeletionEnv:
     Deleting an entity sets the costs of its columns (`columns[entity]`)
     to `deleted_cost`; the constraints never change, so every re-solve
     restarts warm from the engine's incumbent basis. `rank` orders the
-    candidates of a solution. When `infeasible` is given, an infeasible
-    LP raises ValueError with that message; otherwise any status but
-    OPTIMAL is a SolverError. When `start` is given, the first solve
-    begins from the basis it returns instead of a cold start, and the
-    pivots that reached that basis count toward that LP.
+    candidates of a solution. Any status but OPTIMAL is a SolverError.
+    When `start` is given, the first solve begins from the basis it
+    returns instead of a cold start, and the pivots that reached that
+    basis count toward that LP.
 
     Every probe of a round starts from the same incumbent, so the first
     probe snapshots it and the others reuse that snapshot until a
@@ -332,7 +336,6 @@ class CostDeletionEnv:
         deleted_cost: float | None,
         rank: Ranking,
         engine: SimplexSolver | None = None,
-        infeasible: str | None = None,
         start: Callable[[], Basis] | None = None,
     ):
         self.problem = problem
@@ -340,7 +343,6 @@ class CostDeletionEnv:
         self.deleted_cost = deleted_cost
         self.rank = rank
         self.engine = engine if engine is not None else SimplexSolver()
-        self.infeasible = infeasible
         self.costs = problem.c.copy()
         self.removed: set[int] = set()
         self.lp_count = self.pivots = self.degenerate_pivots = 0
@@ -360,8 +362,6 @@ class CostDeletionEnv:
         self.lp_count += 1
         self.pivots += sol.pivots
         self.degenerate_pivots += sol.degenerate_pivots
-        if sol.status is LpStatus.INFEASIBLE and self.infeasible is not None:
-            raise ValueError(self.infeasible)
         if sol.status is not LpStatus.OPTIMAL:
             raise SolverError(f"search subproblem ended {sol.status.name}")
         return sol

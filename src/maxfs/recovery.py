@@ -237,7 +237,7 @@ def _split_env(
 
     columns = [(j, n + j) for j in range(n)]
     start = partial(_bp_optimum, prob, problem, engine)
-    return CostDeletionEnv(problem, columns, deleted_cost, rank, engine, _RANGE_ERROR, start)
+    return CostDeletionEnv(problem, columns, deleted_cost, rank, engine, start)
 
 
 def _bp_optimum(prob: RecoveryProblem, problem: LpProblem, engine: SimplexSolver) -> Basis:

@@ -11,10 +11,11 @@ Design notes:
   LP's penalty columns, see `LpStructure`), and one slack column per
   row (fixed at [0,0] for equality rows), n + m columns in all, with n
   counting A's and U's. Only A is stored as a matrix; pricing needs
-  A.T y over its dense columns only, and one product per singleton
-  column of A or U.
+  A.T y and one product per column of U. The unit columns and the
+  slacks are the engine's singleton columns; every column of A is
+  dense to it, whatever its nonzeros, so a structure declares its
+  singletons by making them unit columns.
 * The basis is kept block-triangular. Every basic singleton column
-  (a slack or a structural column with one nonzero)
   owns its row; the k dense basic columns C meet the k rows no
   singleton owns in a k x k kernel K, whose inverse is kept
   explicitly. Solves with B or B^T cost O(m k + k^2), a refactor is a
@@ -27,7 +28,7 @@ Design notes:
   basis is the case k = m of the same formulas. K^-1 is rebuilt every
   REFACTOR_EVERY pivots.
 * Cold starts. A crash step assigns each row's residual to its slack
-  when the slack's bounds allow, else to a singleton structural column
+  when the slack's bounds allow, else to a unit column of that row
   that can absorb it, and otherwise leaves it to the slack anyway,
   basic out of its bounds. Elastic constructions (every row carries a
   dedicated penalty column) start feasible and go straight to the
@@ -60,7 +61,7 @@ Design notes:
 * Long steps over kinks (Fourer 1985, "A simplex algorithm for
   piecewise-linear programming I"; the primal twin of the dual
   bound-flipping ratio test). A kink pair is two singleton columns on
-  one row, structural or slack, each with one finite bound at 0, the
+  one row, unit or slack, each with one finite bound at 0, the
   second lam = +-1 times the first and covering, scaled by lam, the
   other half line: a GE row's slack and +e elastic (lam = 1), an LE
   row's slack and -e elastic (lam = -1), an equality's e+/e- (lam = -1;
@@ -184,7 +185,9 @@ class LpStructure:
 
     The constraint matrix is the dense block `A` followed by unit
     columns: column A.shape[1] + i holds `unit_vals[i]` in row
-    `unit_rows[i]` and zeros elsewhere. An elastic LP keeps its penalty
+    `unit_rows[i]` and zeros elsewhere. Unit columns are how a structure
+    declares its singleton columns: the engine treats every column of
+    `A` as dense, whatever its nonzeros. An elastic LP keeps its penalty
     columns so, in O(m) numbers instead of an m x m block; `make_problem`
     builds structures without unit columns."""
 
@@ -281,7 +284,9 @@ def sense_codes(senses) -> np.ndarray:
 
 def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
     """Validate arrays and build an LpProblem. Default bounds are free;
-    a bound may be infinite but not NaN."""
+    a bound may be infinite but not NaN. The structure has no unit
+    columns, so every column of `A` is dense to the engine, even one
+    with a single nonzero."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d array")
@@ -458,35 +463,26 @@ class SimplexSolver:
         # the dual simplex's cost-shift margins, one draw per column
         self._margins = np.random.default_rng(0).uniform(1.0, 2.0, self._ncols)
         # every column's singleton row (-1: dense) and its value there;
-        # the structure's unit columns and the slacks are singletons
-        A = structure.A
-        nd = A.shape[1]
-        srow = np.where(np.count_nonzero(A, axis=0) == 1, np.argmax(A != 0.0, axis=0), -1)
-        self._colrow = np.concatenate([srow, structure.unit_rows, np.arange(m)])
+        # the unit columns and the slacks are the singletons
+        self._nd = nd = structure.A.shape[1]
+        self._colrow = np.concatenate([np.full(nd, -1), structure.unit_rows, np.arange(m)])
         self._colval = np.concatenate([np.ones(nd), structure.unit_vals, np.ones(m)])
-        in_a = np.flatnonzero(srow >= 0)
-        self._colval[in_a] = A[srow[in_a], in_a]
-        single = np.flatnonzero(self._colrow[:n] >= 0)
-        # pricing: one product with the dense structural columns, one
-        # elementwise term for the singleton ones
-        dense = np.flatnonzero(srow < 0)
-        self._dense_At = np.ascontiguousarray(A[:, dense].T)
-        self._dense_cols = _as_slice(dense)
-        self._single_cols = _as_slice(single) if single.size else None
-        self._single_rows = self._colrow[single]
-        self._single_vals = self._colval[single]
-        # the crash's candidates: singleton structural columns by row,
-        # lowest index first within a row
-        self._row_singles = single[np.argsort(self._single_rows, kind="stable")]
+        # pricing: one product with A, one elementwise term for the unit
+        # columns, whose rows and values are kept as views
+        self._At = np.ascontiguousarray(structure.A.T)
+        self._unit_rows, self._unit_vals = self._colrow[nd:n], self._colval[nd:n]
+        # the crash's candidates: the unit columns by row, lowest index
+        # first within a row
+        self._row_singles = nd + np.argsort(structure.unit_rows, kind="stable")
         self._bind_kinks()
 
     def _bind_kinks(self) -> None:
-        """Find the kink pairs: the two singleton structural or slack
-        columns of a row, each with one finite bound at 0, the second
-        equal to lam times the first (lam = +-1) and, scaled so, covering
-        the other half line. `_partner[j]` is j's partner (-1: none),
-        `_lam[j]` the factor, `_side[j]` +1 for [0, inf) and -1 for
-        (-inf, 0]."""
+        """Find the kink pairs: the two singleton columns of a row (unit
+        columns or its slack), each with one finite bound at 0, the
+        second equal to lam times the first (lam = +-1) and, scaled so,
+        covering the other half line. `_partner[j]` is j's partner (-1:
+        none), `_lam[j]` the factor, `_side[j]` +1 for [0, inf) and -1
+        for (-inf, 0]."""
         m, lo, hi = self._m, self._lo, self._hi
         up, down = (lo == 0.0) & (hi == np.inf), (lo == -np.inf) & (hi == 0.0)
         cand = np.flatnonzero((self._colrow >= 0) & (up | down))
@@ -519,7 +515,7 @@ class SimplexSolver:
         self._ct[:k] = self._A[:, self._basis[dpos]].T
 
     def _col(self, j: int) -> np.ndarray:
-        if j < self._A.shape[1]:
+        if j < self._nd:
             return self._A[:, j]
         e = np.zeros(self._m)   # a unit column or a slack
         e[self._colrow[j]] = self._colval[j]
@@ -567,8 +563,8 @@ class SimplexSolver:
         vstat[n:] = np.where(self._structure.senses == Sense.GE, NB_UPPER, NB_LOWER)
 
         # each row's residual goes to its slack when the slack's bounds
-        # allow, else to its lowest-index singleton structural column
-        # that can absorb it, else to its slack out of bounds
+        # allow, else to its lowest-index unit column that can absorb
+        # it, else to its slack out of bounds
         tol = PRIMAL_TOL
         residual = self._b - self._times(x[:n])
         basis = np.arange(n, n + m)
@@ -787,11 +783,11 @@ class SimplexSolver:
     def _times(self, v: np.ndarray) -> np.ndarray:
         """The sum of a_j v_j over the structural columns j, the dense
         block's and the unit columns; only the nonzero v_j are read."""
-        nd, n = self._A.shape[1], self._n
+        nd, n = self._nd, self._n
         nz = np.flatnonzero(v[:nd])
         out = self._A[:, nz] @ v[nz] if nz.size else np.zeros(self._m)
         if n > nd:
-            out += np.bincount(self._colrow[nd:n], self._colval[nd:n] * v[nd:], minlength=self._m)
+            out += np.bincount(self._unit_rows, self._unit_vals * v[nd:], minlength=self._m)
         return out
 
     def _dual_values(self) -> np.ndarray:
@@ -809,11 +805,11 @@ class SimplexSolver:
     def _row_products(self, v: np.ndarray) -> np.ndarray:
         """a_j . v for every column j."""
         out = np.empty(self._ncols)
-        dense, single = self._dense_cols, self._single_cols
-        out[dense] = self._dense_At.dot(v)
-        if single is not None:
-            out[single] = self._single_vals * v[self._single_rows]
-        out[self._n:] = v   # slacks: one unit block
+        nd, n = self._nd, self._n
+        out[:nd] = self._At.dot(v)
+        if n > nd:   # the split form of sparse recovery has no unit columns
+            out[nd:n] = self._unit_vals * v[self._unit_rows]
+        out[n:] = v   # slacks: one unit block
         return out
 
     def _optimize(self):
@@ -1098,14 +1094,6 @@ class SimplexSolver:
             refactors=self._refactors,
             kink_passes=self._kink_passes,
         )
-
-
-def _as_slice(idx: np.ndarray):
-    """`idx` as a slice when it is a run of consecutive indices, where
-    numpy indexes faster."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
 
 
 def _largest_pivot(ratios: np.ndarray, best: float, w: np.ndarray) -> int:

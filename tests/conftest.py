@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from maxfs.classify import Dataset
-from maxfs.simplex import SimplexSolver, make_problem
+from maxfs.simplex import LpProblem, LpStructure, SimplexSolver
 from maxfs.systems import LinearSystem, system
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,13 @@ def scipy_feasible(sys_: LinearSystem, rows=None) -> bool:
 
 def scipy_lp(c, A, senses, b, lower, upper):
     """Reference solve of the package's LP form. Returns (status, z):
-    status 0 optimal, 2 infeasible, 3 unbounded."""
+    status 0 optimal, 2 infeasible, 3 unbounded. An "infeasible" from
+    HiGHS is confirmed by a zero-cost solve, and when that finds a point
+    the LP is solved again without presolve: HiGHS's presolve called a
+    5 x 6 LP with entries in {-2, ..., 2}, feasible at an integer point
+    and unbounded, "infeasible". Presolve stays on otherwise, because
+    without it HiGHS ends some infeasible LPs in numerical difficulties
+    (status 4)."""
     A = np.asarray(A, dtype=float)
     senses = np.asarray(senses)
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
@@ -78,15 +84,22 @@ def scipy_lp(c, A, senses, b, lower, upper):
         [None if not np.isfinite(l) else l for l in lower],
         [None if not np.isfinite(u) else u for u in upper],
     ))
-    res = linprog(
-        c=c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
+
+    def highs(costs, presolve=True):
+        return linprog(
+            c=costs,
+            A_ub=np.array(A_ub) if A_ub else None,
+            b_ub=np.array(b_ub) if b_ub else None,
+            A_eq=np.array(A_eq) if A_eq else None,
+            b_eq=np.array(b_eq) if b_eq else None,
+            bounds=bounds,
+            method="highs",
+            options={"presolve": presolve},
+        )
+
+    res = highs(c)
+    if res.status == 2 and highs(np.zeros(A.shape[1])).status == 0:
+        res = highs(c, presolve=False)
     return res.status, (res.fun if res.status == 0 else None)
 
 
@@ -104,19 +117,21 @@ def zeroing_lp(A, b, weights=None):
     """The l1 recovery LP min sum_j w_j |y_j| s.t. A y = b written out with
     y free and one row y_j + e_j^+ - e_j^- = 0 per variable, its e pair
     (columns n + j and 2n + j) costing w_j (default 1): m + n rows, 3n
-    columns. The split form of `maxfs.recovery` is the same LP."""
+    columns, the e pairs unit columns after the dense block [A; I]. The
+    split form of `maxfs.recovery` is the same LP."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    A_lp = np.zeros((m + n, 3 * n))
-    A_lp[:m, :n] = A
-    A_lp[m:, :n] = np.eye(n)
-    A_lp[m:, n : 2 * n] = np.eye(n)
-    A_lp[m:, 2 * n :] = -np.eye(n)
-    b_lp = np.concatenate([b, np.zeros(n)])
-    lower = np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)])
-    return make_problem(np.concatenate([np.zeros(n), w, w]), A_lp, np.zeros(m + n),
-                        b_lp, lower=lower)
+    structure = LpStructure(
+        A=np.vstack([A, np.eye(n)]),
+        senses=np.zeros(m + n, dtype=np.int8),
+        b=np.concatenate([b, np.zeros(n)]),
+        lower=np.concatenate([np.full(n, -np.inf), np.zeros(2 * n)]),
+        upper=np.full(3 * n, np.inf),
+        unit_rows=np.tile(m + np.arange(n), 2),
+        unit_vals=np.repeat([1.0, -1.0], n),
+    )
+    return LpProblem(c=np.concatenate([np.zeros(n), w, w]), structure=structure)
 
 
 # ---------------------------------------------------------------------------

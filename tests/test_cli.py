@@ -206,6 +206,13 @@ def test_exit_code_2_on_nan_bound(capsys, tmp_path):
     assert "NaN" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_algorithm_3_with_e1(capsys, infeasible_file):
+    # the configuration is refused before any solve, so nothing is printed
+    assert main(["maxfs", infeasible_file, "--alg", "3", "--e1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "E1" in out.err
+
+
 def test_exit_code_2_on_rank_deficient_rhs(capsys, tmp_path):
     # b outside the range of A is an input problem, not a solver failure
     A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])

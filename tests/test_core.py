@@ -496,6 +496,10 @@ def test_strategy_config_validation():
         StrategyConfig(beta=-1.0)
     with pytest.raises(ValueError):
         StrategyConfig(max_iterations=0)
+    # E1 cuts one descending series; algorithm 3 joins two lists whose
+    # scores are on different scales, so the joined series has no cut
+    with pytest.raises(ValueError, match="E1"):
+        StrategyConfig(algorithm=3, use_e1=True)
     # NaN passes every comparison-based check written the other way round
     with pytest.raises(ValueError, match="ztol"):
         StrategyConfig(ztol=float("nan"))

@@ -23,7 +23,7 @@ from maxfs.recovery import (
 )
 from maxfs.simplex import SimplexSolver, SolverError
 
-from conftest import planted_instance, scipy_lp, zeroing_lp
+from conftest import lp_matrix, planted_instance, scipy_lp, zeroing_lp
 
 ALL_METHODS = [basis_pursuit, method_b, method_c, method_m, method_me1e2, jokar_pfetsch]
 
@@ -329,7 +329,7 @@ def test_split_form_is_the_zeroing_form():
         w[cands[0]] = 0.0
         sol = env.solve_current()
         zero = zeroing_lp(A, b, w)
-        status, z = scipy_lp(zero.c, zero.A, zero.senses, zero.b, zero.lower, zero.upper)
+        status, z = scipy_lp(zero.c, lp_matrix(zero), zero.senses, zero.b, zero.lower, zero.upper)
         assert status == 0
         assert z > 0.0
         assert abs(sol.z - z) <= 1e-9 * z

@@ -33,3 +33,15 @@ def test_classification_lp_costs_reports_the_accuracy_gap():
     summary = out.splitlines()[-1]
     assert "mean LP reduction" in summary
     assert "vs 2k1" in summary and "vs 2inf" in summary
+
+
+def test_recovery_phase_transition_prints_one_row_per_method_and_level():
+    methods, levels = ("bp", "me1e2", "c"), ("1", "3")
+    cmd = [sys.executable, str(SCRIPTS / "recovery_phase_transition.py"), "--m", "8", "--n", "16",
+           "--instances", "3", "--s-levels", ",".join(levels), "--methods", ",".join(methods)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True).stdout
+    fields = [line.split() for line in out.splitlines()]
+    assert [f[:2] for f in fields if f and f[0] in methods] == [
+        [m, s] for m in methods for s in levels]
+    assert [f[2] for f in fields if f[:2] == ["critical", "sparsity"]] == [
+        f"{m}:" for m in methods]

@@ -14,7 +14,9 @@ from maxfs.classify import Dataset, build_constraints
 from maxfs.recovery import RecoveryProblem, _split_env
 from maxfs.simplex import (
     Basis,
+    LpProblem,
     LpStatus,
+    LpStructure,
     Sense,
     SimplexSolver,
     SolverError,
@@ -65,7 +67,7 @@ def check_kkt(prob, sol):
     identity z = y.b + r.x that holds at any complementary basic pair."""
     x = sol.x
     tol = 1e-6 * (1.0 + float(np.max(np.abs(prob.b))) + float(np.max(np.abs(x), initial=0.0)))
-    Ax = prob.A @ x
+    Ax = lp_matrix(prob) @ x
     for i in range(prob.m):
         s = int(prob.senses[i])
         if s == 0:
@@ -428,8 +430,9 @@ def test_full_mode_with_bound_rows(kinds):
 
 @pytest.mark.parametrize("form", ["split", "zeroing"])
 def test_recovery_forms(kinds, form):
-    # the split form fills a kernel of k = m dense columns; the zeroing
-    # form's free columns and unit rows leave k < m
+    # the split form fills a kernel of k = m dense columns; in the
+    # zeroing form the e+/e- unit columns own their rows, which leaves
+    # k < m, and pair up there as kinks
     rng = np.random.default_rng(31)
     A = rng.uniform(-10, 10, size=(12, 24))
     y = np.zeros(24)
@@ -447,12 +450,33 @@ def test_recovery_forms(kinds, form):
         costs.append(c)
     run_cost_sequence(problem, costs)
     assert kinds["_grow"] > 0
+    eng = SimplexSolver()
+    eng.solve(problem)
     if form == "split":
         assert kinds["_replace_dense"] > 0  # every basic column ends up dense
         # the fixed EQ slacks leave no kink pair
-        eng = SimplexSolver()
-        eng.solve(problem)
         assert not eng._kinks and kinds["kinks"] == []
+    else:
+        assert eng._k < problem.m and eng._kinks
+
+
+def test_unit_columns_solve_like_their_dense_copy():
+    # the zeroing LP with its e+/e- identity blocks written densely
+    # through make_problem: every column of A is dense to the engine, so
+    # the copy's only singletons are its slacks, and both forms reach
+    # HiGHS's optimum at the same point
+    prob = planted_recovery(np.random.default_rng(31), 12, 24, 5)
+    units = zeroing_lp(prob.A, prob.b)
+    dense = make_problem(units.c, lp_matrix(units), units.senses, units.b, units.lower,
+                         units.upper)
+    x = []
+    for problem in (units, dense):
+        eng = SimplexSolver()
+        sol = eng.solve(problem)
+        check_against_scipy(problem, sol)
+        x.append(sol.x)
+    assert np.all(eng._colrow[: dense.n] == -1)
+    assert np.abs(x[0] - x[1]).max() <= 1e-9
 
 
 def test_singleton_replaces_dense_column(kinds):
@@ -639,6 +663,10 @@ def cold_start_lp(rng, family):
     elif family == "scaled":
         s = 10.0 ** rng.uniform(-4, 4, size=m)
         A, b = A * s[:, None], b * s
+    elif family == "integer-degenerate":
+        # entries in {-2, ..., 2} and every row tight at an integer x0
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = A @ np.round(x0)
     elif family == "infeasible":
         # equality rows 0, 1 and k = 0 + 1, whose right-hand sides disagree
         k = int(rng.integers(2, m))
@@ -657,6 +685,7 @@ def cold_start_lp(rng, family):
     ("infeasible", {LpStatus.INFEASIBLE}),
     ("unbounded", {LpStatus.UNBOUNDED}),
     ("inequality", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
+    ("integer-degenerate", {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}),
 ])
 def test_cold_starts_match_highs(dual_starts, family, statuses):
     # status and Z as HiGHS has them, from a crash basis that needs a
@@ -675,6 +704,65 @@ def test_cold_starts_match_highs(dual_starts, family, statuses):
     # it stands, and then no dual simplex runs
     assert len(dual_starts) == 30 or (family == "inequality" and len(dual_starts) >= 27)
     assert sum(s > 0 for s in dual_starts) >= 27
+
+
+def unit_column_lp(rng):
+    """A seeded LP with a dense block and random unit columns (values
+    +-1 or 2.5), every column in [0, inf) or [-1, 2], feasible at a
+    random point."""
+    m, n, nu = int(rng.integers(5, 25)), int(rng.integers(2, 15)), int(rng.integers(1, 50))
+    A = np.round(rng.uniform(-5, 5, size=(m, n)), 3)
+    rows = rng.integers(0, m, size=nu)
+    vals = rng.choice([1.0, -1.0, 2.5], size=nu)
+    boxed = rng.random(n + nu) < 0.5
+    lower, upper = np.where(boxed, -1.0, 0.0), np.where(boxed, 2.0, np.inf)
+    c = np.round(rng.uniform(-3, 3, size=n + nu), 3)
+    senses = rng.choice([-1, 0, 1], size=m, p=[0.3, 0.4, 0.3]).astype(np.int8)
+    x0 = np.clip(rng.normal(size=n + nu), lower, np.minimum(upper, 3.0))
+    b = A @ x0[:n] + np.bincount(rows, vals * x0[n:], minlength=m)
+    b -= senses * rng.uniform(0.0, 1.0, size=m)
+    return LpProblem(c=c, structure=LpStructure(A=A, senses=senses, b=b, lower=lower,
+                                                upper=upper, unit_rows=rows, unit_vals=vals))
+
+
+def test_cold_starts_with_unit_columns_match_highs(monkeypatch):
+    # the crash hands a row's residual that its slack cannot take to a
+    # unit column of the row, in most LPs here; the solves then price
+    # the unit columns and form A x over them
+    crashed = []
+    take = SimplexSolver._take_basis
+
+    def recorded(self, basis, vstat, x):
+        crashed.append(np.count_nonzero((basis >= self._nd) & (basis < self._n)))
+        take(self, basis, vstat, x)
+
+    monkeypatch.setattr(SimplexSolver, "_take_basis", recorded)
+    rng = np.random.default_rng([43, 1])
+    seen = set()
+    for _ in range(30):
+        prob = unit_column_lp(rng)
+        sol = SimplexSolver().solve(prob)
+        check_against_scipy(prob, sol)
+        if sol.status is LpStatus.OPTIMAL:
+            check_kkt(prob, sol)
+        seen.add(sol.status)
+    assert seen == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+    assert len(crashed) == 30 and sum(k > 0 for k in crashed) >= 20
+
+
+def test_oracle_confirms_an_infeasible_verdict():
+    # HiGHS's presolve (scipy 1.17) calls this LP infeasible, yet it is
+    # feasible at x = (0, 0, 2, -2, 2, 0) and unbounded; `scipy_lp`
+    # solves it again without presolve and agrees with the engine
+    A = [[1, 0, 0, -2, 0, -1], [2, 2, -1, -2, -2, -2], [2, -2, 2, -2, 0, -1],
+         [-2, -1, -1, 2, 2, 2], [-2, 2, -1, -2, -1, 0]]
+    inf = np.inf
+    prob = make_problem([-0.63, -0.5, 1.056, 1.101, -0.213, -1.205], A, [0, 1, -1, 0, -1],
+                        [4.0, -2.0, 8.0, -2.0, 0.0], [0, 0, -inf, -inf, 0, -inf],
+                        [inf, inf, inf, 2.0, inf, inf])
+    sol = SimplexSolver().solve(prob)
+    assert sol.status is LpStatus.UNBOUNDED
+    check_against_scipy(prob, sol)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
