@@ -468,7 +468,9 @@ def run_removal_loop(
             z_history.append(sol.z)
             continue
         else:
-            ents = ents[: first_mean_change(scores, beta=beta)]
+            # within a tie (see TIE_TOL) the unrounded scores may rise;
+            # cut the series in the order it was ranked
+            ents = ents[: first_mean_change(np.minimum.accumulate(scores), beta=beta)]
 
         env.remove_batch(ents)
         removed.extend(ents)

@@ -324,6 +324,24 @@ def test_batch_loop_cuts_score_groups():
         run_removal_loop(ToyEnv(weights), ztol=1e-6, batch=True, max_iterations=3)
 
 
+def test_batch_loop_cuts_ties_in_ranked_order():
+    # entities 0 and 1 tie on rank_candidates' grid, so the ranking puts
+    # 0 first and its scores rise by 1.5e-9, past first_mean_change's
+    # 1e-9 check; the cut reads the series as ranked, flat across a tie
+    class RankedEnv(ToyEnv):
+        def candidates(self, sol):
+            w = np.array(list(self.w.values()))
+            return rank_candidates([(w, w > 0.0)], set(self.w) - self.active, self.k)
+
+    env = RankedEnv([1.0, 1.0 + 1.5e-9, 0.1, 0.1])
+    scores = env.candidates(None)[2]
+    assert scores[1] - scores[0] > 1e-9
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
+    assert tel.exit_reason is ExitReason.FEASIBLE
+    assert tel.removed_rows == [0, 1, 2, 3]
+    assert tel.removal_sizes == [2, 1, 1]
+
+
 def test_batch_loop_has_no_singleton_shortcut_by_default():
     env = ToyEnv([5.0])
     tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)

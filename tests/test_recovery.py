@@ -263,6 +263,30 @@ def test_problem_data_are_read_only_copies():
     assert dataclasses.replace(prob, b=-prob.b)._bp is None
 
 
+def noisy_recovery_problems(count):
+    """The first `count` 64x128 problems of the benchmark's `recovery`
+    workload at seed 301 (S = 20 and 28 in turn), with b replaced by
+    b + 1e-7 (1 + |b|) u, u uniform(-1, 1) drawn per problem."""
+    rng, noise = np.random.default_rng([301, 3]), np.random.default_rng(7)
+    for i in range(count):
+        S = (20, 28)[i % 2]
+        A = rng.uniform(-10.0, 10.0, size=(64, 128))
+        x = np.zeros(128)
+        x[rng.choice(128, size=S, replace=False)] = rng.standard_normal(S)
+        b = A @ x
+        yield RecoveryProblem(A, b + 1e-7 * (1.0 + np.abs(b)) * noise.uniform(-1.0, 1.0, 64))
+
+
+def test_me1e2_batch_cut_takes_tied_scores_on_noisy_rhs():
+    # on problems 3 and 35 a batch's ranked scores rise within a tie by
+    # more than first_mean_change's 1e-9; the cut takes them as ranked
+    probs = list(noisy_recovery_problems(36))
+    for prob in (probs[3], probs[35]):
+        res = method_me1e2(prob)
+        check_result(prob, res)
+        assert max(res.removal_sizes) > 1
+
+
 # ----------------------------------------------------------------------
 # postprocessing
 
