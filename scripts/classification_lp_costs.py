@@ -14,10 +14,16 @@ against full probing and the mean accuracy gap of 2e1 against 2k1 and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, as the benchmark runs, set before numpy loads; the
+# environment may still choose another count
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -11,9 +11,15 @@ sparsity (largest S with every instance exact).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
+
+# one BLAS thread, as the benchmark runs, set before numpy loads; the
+# environment may still choose another count
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

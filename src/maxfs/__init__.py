@@ -43,10 +43,10 @@ from .simplex import (
     make_problem,
 )
 from .systems import (
-    ElasticMode,
     ElasticModel,
     LinearSystem,
     elasticize,
+    lift_bounds,
     read_matrix,
     read_system,
     read_vector,
@@ -60,7 +60,6 @@ __all__ = [
     "BenchRecord",
     "ClassificationReport",
     "Dataset",
-    "ElasticMode",
     "ElasticModel",
     "ExitReason",
     "Hyperplane",
@@ -87,6 +86,7 @@ __all__ = [
     "first_mean_change",
     "gen_instance",
     "jokar_pfetsch",
+    "lift_bounds",
     "load_csv",
     "make_problem",
     "method_b",

@@ -22,7 +22,7 @@ from . import bench, recovery
 from .classify import VARIANTS, classify as run_classify, load_csv
 from .core import StrategyConfig, solve_maxfs
 from .simplex import SolverError
-from .systems import ElasticMode, elasticize, read_matrix, read_system, read_vector
+from .systems import lift_bounds, read_matrix, read_system, read_vector
 
 SCHEMA_VERSION = 1
 
@@ -43,14 +43,13 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 def _cmd_maxfs(args) -> int:
     sys_ = read_system(args.system)
-    mode = ElasticMode.FULL if args.full_elastic else ElasticMode.STANDARD
     cfg = StrategyConfig(
         algorithm=args.alg,
         k=args.k,
         use_e1=args.e1,
         e2_ell=args.e2,
     )
-    res = solve_maxfs(elasticize(sys_, mode), cfg)
+    res = solve_maxfs(lift_bounds(sys_) if args.full_elastic else sys_, cfg)
     rec = {
         "schema_version": SCHEMA_VERSION,
         "command": "maxfs",
@@ -207,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--k", type=int, default=None, help="candidate list limit (default: no limit)")
     pm.add_argument("--e1", action="store_true", help="batch removal with mean-change cut")
     pm.add_argument("--e2", type=int, default=None, metavar="L", help="bulk-exit threshold")
-    pm.add_argument("--full-elastic", action="store_true", help="also penalize bound violations")
+    pm.add_argument("--full-elastic", action="store_true", help="make finite bounds deletable "
+                    "rows: removed rows m and up are bounds, in variable order, lower first")
     pm.add_argument("--out", default=None, help="CSV output path")
     pm.set_defaults(func=_cmd_maxfs)
 

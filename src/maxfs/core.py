@@ -441,8 +441,9 @@ def run_removal_loop(
             break
 
         if not batch and len(pool) == 1:
-            # the sole candidate is the only remaining cause; deleting it
-            # leaves the incumbent point feasible, so no probe is needed.
+            # the sole candidate is the only remaining cause, since every
+            # priced cost column is an entity's; deleting it leaves the
+            # incumbent point feasible, so no probe is needed.
             # The batch policy cuts it like any list and lets the next
             # solve decide: same LP count, more robust exit.
             exit_reason = ExitReason.SINGLETON
@@ -516,8 +517,9 @@ def solve_maxfs(
 ) -> MaxFsResult:
     """Delete rows greedily until the elastic objective reaches zero.
 
-    Accepts a plain system (elasticised in standard mode) or a prebuilt
-    elastic model when full elasticity or prior removals are wanted.
+    Accepts a plain system, which is elasticised, or a prebuilt elastic
+    model with prior removals; bounds stay hard unless the system is
+    `lift_bounds(system)`, whose rows from m on are the bounds.
     """
     cfg = config or StrategyConfig()
     model = source if isinstance(source, ElasticModel) else elasticize(source)

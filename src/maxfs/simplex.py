@@ -64,8 +64,8 @@ Design notes:
   one row, unit or slack, each with one finite bound at 0, the
   second lam = +-1 times the first and covering, scaled by lam, the
   other half line: a GE row's slack and +e elastic (lam = 1), an LE
-  row's slack and -e elastic (lam = -1), an equality's e+/e- (lam = -1;
-  its [0,0] slack is no member), and the same on FULL-mode bound rows.
+  row's slack and -e elastic (lam = -1), and an equality's e+/e-
+  (lam = -1; its [0,0] slack is no member).
   Together they are one free variable whose cost has a kink at 0,
   convex when rho_j + rho_j' >= 0 (rho = cost x side, side +1 for
   [0, inf) and -1 for (-inf, 0]). When the ratio test stops at a convex

@@ -3,12 +3,12 @@
 A system is rows `a_i . x (<=|=|>=) b_i` plus optional variable bounds.
 Elasticisation appends one nonnegative penalty column per inequality row
 (a pair for equality rows) so that the relaxed LP is always feasible and
-its objective measures total constraint violation; in full mode each
-finite variable bound is lifted into a penalised row of its own. The
-penalty columns are the LP structure's unit columns (+1 on a GE row, -1
-on an LE row, +1 then -1 on an equality row), stored as a row index and
-a value each, so the elastic LP holds the system's dense block and
-O(m) numbers more, not an m x m block.
+its objective measures total constraint violation; `lift_bounds` turns
+each finite variable bound into a row, penalised and deletable like any
+other. The penalty columns are the LP structure's unit columns (+1 on a
+GE row, -1 on an LE row, +1 then -1 on an equality row), stored as a
+row index and a value each, so the elastic LP holds the system's dense
+block and O(m) numbers more, not an m x m block.
 
 Row removal never rebuilds the LP: a removed row keeps its penalty
 columns but their objective coefficients drop to zero, which makes the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -101,9 +100,24 @@ def system(coeffs, senses, rhs, lower=None, upper=None) -> LinearSystem:
                         upper=np.asarray(upper, dtype=float))
 
 
-class ElasticMode(Enum):
-    STANDARD = "standard"   # rows only
-    FULL = "full"           # rows plus finite variable bounds
+def lift_bounds(base: LinearSystem) -> LinearSystem:
+    """The system with each finite variable bound written as a row and
+    the variables freed. The bound rows follow the system's rows in
+    variable order, a lower bound (x_j >= l_j) before an upper one
+    (x_j <= u_j), so each is a row the search may delete."""
+    # entry 2j stands for x_j's lower bound, 2j + 1 for its upper one
+    lifted = np.flatnonzero(np.isfinite(np.column_stack([base.lower, base.upper])))
+    var, upper_side = lifted // 2, lifted % 2 == 1
+    rows = np.zeros((lifted.size, base.n))
+    rows[np.arange(lifted.size), var] = 1.0
+    free = np.full(base.n, np.inf)
+    return LinearSystem(
+        coeffs=np.vstack([base.coeffs, rows]),
+        senses=np.concatenate([base.senses, np.where(upper_side, Sense.LE, Sense.GE)]),
+        rhs=np.concatenate([base.rhs, np.where(upper_side, base.upper[var], base.lower[var])]),
+        lower=-free,
+        upper=free,
+    )
 
 
 @dataclass(frozen=True)
@@ -117,10 +131,8 @@ class ElasticModel:
     """
 
     base: LinearSystem
-    mode: ElasticMode
     problem: LpProblem
     row_elastics: tuple            # per base row: tuple of LP column ids
-    bound_rows: tuple              # (var, side, lp_row, elastic_col) per lifted bound
     removed_rows: frozenset = field(default_factory=frozenset)
 
     @property
@@ -166,52 +178,31 @@ class ElasticModel:
         return sol.duals[: self.base.m]
 
 
-def elasticize(base: LinearSystem, mode: ElasticMode = ElasticMode.STANDARD) -> ElasticModel:
+def elasticize(base: LinearSystem) -> ElasticModel:
     m, n = base.m, base.n
-    # full mode's bound rows in variable order, a lower bound before an
-    # upper one: entry 2j stands for x_j's lower bound, 2j + 1 its upper
-    lifted = np.flatnonzero(np.isfinite(np.column_stack([base.lower, base.upper]))
-                            & (mode is ElasticMode.FULL))
-    var, upper_side = lifted // 2, lifted % 2 == 1
-    nb = lifted.size
-    nrows = m + nb
-
-    A = np.zeros((nrows, n))
-    A[:m] = base.coeffs
-    A[m + np.arange(nb), var] = 1.0
-    senses = np.concatenate([base.senses, np.where(upper_side, Sense.LE, Sense.GE)])
-    senses = senses.astype(np.int8)
-    b = np.concatenate([base.rhs, np.where(upper_side, base.upper[var], base.lower[var])])
-
     # penalty columns in row order: one per row, +1 on GE rows and -1 on
-    # LE rows, an equality row's pair +1 then -1, then one per bound row
+    # LE rows, an equality row's pair +1 then -1
     eq = base.senses == Sense.EQ
-    per_row = np.concatenate([1 + eq, np.ones(nb, dtype=np.intp)])
-    unit_rows = np.repeat(np.arange(nrows), per_row)
+    per_row = 1 + eq
+    unit_rows = np.repeat(np.arange(m), per_row)
     first = np.cumsum(per_row) - per_row
-    unit_vals = np.where(senses == Sense.LE, -1.0, 1.0)[unit_rows]
-    unit_vals[first[:m][eq] + 1] = -1.0
+    unit_vals = np.where(base.senses == Sense.LE, -1.0, 1.0)[unit_rows]
+    unit_vals[first[eq] + 1] = -1.0
     ncols = n + unit_rows.size
 
     lower = np.zeros(ncols)
     upper = np.full(ncols, np.inf)
     lower[:n] = base.lower
     upper[:n] = base.upper
-    lower[var[~upper_side]] = -np.inf
-    upper[var[upper_side]] = np.inf
     costs = np.zeros(ncols)
     costs[n:] = 1.0
-    structure = LpStructure(A=A, senses=senses, b=b, lower=lower, upper=upper,
-                            unit_rows=unit_rows, unit_vals=unit_vals)
+    structure = LpStructure(A=base.coeffs, senses=base.senses, b=base.rhs, lower=lower,
+                            upper=upper, unit_rows=unit_rows, unit_vals=unit_vals)
 
-    cols = (n + first).tolist()
     row_elastics = tuple((c, c + 1) if pair else (c,)
-                         for c, pair in zip(cols[:m], eq.tolist()))
-    bound_rows = tuple((j, "upper" if hi else "lower", m + i, c)
-                       for i, (j, hi, c) in enumerate(zip(var.tolist(), upper_side.tolist(),
-                                                          cols[m:])))
-    return ElasticModel(base=base, mode=mode, problem=LpProblem(c=costs, structure=structure),
-                        row_elastics=row_elastics, bound_rows=bound_rows)
+                         for c, pair in zip((n + first).tolist(), eq.tolist()))
+    return ElasticModel(base=base, problem=LpProblem(c=costs, structure=structure),
+                        row_elastics=row_elastics)
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,15 @@ def random_feasible_system(rng, m=None, n=None) -> LinearSystem:
     return system(A, senses, b)
 
 
+def bounded_system() -> LinearSystem:
+    """A 15x3 system of all three senses whose variables carry every kind
+    of bound: [-1, 1], (-inf, 2] and [0, inf)."""
+    rng = np.random.default_rng(43)
+    A = np.round(rng.uniform(-5, 5, size=(15, 3)), 3)
+    return system(A, [">=", "<=", "="] * 5, np.round(rng.uniform(-6, 6, size=15), 3),
+                  lower=[-1.0, -np.inf, 0.0], upper=[1.0, 2.0, np.inf])
+
+
 def random_infeasible_system(rng, m_extra=3, n=None) -> LinearSystem:
     """A feasible core plus directly contradicting row pairs."""
     n = n or int(rng.integers(1, 5))

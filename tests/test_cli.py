@@ -11,7 +11,7 @@ import pytest
 from maxfs.cli import main
 from maxfs.systems import write_matrix, write_system, write_vector, system
 
-from conftest import planted_instance, random_infeasible_system
+from conftest import bounded_system, planted_instance, random_infeasible_system
 
 
 @pytest.fixture
@@ -102,6 +102,19 @@ def test_maxfs_e2_with_k_reaches_a_feasible_subsystem(capsys, tmp_path):
     assert rec["final_z"] <= 1e-6
     assert len(rec["removed_rows"]) == 10
     assert all(type(i) is int for i in rec["removed_rows"])
+
+
+def test_maxfs_full_elastic_deletes_bounds(capsys, tmp_path):
+    # the 15x3 system's bounds become rows 15 to 18: x0 >= -1, x0 <= 1,
+    # x1 <= 2 and x2 >= 0, and the search deletes x2 >= 0
+    p = tmp_path / "sys.txt"
+    write_system(bounded_system(), p)
+    code, recs = run_cli(capsys, "maxfs", str(p), "--full-elastic")
+    assert code == 0
+    (rec,) = recs
+    assert rec["full_elastic"] is True and rec["m"] == 15
+    assert rec["removed_rows"] == [14, 2, 4, 11, 1, 18]
+    assert rec["final_z"] == 0.0 and rec["exit_reason"] == "singleton"
 
 
 def test_classify_subcommand(capsys, points_csv):

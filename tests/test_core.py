@@ -29,7 +29,7 @@ from maxfs.recovery import (
     method_me1e2,
 )
 from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
-from maxfs.systems import ElasticMode, elasticize, system
+from maxfs.systems import elasticize, lift_bounds, system
 
 from conftest import (
     min_cover_size,
@@ -658,11 +658,59 @@ def test_accepts_prebuilt_model_with_prior_removals():
 
 def test_full_elastic_model_runs():
     sys_ = system([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
-    model = elasticize(sys_, ElasticMode.FULL)
-    # the bound rows are not deletable entities; the single base row is
-    res = solve_maxfs(model)
-    assert res.removed_rows == [0]
+    # rows: x >= 5, then the lifted x >= 0 and x <= 2; the bound rows are
+    # deletable like the base row, and deleting x >= 5 or x <= 2 is a cover
+    res = solve_maxfs(lift_bounds(sys_))
+    assert res.removed_rows in ([0], [2])
     assert res.final_z <= 1e-6
+
+
+def lifted_corpus():
+    """Small 5x2 systems with GE/LE rows and bounds each finite with
+    probability 0.7, lifted; those with at most 8 rows that are
+    infeasible."""
+    for i in range(60):
+        rng = np.random.default_rng([17, i])
+        A = rng.integers(-3, 4, size=(5, 2)).astype(float)
+        senses = rng.choice([">=", "<="], size=5)
+        b = rng.integers(-4, 5, size=5).astype(float)
+        lower = np.where(rng.random(2) < 0.7, rng.integers(-3, 1, 2), -np.inf)
+        upper = np.where(rng.random(2) < 0.7, rng.integers(0, 4, 2), np.inf)
+        if not A.any(axis=1).all():
+            continue
+        lifted = lift_bounds(system(A, senses, b, lower=lower, upper=upper))
+        if lifted.m <= 8 and not scipy_feasible(lifted):
+            yield lifted
+
+
+def test_lifted_bounds_meet_the_cover_oracle():
+    # with bounds lifted into rows, the brute-force minimum cover of the
+    # lifted system is the optimum of the search over rows and bounds;
+    # each bound on matches is the count measured on these 23 systems
+    matched = {
+        StrategyConfig(algorithm=1): 22,
+        StrategyConfig(algorithm=2): 21,
+        StrategyConfig(algorithm=3): 22,
+        StrategyConfig(algorithm=2, use_e1=True): 17,
+        StrategyConfig(algorithm=2, k=1): 18,
+        StrategyConfig(algorithm=2, e2_ell=2): 18,
+        StrategyConfig(algorithm=2, e2_ell=3): 13,
+    }
+    corpus = list(lifted_corpus())
+    assert len(corpus) == 23
+    matches = dict.fromkeys(matched, 0)
+    exits = set()
+    for lifted in corpus:
+        optimum = min_cover_size(lifted)
+        for cfg in matched:
+            res = solve_maxfs(lifted, cfg)
+            assert len(res.removed_rows) >= optimum
+            survivors = [i for i in range(lifted.m) if i not in res.removed_rows]
+            assert scipy_feasible(lifted, survivors)
+            matches[cfg] += len(res.removed_rows) == optimum
+            exits.add(res.exit_reason)
+    assert all(matches[cfg] >= matched[cfg] for cfg in matched), matches
+    assert exits == {ExitReason.FEASIBLE, ExitReason.SINGLETON, ExitReason.BULK_E2}
 
 
 def test_e2_bulk_exit_end_to_end():

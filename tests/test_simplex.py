@@ -22,7 +22,7 @@ from maxfs.simplex import (
     SolverError,
     make_problem,
 )
-from maxfs.systems import ElasticMode, elasticize, system
+from maxfs.systems import elasticize, lift_bounds, system
 
 from conftest import lp_matrix, scipy_lp, zeroing_lp
 
@@ -391,7 +391,7 @@ def removal_costs(model, steps):
 
 def passed_rows(kinds, problem, m):
     """The kind of row of each kink passed: its sense, or "bound" for
-    a row that FULL mode lifted from a variable bound (index >= m)."""
+    a row that `lift_bounds` wrote from a variable bound (index >= m)."""
     name = {Sense.GE: "GE", Sense.LE: "LE", Sense.EQ: "EQ"}
     return {"bound" if r >= m else name[Sense(int(problem.senses[r]))]
             for r, _, _ in kinds["kinks"]}
@@ -403,7 +403,7 @@ def test_standard_mode_with_equality_rows(kinds):
     A = np.round(rng.uniform(-5, 5, size=(18, 3)), 3)
     senses = np.array([">=", "<=", "="] * 6)
     base = system(A, senses, np.round(rng.uniform(-4, 4, size=18), 3))
-    model = elasticize(base, ElasticMode.STANDARD)
+    model = elasticize(base)
     assert any(len(cols) == 2 for cols in model.row_elastics)
     run_cost_sequence(model.problem, removal_costs(model, 6))
     assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
@@ -419,8 +419,8 @@ def test_full_mode_with_bound_rows(kinds):
     senses = rng.choice([">=", "<="], size=14)
     base = system(A, senses, np.round(rng.uniform(-6, 6, size=14), 3),
                   lower=np.full(4, -1.0), upper=np.full(4, 1.0))
-    model = elasticize(base, ElasticMode.FULL)
-    assert len(model.bound_rows) == 8
+    model = elasticize(lift_bounds(base))
+    assert model.m == 14 + 8
     run_cost_sequence(model.problem, removal_costs(model, 5))
     assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
     assert "bound" in passed_rows(kinds, model.problem, 14)

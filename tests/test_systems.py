@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfs.core import StrategyConfig, solve_maxfs
+from maxfs.core import ExitReason, StrategyConfig, solve_maxfs
 from maxfs.simplex import LpStatus, Sense, SimplexSolver, make_problem
 from maxfs.systems import (
-    ElasticMode,
     elasticize,
     format_system,
+    lift_bounds,
     parse_system,
     read_matrix,
     read_system,
@@ -25,7 +25,7 @@ from maxfs.systems import (
     write_vector,
 )
 
-from conftest import lp_matrix
+from conftest import bounded_system, lp_matrix, scipy_feasible
 
 
 def test_system_accepts_token_and_integer_senses():
@@ -84,7 +84,6 @@ def test_elasticize_standard_shapes():
     assert model.row_elastics[0] == (2,)
     assert model.row_elastics[1] == (3,)
     assert model.row_elastics[2] == (4, 5)
-    assert model.bound_rows == ()
     # penalty columns priced at one, structurals at zero
     assert list(model.problem.c) == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
     # sign pattern: GE adds, LE subtracts, EQ carries both
@@ -99,28 +98,35 @@ def test_elasticize_standard_shapes():
 
 
 def test_elasticize_full_lifts_finite_bounds():
-    sys_ = system([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
-    model = elasticize(sys_, ElasticMode.FULL)
-    # base row + two bound rows, each with its own penalty column
-    assert model.problem.m == 3
-    assert model.problem.n == 1 + 1 + 2
-    assert len(model.bound_rows) == 2
-    (j_lo, side_lo, row_lo, _), (j_hi, side_hi, row_hi, _) = model.bound_rows
-    assert (j_lo, side_lo) == (0, "lower") and (j_hi, side_hi) == (0, "upper")
-    assert int(model.problem.senses[row_lo]) == 1
-    assert int(model.problem.senses[row_hi]) == -1
-    # the original bound is freed; the penalised rows take over
-    assert model.problem.lower[0] == -np.inf
-    assert model.problem.upper[0] == np.inf
+    base = system([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]], [">=", "="], [5.0, 1.0],
+                  lower=[0.0, -np.inf, -np.inf, -1.0], upper=[2.0, np.inf, 3.0, np.inf])
+    lifted = lift_bounds(base)
+    # the system's rows first, then x0 >= 0, x0 <= 2, x2 <= 3, x3 >= -1
+    assert np.array_equal(lifted.coeffs[:2], base.coeffs)
+    assert np.array_equal(lifted.coeffs[2:], np.eye(4)[[0, 0, 2, 3]])
+    assert lifted.senses.tolist() == [1, 0, 1, -1, -1, 1]
+    assert lifted.rhs.tolist() == [5.0, 1.0, 0.0, 2.0, 3.0, -1.0]
+    # the variables are freed; the rows take over
+    assert np.all(lifted.lower == -np.inf) and np.all(lifted.upper == np.inf)
+    # each bound row has its own penalty column
+    model = elasticize(lifted)
+    assert model.problem.m == 6
+    assert model.problem.n == 4 + 2 + 1 + 4
+    assert model.row_elastics[2:] == ((7,), (8,), (9,), (10,))
+    # a system without finite bounds is unchanged
+    free = system([[1.0]], ["<="], [1.0])
+    assert np.array_equal(lift_bounds(free).coeffs, free.coeffs)
 
 
-def dense_elastic_problem(base, mode):
+def dense_elastic_problem(base, lift):
     """The elastic LP with its penalty columns written into a dense
-    block, one row at a time: the reference for `elasticize`."""
+    block, one row at a time, and with `lift` each finite bound written
+    as a penalised row after them: the reference for `elasticize` and
+    `lift_bounds`."""
     m, n = base.m, base.n
     lifted = [(j, side, bound) for j in range(n)
               for side, bound in (("lower", base.lower[j]), ("upper", base.upper[j]))
-              if mode is ElasticMode.FULL and np.isfinite(bound)]
+              if lift and np.isfinite(bound)]
     n_pen = m + int(np.sum(base.senses == Sense.EQ)) + len(lifted)
     A = np.zeros((m + len(lifted), n + n_pen))
     A[:m, :n] = base.coeffs
@@ -146,16 +152,14 @@ def dense_elastic_problem(base, mode):
     return make_problem(c, A, senses, b, lower, upper)
 
 
-@pytest.mark.parametrize("mode", list(ElasticMode))
+# the ids keep the names of the two elastic modes: bounds hard
+# (STANDARD) or lifted into rows (FULL)
+@pytest.mark.parametrize("lift", [False, True], ids=["ElasticMode.STANDARD", "ElasticMode.FULL"])
 @pytest.mark.parametrize("algorithm, use_e1", [(1, False), (1, True), (2, True)])
-def test_unit_columns_solve_like_the_dense_block(mode, algorithm, use_e1):
-    rng = np.random.default_rng(43)
-    A = np.round(rng.uniform(-5, 5, size=(15, 3)), 3)
-    senses = [">=", "<=", "="] * 5
-    base = system(A, senses, np.round(rng.uniform(-6, 6, size=15), 3),
-                  lower=[-1.0, -np.inf, 0.0], upper=[1.0, 2.0, np.inf])
-    model = elasticize(base, mode)
-    dense = dense_elastic_problem(base, mode)
+def test_unit_columns_solve_like_the_dense_block(lift, algorithm, use_e1):
+    base = bounded_system()
+    model = elasticize(lift_bounds(base) if lift else base)
+    dense = dense_elastic_problem(base, lift)
     assert np.array_equal(lp_matrix(model.problem), dense.A)
     for name in ("c", "senses", "b", "lower", "upper"):
         assert np.array_equal(getattr(model.problem, name), getattr(dense, name)), name
@@ -167,11 +171,24 @@ def test_unit_columns_solve_like_the_dense_block(mode, algorithm, use_e1):
     assert np.max(np.abs(res.final_solution.x - ref.final_solution.x)) <= 1e-9
 
 
+def test_lifted_bounds_end_the_singleton_exit_feasible():
+    # with the bounds penalised but not deletable, the SINGLETON exit
+    # deleted the last violated row while x2 >= 0 was still violated, and
+    # the search ended at Z = 0.28; lifted, that bound is row 18 and the
+    # search deletes it
+    lifted = lift_bounds(bounded_system())
+    res = solve_maxfs(lifted)
+    assert res.exit_reason is ExitReason.SINGLETON
+    assert res.removed_rows == [14, 2, 4, 11, 1, 18]
+    assert res.final_z <= 1e-9 and res.lp_count == 22
+    assert scipy_feasible(lifted, [i for i in range(lifted.m) if i not in res.removed_rows])
+
+
 def test_full_elastic_objective_counts_bound_violation():
     # x >= 5 with 0 <= x <= 2: the cheapest repair stretches the upper
     # bound by 3, so the minimum penalty is 3
     sys_ = system([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
-    model = elasticize(sys_, ElasticMode.FULL)
+    model = elasticize(lift_bounds(sys_))
     sol = SimplexSolver().solve(model.lp_problem())
     assert sol.status is LpStatus.OPTIMAL
     assert abs(sol.z - 3.0) <= 1e-9
