@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MaxFsResult, StrategyConfig, solve_maxfs
-from .simplex import SimplexSolver
 from .systems import LinearSystem, system
 
 __all__ = [
@@ -184,17 +183,12 @@ def _variant_config(variant: str) -> StrategyConfig:
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def classify(
-    ds: Dataset,
-    variant: str = "2e1",
-    epsilon: float = 1.0,
-    engine: SimplexSolver | None = None,
-) -> ClassificationReport:
+def classify(ds: Dataset, variant: str = "2e1", epsilon: float = 1.0) -> ClassificationReport:
     """Fit by deleting as few margin rows as the greedy search needs."""
     t0 = time.perf_counter()
     cfg = _variant_config(variant)
     sys_ = build_constraints(ds, epsilon)
-    res: MaxFsResult = solve_maxfs(sys_, cfg, engine=engine)
+    res: MaxFsResult = solve_maxfs(sys_, cfg)
 
     J = ds.J
     w = res.final_solution.x[:J].copy()

@@ -47,6 +47,7 @@ The row rankings, all computed from the current elastic solution, are:
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -76,6 +77,10 @@ __all__ = [
 # and as priced when its |dual price| exceeds DUAL_TOL
 VIOLATION_TOL = 1e-8
 DUAL_TOL = 1e-8
+
+# Z at or below ZTOL certifies feasibility: the row search and the
+# recovery searches stop there
+ZTOL = 1e-6
 
 # each list ranks its scores rounded to a multiple of TIE_TOL * (1 + the
 # largest |score| it ranks): scores that only rounding noise tells apart
@@ -166,46 +171,45 @@ def build_candidates_alg3(
     return rank_candidates([(v * d, vio), (d, ~vio & (d > DUAL_TOL))], removed, k)
 
 
-def _check_k(k: int | None) -> None:
-    """The list limit `k` is None (no limit) or at least 1."""
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
+def _integer(value, name: str) -> int:
+    """`value` as an int; ValueError unless it is an integer (2.0 is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_limit(value: int | None, name: str = "k") -> None:
+    """A list limit (`k`, `e2_ell`) is None (no limit) or an integer of
+    at least 1."""
+    if value is not None and _integer(value, name) < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Knobs for the greedy search.
+    """The settings of the greedy row search.
 
     algorithm   candidate ranking (1, 2, or 3; see the module docstring)
     k           keep the first k entries of each ranked list; None
                 keeps them all
-    use_e1      batch removal instead of per-candidate probing; not
-                with algorithm 3
+    use_e1      batch removal instead of per-candidate probing: the head
+                of the ranked list is cut at its first mean change
+                (`changepoint.first_mean_change` at its default beta = 1,
+                which cuts every series that is not flat); not with
+                algorithm 3
     e2_ell      bulk exit when the candidate pool, counted before the
                 `k` cut, has at most this many rows; None disables it
-    e2_first_iteration_only
-                apply the bulk exit only on the first round
-    beta        significance of the batch cut: the head of the ranked
-                list is cut where the best two-segment fit of its
-                scores leaves less than beta of their spread (the
-                squared error about their mean); 1 cuts every series
-                that is not flat, 0 deletes one row per round
-    ztol        Z at or below this certifies feasibility
-    max_iterations
-                outer-round cap; None means 10 * m
 
-    A row counts as violated above VIOLATION_TOL and as priced above
-    DUAL_TOL, both fixed at 1e-8.
+    `k` and `e2_ell` are integers. Z at or below ZTOL (1e-6) certifies
+    feasibility; a row counts as violated above VIOLATION_TOL and as
+    priced above DUAL_TOL, both fixed at 1e-8.
     """
 
     algorithm: int = 2
     k: int | None = None
     use_e1: bool = False
     e2_ell: int | None = None
-    e2_first_iteration_only: bool = False
-    beta: float = 1.0
-    ztol: float = 1e-6
-    max_iterations: int | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in (1, 2, 3):
@@ -214,16 +218,8 @@ class StrategyConfig:
             # E1 cuts one descending series; algorithm 3 joins two lists
             # whose scores are on different scales
             raise ValueError("algorithm 3 does not combine with E1: its joined list has no cut")
-        _check_k(self.k)
-        if self.e2_ell is not None and self.e2_ell < 1:
-            raise ValueError("e2_ell must be at least 1")
-        # written so that NaN fails too
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be nonnegative")
-        if not self.ztol >= 0.0:
-            raise ValueError("ztol must be nonnegative")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _check_limit(self.k)
+        _check_limit(self.e2_ell, "e2_ell")
 
 
 class ExitReason(Enum):
@@ -295,7 +291,8 @@ class SearchEnv(Protocol):
     def solve_current(self) -> LpSolution: ...
 
     def candidates(self, sol: LpSolution) -> Ranked:
-        """(pool, candidates, scores), as `rank_candidates` returns them."""
+        """(pool, candidates, scores), as `rank_candidates` returns them,
+        with no entity already deleted."""
 
     def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
         """Tentatively delete `entity`: re-solve warm, put the engine
@@ -403,11 +400,9 @@ def run_removal_loop(
     *,
     ztol: float,
     batch: bool = False,
-    beta: float = 1.0,
     exit_on_empty: bool = False,
     e2_ell: int | None = None,
     e2_first_iteration_only: bool = False,
-    max_iterations: int,
 ) -> MaxFsResult:
     """Greedy deletion rounds until Z <= ztol.
 
@@ -415,12 +410,14 @@ def run_removal_loop(
     some of them. Probing (the default) tries every candidate and keeps
     the one with the lowest Z; a feasible probe ends the round at once.
     With `batch`, the head of the ranking, cut at the first mean change
-    of its scores (`changepoint.first_mean_change` at `beta`), is
-    deleted and the LP solved once.
+    of its scores (`changepoint.first_mean_change`), is deleted and the
+    LP solved once.
 
     With `exit_on_empty` the loop runs until no candidates remain and a
     positive final Z is acceptable; otherwise an empty candidate list
-    while Z > ztol is an error. `max_iterations` caps the rounds.
+    while Z > ztol is an error. The rounds are finite: each deletes at
+    least one entity, and candidates are never entities already deleted,
+    so there are at most as many rounds as entities.
     """
     t0 = time.perf_counter()
     removed: list[int] = []
@@ -431,8 +428,6 @@ def run_removal_loop(
     z_history = [sol.z]
 
     while exit_on_empty or sol.z > ztol:
-        if len(removal_sizes) >= max_iterations:
-            raise SolverError(f"no convergence within {max_iterations} rounds")
         pool, ents, scores = env.candidates(sol)
         if not pool:
             if not exit_on_empty:
@@ -471,7 +466,7 @@ def run_removal_loop(
         else:
             # within a tie (see TIE_TOL) the unrounded scores may rise;
             # cut the series in the order it was ranked
-            ents = ents[: first_mean_change(np.minimum.accumulate(scores), beta=beta)]
+            ents = ents[: first_mean_change(np.minimum.accumulate(scores))]
 
         env.remove_batch(ents)
         removed.extend(ents)
@@ -527,18 +522,9 @@ def solve_maxfs(
         model.lp_problem(), model.row_elastics, 0.0, _row_ranking(model, cfg), engine
     )
     env.remove_batch(model.removed_rows)  # prior removals: already zero-cost
-    cap = cfg.max_iterations if cfg.max_iterations is not None else 10 * model.base.m
 
     t0 = time.perf_counter()
-    res = run_removal_loop(
-        env,
-        ztol=cfg.ztol,
-        batch=cfg.use_e1,
-        beta=cfg.beta,
-        e2_ell=cfg.e2_ell,
-        e2_first_iteration_only=cfg.e2_first_iteration_only,
-        max_iterations=cap,
-    )
+    res = run_removal_loop(env, ztol=ZTOL, batch=cfg.use_e1, e2_ell=cfg.e2_ell)
     if res.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2):
         # those exits delete without solving; one finishing solve yields
         # the surviving system's solution and the definitive Z
@@ -548,6 +534,6 @@ def solve_maxfs(
         res.degenerate_pivots = env.degenerate_pivots
     res.seconds = time.perf_counter() - t0
 
-    if res.exit_reason is not ExitReason.BULK_E2 and res.final_z > cfg.ztol:
+    if res.exit_reason is not ExitReason.BULK_E2 and res.final_z > ZTOL:
         raise SolverError(f"search ended with Z={res.final_z:.3e} above tolerance")
     return res

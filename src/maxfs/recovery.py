@@ -42,8 +42,8 @@ Methods, named by their selection rule:
                   cost 0 and which stops at objective zero
 
 The probing methods (b, c, m, jp) take `k`: each round keeps the first
-`k` entries of each ranked list, None keeps them all, and k < 1 raises
-ValueError.
+`k` entries of each ranked list, None keeps them all, and a k that is
+not an integer of at least 1 raises ValueError.
 
 Every method's first LP is basis pursuit, and every method starts from
 the problem's basis-pursuit optimum: the first call on a problem solves
@@ -68,9 +68,11 @@ import numpy as np
 
 from .core import (
     DUAL_TOL,
+    ZTOL,
     CostDeletionEnv,
     MaxFsResult,
-    _check_k,
+    _check_limit,
+    _integer,
     rank_candidates,
     run_removal_loop,
 )
@@ -82,6 +84,7 @@ from .simplex import (
     Sense,
     SimplexSolver,
     SolverError,
+    checked_rows,
     make_problem,
 )
 
@@ -110,28 +113,24 @@ class RecoveryProblem:
     basis-pursuit optimum recorded on first use (`_bp`) holds only while
     they stay as they are; `dataclasses.replace` starts a new record.
     Since each problem holds its own record, problems compare and hash
-    by identity: two built from the same data are unequal."""
+    by identity: two built from the same data are unequal. An entry
+    counts as a nonzero when its magnitude exceeds `zero_tol`, which
+    must be finite and nonnegative."""
 
     A: np.ndarray
     b: np.ndarray
     zero_tol: float = ZERO_TOL
-    ztol: float = 1e-6
     _bp: Basis | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
+        # written so that NaN fails too
+        if not 0.0 <= self.zero_tol < np.inf:
+            raise ValueError(f"zero_tol must be finite and nonnegative, got {self.zero_tol!r}")
         b = np.array(self.b, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("A must be 2-d")
+        A = checked_rows(np.array(self.A, dtype=float), np.full(b.size, Sense.EQ), b).A
         m, n = A.shape
-        if m < 1:
-            raise ValueError("A needs at least one row")
-        if m >= n:
-            raise ValueError(f"need more columns than rows, got {m}x{n}")
-        if b.shape != (m,):
-            raise ValueError("b length must match row count of A")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("A and b must be finite")
+        if not 1 <= m < n:
+            raise ValueError(f"need at least one row and more columns than rows, got {m}x{n}")
         A.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -220,7 +219,7 @@ def _split_env(
     `dual_list`, then those with |a_j^T p| above DUAL_TOL ranked by it,
     p the row duals. `k` truncates each list. The first solve starts
     from the basis-pursuit optimum (`_bp_optimum`)."""
-    _check_k(k)
+    _check_limit(k)
     n = prob.n
     A_lp = np.hstack([prob.A, -prob.A])
     senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
@@ -266,9 +265,9 @@ def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
 
 
 def _search(method: str, prob: RecoveryProblem, env, t0: float, **loop) -> RecoveryResult:
-    """Run the removal loop on `env`, capped at 10 n rounds; y is read
-    from its last solution."""
-    res = run_removal_loop(env, ztol=prob.ztol, max_iterations=10 * prob.n, **loop)
+    """Run the removal loop on `env` with the keywords `loop`, Z <= ZTOL
+    certifying feasibility; y is read from its last solution."""
+    res = run_removal_loop(env, ztol=ZTOL, **loop)
     return _finish(method, prob, _split_y(res.final_solution), t0, env, res)
 
 
@@ -298,7 +297,7 @@ def method_m(prob: RecoveryProblem, k: int | None = 2) -> RecoveryResult:
     denser first solutions usually mean l1 failed and the full search is
     worth its cost.
     """
-    _check_k(k)
+    _check_limit(k)
     t0 = time.perf_counter()
     bp = basis_pursuit(prob)
     if bp.T < prob.m - 3:
@@ -315,10 +314,10 @@ def method_me1e2(prob: RecoveryProblem, ell: int | None = None) -> RecoveryResul
     deleted wholesale at the first mean change. A first-round bulk exit
     fires when at most `ell` variables are nonzero (default m - 3),
     which collapses every basis-pursuit-recoverable instance to one LP.
+    `ell` is an integer; below 1 it turns the bulk exit off.
     """
     t0 = time.perf_counter()
-    if ell is None:
-        ell = prob.m - 3
+    ell = prob.m - 3 if ell is None else _integer(ell, "ell")
     return _search(
         "me1e2",
         prob,

@@ -286,35 +286,41 @@ def sense_codes(senses) -> np.ndarray:
     return codes.astype(np.int8)
 
 
-def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
-    """Validate arrays and build an LpProblem. Default bounds are free;
-    a bound may be infinite but not NaN. The structure has no unit
-    columns, so every column of `A` is dense to the engine, even one
-    with a single nonzero."""
+def checked_rows(A, senses, b, lower=None, upper=None) -> LpStructure:
+    """The rows `A x (senses) b` with bounds lower <= x <= upper, checked:
+    `A` is 2-d and finite, the senses are read by `sense_codes`, `b` is
+    finite, every length matches, and the bounds are neither NaN nor
+    crossed. Bounds may be infinite and default to free. The structure
+    has no unit columns."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d array")
     m, n = A.shape
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b, dtype=float)
     senses = sense_codes(senses)
-    if c.shape != (n,):
-        raise ValueError(f"c has shape {c.shape}, expected ({n},)")
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
-    if senses.shape != (m,):
-        raise ValueError(f"senses has shape {senses.shape}, expected ({m},)")
+    b = np.asarray(b, dtype=float)
     lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    if senses.shape != (m,) or b.shape != (m,):
+        raise ValueError(f"senses and b need one entry per row of A, {m}")
     if lower.shape != (n,) or upper.shape != (n,):
-        raise ValueError("bound vectors must have length n")
+        raise ValueError(f"bound vectors need one entry per column of A, {n}")
     if np.isnan(lower).any() or np.isnan(upper).any():
         raise ValueError("bounds must not be NaN")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-        raise ValueError("A, b and c must be finite")
-    structure = LpStructure(A=A, senses=senses, b=b, lower=lower, upper=upper)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("A and b must be finite")
+    return LpStructure(A=A, senses=senses, b=b, lower=lower, upper=upper)
+
+
+def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
+    """The LP min c.x over `checked_rows(A, senses, b, lower, upper)`;
+    `c` must be finite, one cost per column of `A`. Every column of `A`
+    is dense to the engine, even one with a single nonzero."""
+    structure = checked_rows(A, senses, b, lower, upper)
+    c = np.asarray(c, dtype=float)
+    if c.shape != (structure.n,) or not np.all(np.isfinite(c)):
+        raise ValueError(f"c must be finite with shape ({structure.n},), got {c.shape}")
     return LpProblem(c=c, structure=structure)
 
 

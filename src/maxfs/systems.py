@@ -31,52 +31,35 @@ from .simplex import (
     Sense,
     SENSE_TOKENS,
     TOKEN_SENSES,
-    sense_codes,
+    checked_rows,
 )
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Rows `coeffs[i] . x (<=|=|>=) rhs[i]` with bounds lower <= x <= upper.
-    Senses may be given as `simplex.sense_codes` reads them; bounds may be
-    infinite but not NaN."""
+    The rows are checked by `simplex.checked_rows`: senses may be given as
+    `sense_codes` reads them, and bounds may be infinite, not NaN, and
+    default to free. A system has at least one row and one column, and
+    no all-zero row."""
 
     coeffs: np.ndarray   # (m, n)
     senses: np.ndarray   # (m,) of Sense values
     rhs: np.ndarray      # (m,)
-    lower: np.ndarray    # (n,) -inf allowed
-    upper: np.ndarray    # (n,) +inf allowed
+    lower: np.ndarray = None  # (n,) -inf allowed
+    upper: np.ndarray = None  # (n,) +inf allowed
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 2:
-            raise ValueError("coefficient matrix must be 2-d")
-        m, n = coeffs.shape
-        if m < 1 or n < 1:
+        rows = checked_rows(self.coeffs, self.senses, self.rhs, self.lower, self.upper)
+        if rows.m < 1 or rows.n < 1:
             raise ValueError("system needs at least one row and one column")
-        senses = sense_codes(self.senses)
-        rhs = np.asarray(self.rhs, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if senses.shape != (m,) or rhs.shape != (m,):
-            raise ValueError("senses/rhs length must match row count")
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError("bound vectors must match column count")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("right-hand sides must be finite")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValueError("bounds must not be NaN")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
-        if np.any(~coeffs.any(axis=1)):
+        if np.any(~rows.A.any(axis=1)):
             raise ValueError("every row needs at least one nonzero coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "senses", senses)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "coeffs", rows.A)
+        object.__setattr__(self, "senses", rows.senses)
+        object.__setattr__(self, "rhs", rows.b)
+        object.__setattr__(self, "lower", rows.lower)
+        object.__setattr__(self, "upper", rows.upper)
 
     @property
     def m(self) -> int:
@@ -89,15 +72,7 @@ class LinearSystem:
 
 def system(coeffs, senses, rhs, lower=None, upper=None) -> LinearSystem:
     """Convenience constructor with free default bounds."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[1] if coeffs.ndim == 2 else 0
-    if lower is None:
-        lower = np.full(n, -np.inf)
-    if upper is None:
-        upper = np.full(n, np.inf)
-    return LinearSystem(coeffs=coeffs, senses=np.asarray(senses), rhs=np.asarray(rhs),
-                        lower=np.asarray(lower, dtype=float),
-                        upper=np.asarray(upper, dtype=float))
+    return LinearSystem(coeffs, senses, rhs, lower, upper)
 
 
 def lift_bounds(base: LinearSystem) -> LinearSystem:
@@ -110,13 +85,10 @@ def lift_bounds(base: LinearSystem) -> LinearSystem:
     var, upper_side = lifted // 2, lifted % 2 == 1
     rows = np.zeros((lifted.size, base.n))
     rows[np.arange(lifted.size), var] = 1.0
-    free = np.full(base.n, np.inf)
     return LinearSystem(
         coeffs=np.vstack([base.coeffs, rows]),
         senses=np.concatenate([base.senses, np.where(upper_side, Sense.LE, Sense.GE)]),
         rhs=np.concatenate([base.rhs, np.where(upper_side, base.upper[var], base.lower[var])]),
-        lower=-free,
-        upper=free,
     )
 
 
@@ -261,6 +233,7 @@ def parse_system(text: str) -> LinearSystem:
         if toks[n] not in TOKEN_SENSES:
             raise ValueError(f"row {i}: unknown sense {toks[n]!r}")
         senses[i] = TOKEN_SENSES[toks[n]]
+    lower = upper = None  # free
     if len(lines) - 1 == m + n:
         lower = np.empty(n)
         upper = np.empty(n)
@@ -270,9 +243,6 @@ def parse_system(text: str) -> LinearSystem:
                 raise ValueError(f"bound line {j}: expected 'l u'")
             lower[j] = float(toks[0])
             upper[j] = float(toks[1])
-    else:
-        lower = np.full(n, -np.inf)
-        upper = np.full(n, np.inf)
     return LinearSystem(coeffs=coeffs, senses=senses, rhs=rhs, lower=lower, upper=upper)
 
 

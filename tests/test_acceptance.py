@@ -152,12 +152,13 @@ def test_criterion_3_feasibility_postcondition():
         StrategyConfig(algorithm=2, use_e1=True),
         StrategyConfig(algorithm=3, k=2),
         StrategyConfig(algorithm=2, e2_ell=3),
-        StrategyConfig(algorithm=2, use_e1=True, e2_ell=3, e2_first_iteration_only=True),
+        StrategyConfig(algorithm=2, use_e1=True, e2_ell=3),
     ]
     checked = 0
     for sys_ in systems:
         for cfg in configs:
             res = solve_maxfs(sys_, cfg)
+            assert res.iterations <= sys_.m  # a round deletes at least one new row
             survivors = [i for i in range(sys_.m) if i not in res.removed_rows]
             if not survivors:
                 continue

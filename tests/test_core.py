@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxfs.core import (
     CostDeletionEnv,
@@ -230,7 +232,7 @@ class ToyEnv:
 
 def test_probing_loop_picks_min_probe_and_singleton_exits():
     env = ToyEnv([3.0, 2.0])
-    tel = run_removal_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6)
     # round 1 probes both and deletes the heavier entity; round 2 sees a
     # one-entry pool and deletes without probing
     assert tel.exit_reason is ExitReason.SINGLETON
@@ -245,7 +247,7 @@ def test_probing_loop_picks_min_probe_and_singleton_exits():
 
 def test_probing_loop_early_adopts_a_feasible_probe():
     env = ToyEnv([3.0, 2.0, 0.5])
-    tel = run_removal_loop(env, ztol=2.5, max_iterations=50)
+    tel = run_removal_loop(env, ztol=2.5)
     # the first probe already reaches ztol; the other two candidates of
     # the round are never probed
     assert tel.exit_reason is ExitReason.FEASIBLE
@@ -257,7 +259,7 @@ def test_probing_loop_early_adopts_a_feasible_probe():
 
 def test_probing_loop_feasible_at_start():
     env = ToyEnv([0.0, 0.0])
-    tel = run_removal_loop(env, ztol=1e-6, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.iterations == 0
     assert tel.removed_rows == []
@@ -266,7 +268,7 @@ def test_probing_loop_feasible_at_start():
 
 def test_probing_loop_exit_on_empty_keeps_positive_z():
     env = ToyEnv([1.0, 2.0])
-    tel = run_removal_loop(env, ztol=1e-6, exit_on_empty=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, exit_on_empty=True)
     # exit_on_empty never early-adopts; it drains the pool instead
     assert tel.exit_reason in (ExitReason.EMPTY_CANDIDATES, ExitReason.SINGLETON)
     assert set(tel.removed_rows) == {0, 1}
@@ -278,36 +280,25 @@ def test_probing_loop_raises_on_empty_pool_with_positive_z():
             return [], [], np.zeros(0)
 
     with pytest.raises(SolverError):
-        run_removal_loop(NoCands([1.0]), ztol=1e-6, max_iterations=50)
-
-
-def test_probing_loop_respects_iteration_cap():
-    # round 1 deletes entity 0 and leaves Z = 3 with a two-entry pool;
-    # a second round would exceed the cap
-    with pytest.raises(SolverError, match="1 rounds"):
-        run_removal_loop(ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6, max_iterations=1)
+        run_removal_loop(NoCands([1.0]), ztol=1e-6)
 
 
 def test_probing_loop_e2_bulk_exit_first_round_only():
     env = ToyEnv([2.0, 1.0])
-    tel = run_removal_loop(
-        env, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True, max_iterations=50
-    )
+    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True)
     assert tel.exit_reason is ExitReason.BULK_E2
     assert tel.removal_sizes == [2]
     assert env.lp_count == 1  # no probe happened
 
     # pool too large on round one: the bulk exit stays off afterwards
     env2 = ToyEnv([3.0, 2.0, 1.0])
-    tel2 = run_removal_loop(
-        env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True, max_iterations=50
-    )
+    tel2 = run_removal_loop(env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True)
     assert tel2.exit_reason is not ExitReason.BULK_E2
 
 
 def test_batch_loop_cuts_score_groups():
     env = ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removal_sizes == [3, 1, 1, 1]
     assert tel.iterations == 4
@@ -316,12 +307,6 @@ def test_batch_loop_cuts_score_groups():
     zs = [z for z, size in zip(tel.z_history[1:], tel.removal_sizes) for _ in range(size)]
     assert zs == [3.0, 3.0, 3.0, 2.0, 1.0, 0.0]
     assert tel.z_history == [33.0, 3.0, 2.0, 1.0, 0.0]
-    # the cap counts removal rounds, as for probing: four fit a cap of 4
-    weights = [10.0, 10.0, 10.0, 1.0, 1.0, 1.0]
-    capped = run_removal_loop(ToyEnv(weights), ztol=1e-6, batch=True, max_iterations=4)
-    assert capped.exit_reason is ExitReason.FEASIBLE
-    with pytest.raises(SolverError, match="3 rounds"):
-        run_removal_loop(ToyEnv(weights), ztol=1e-6, batch=True, max_iterations=3)
 
 
 def test_batch_loop_cuts_ties_in_ranked_order():
@@ -336,7 +321,7 @@ def test_batch_loop_cuts_ties_in_ranked_order():
     env = RankedEnv([1.0, 1.0 + 1.5e-9, 0.1, 0.1])
     scores = env.candidates(None)[2]
     assert scores[1] - scores[0] > 1e-9
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removed_rows == [0, 1, 2, 3]
     assert tel.removal_sizes == [2, 1, 1]
@@ -344,7 +329,7 @@ def test_batch_loop_cuts_ties_in_ranked_order():
 
 def test_batch_loop_has_no_singleton_shortcut_by_default():
     env = ToyEnv([5.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True)
     # the lone candidate goes through the mean-change cut and the next
     # solve certifies feasibility; exit is FEASIBLE, not SINGLETON
     assert tel.exit_reason is ExitReason.FEASIBLE
@@ -354,25 +339,19 @@ def test_batch_loop_has_no_singleton_shortcut_by_default():
 
 def test_batch_loop_e2_gating():
     env = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel = run_removal_loop(
-        env, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=True,
-        max_iterations=50,
-    )
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=True)
     # round 1 pool has 4 entries, too many; the flag keeps E2 off later
     assert tel.exit_reason is ExitReason.FEASIBLE
 
     env2 = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel2 = run_removal_loop(
-        env2, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=False,
-        max_iterations=50,
-    )
+    tel2 = run_removal_loop(env2, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=False)
     assert tel2.exit_reason is ExitReason.BULK_E2
     assert tel2.removal_sizes[-1] == 1  # the tail entity went out in bulk
 
 
 def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
     env = ToyEnv([3.0, 2.0, 1.0], k=1)
-    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2)
     # round 1: a pool of three is above the threshold, so the one
     # candidate is probed; round 2: the pool of two goes out in bulk
     assert tel.exit_reason is ExitReason.BULK_E2
@@ -383,7 +362,7 @@ def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
 
 def test_batch_loop_exit_on_empty():
     env = ToyEnv([2.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, exit_on_empty=True, max_iterations=50)
+    tel = run_removal_loop(env, ztol=1e-6, batch=True, exit_on_empty=True)
     assert tel.exit_reason is ExitReason.EMPTY_CANDIDATES
     assert set(tel.removed_rows) == {0, 1}
     assert tel.final_z == 0.0
@@ -450,18 +429,12 @@ def check_record(res):
 def test_search_record_invariants():
     runs = {
         ExitReason.FEASIBLE: run_removal_loop(
-            ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0]), ztol=1e-6, batch=True,
-            max_iterations=50,
+            ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0]), ztol=1e-6, batch=True
         ),
-        ExitReason.SINGLETON: run_removal_loop(
-            ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6, max_iterations=50
-        ),
-        ExitReason.BULK_E2: run_removal_loop(
-            ToyEnv([3.0, 2.0, 1.0], k=1), ztol=1e-6, e2_ell=2, max_iterations=50
-        ),
+        ExitReason.SINGLETON: run_removal_loop(ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6),
+        ExitReason.BULK_E2: run_removal_loop(ToyEnv([3.0, 2.0, 1.0], k=1), ztol=1e-6, e2_ell=2),
         ExitReason.EMPTY_CANDIDATES: run_removal_loop(
-            ToyEnv([2.0, 1.0]), ztol=1e-6, batch=True, exit_on_empty=True,
-            max_iterations=50,
+            ToyEnv([2.0, 1.0]), ztol=1e-6, batch=True, exit_on_empty=True
         ),
     }
     for reason, res in runs.items():
@@ -471,6 +444,28 @@ def test_search_record_invariants():
         # a round that ends the search without solving adds no Z
         unsolved = reason in (ExitReason.SINGLETON, ExitReason.BULK_E2)
         assert len(res.z_history) == res.iterations + 1 - unsolved
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 4).map(float) | st.floats(0.0, 10.0), min_size=1, max_size=12),
+    k=st.sampled_from([None, 1, 2]),
+    batch=st.booleans(),
+    exit_on_empty=st.booleans(),
+    e2_ell=st.sampled_from([None, 1, 2, 3]),
+    e2_first_iteration_only=st.booleans(),
+)
+def test_rounds_never_outnumber_entities(
+    weights, k, batch, exit_on_empty, e2_ell, e2_first_iteration_only
+):
+    # each round deletes at least one entity not deleted before, which
+    # bounds the rounds without a cap
+    res = run_removal_loop(
+        ToyEnv(weights, k=k), ztol=1e-6, batch=batch, exit_on_empty=exit_on_empty,
+        e2_ell=e2_ell, e2_first_iteration_only=e2_first_iteration_only,
+    )
+    assert res.iterations <= len(weights)
+    check_record(res)
 
 
 def test_real_searches_delete_each_entity_once(monkeypatch):
@@ -510,19 +505,22 @@ def test_strategy_config_validation():
         StrategyConfig(k=0)
     with pytest.raises(ValueError):
         StrategyConfig(e2_ell=0)
-    with pytest.raises(ValueError):
-        StrategyConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        StrategyConfig(max_iterations=0)
     # E1 cuts one descending series; algorithm 3 joins two lists whose
     # scores are on different scales, so the joined series has no cut
     with pytest.raises(ValueError, match="E1"):
         StrategyConfig(algorithm=3, use_e1=True)
-    # NaN passes every comparison-based check written the other way round
-    with pytest.raises(ValueError, match="ztol"):
-        StrategyConfig(ztol=float("nan"))
-    with pytest.raises(ValueError, match="beta"):
-        StrategyConfig(beta=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["k", "e2_ell"])
+@pytest.mark.parametrize("value", [1.5, 2.0, float("nan"), float("inf"), "2"])
+def test_strategy_config_limits_are_integers(field, value):
+    # a fractional k used to reach a slice deep in rank_candidates as a
+    # TypeError; a NaN e2_ell passed `e2_ell < 1` and turned the bulk
+    # exit off
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        StrategyConfig(**{field: value})
+    cfg = StrategyConfig(**{field: np.int64(2)})
+    assert getattr(cfg, field) == 2
 
 
 # ----------------------------------------------------------------------
@@ -742,13 +740,6 @@ def test_e2_bulk_exit_with_k_deletes_the_whole_pool():
     assert scipy_feasible(sys_, survivors)
     plain = solve_maxfs(sys_, StrategyConfig(algorithm=2, k=1))
     assert sorted(res.removed_rows) == sorted(plain.removed_rows)
-
-
-def test_iteration_cap_raises():
-    rng = np.random.default_rng(700)
-    sys_ = random_infeasible_system(rng, m_extra=4)
-    with pytest.raises(SolverError):
-        solve_maxfs(sys_, StrategyConfig(algorithm=2, max_iterations=1, k=1))
 
 
 def test_alg1_can_delete_satisfied_rows():

@@ -73,6 +73,31 @@ def test_k_below_one_is_rejected(fn, k):
         fn(prob, k=k)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_zero_tol_must_be_finite_and_nonnegative(value):
+    # a NaN or infinite zero_tol made every support empty, and a negative
+    # one counted every entry as a nonzero
+    prob, _ = planted_problem(3, 8, 16, 2)
+    with pytest.raises(ValueError, match="zero_tol"):
+        RecoveryProblem(prob.A, prob.b, zero_tol=value)
+    with pytest.raises(ValueError, match="zero_tol"):
+        dataclasses.replace(prob, zero_tol=value)
+    assert basis_pursuit(dataclasses.replace(prob, zero_tol=0.0)).T >= 2
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, float("nan")])
+def test_list_limits_are_integers(value):
+    # a fractional k used to reach a slice deep in rank_candidates as a
+    # TypeError, and a fractional or NaN ell was taken as a threshold
+    prob, _ = planted_problem(3, 8, 16, 5)
+    for fn in (method_b, method_c, method_m, jokar_pfetsch):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fn(prob, k=value)
+    with pytest.raises(ValueError, match="ell must be an integer"):
+        method_me1e2(prob, ell=value)
+    assert method_me1e2(prob, ell=np.int64(0)).T == method_me1e2(prob, ell=-1).T
+
+
 def test_zero_rhs_recovers_zero():
     prob, _ = planted_problem(1, 6, 12, 0)
     for fn in ALL_METHODS:

@@ -1,15 +1,18 @@
-"""The command-line scripts under scripts/ run and repeat themselves."""
+"""The command-line scripts under scripts/ run and repeat themselves, and
+the README's library examples run as written."""
 
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("workload", ["classify-probe", "classify-batch", "recovery"])
@@ -45,3 +48,17 @@ def test_recovery_phase_transition_prints_one_row_per_method_and_level():
         [m, s] for m in methods for s in levels]
     assert [f[2] for f in fields if f[:2] == ["critical", "sparsity"]] == [
         f"{m}:" for m in methods]
+
+
+def test_readme_library_examples_give_what_their_comments_say():
+    # the first two python blocks (the library call and lift_bounds)
+    # stand alone; the ones after them use data the reader supplies
+    text = (ROOT / "README.md").read_text()
+    library, lifted = re.findall(r"```python\n(.*?)```", text, re.S)[:2]
+    assert "lift_bounds(" in lifted
+    library_scope, lifted_scope = {}, {}
+    exec(library, library_scope)
+    exec(lifted, lifted_scope)
+    assert library_scope["res"].removed_rows == [0]
+    assert library_scope["res"].z_history[-1] == 0.0  # "ends at 0"
+    assert lifted_scope["res"].removed_rows == [0]
