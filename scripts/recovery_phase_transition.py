@@ -34,7 +34,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                     help="comma list; default spans 10%%..45%% of m")
     ap.add_argument("--instances", type=int, default=50)
     ap.add_argument("--seed", type=int, default=41)
-    ap.add_argument("--methods", default="bp,b,c,m,me1e2")
+    ap.add_argument("--methods", default=None,
+                    help=f"comma list; default {','.join(SweepSpec.methods)}")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--full-scale", action="store_true",
                     help="shortcut for --m 128 --n 256 around S 40..60")
@@ -53,7 +54,8 @@ def main(argv=None) -> int:
         levels = tuple(max(1, round(f * args.m)) for f in (0.10, 0.20, 0.30, 0.45))
     spec = SweepSpec(
         m=args.m, n=args.n, s_levels=levels, instances=args.instances,
-        seed=args.seed, methods=tuple(args.methods.split(",")),
+        seed=args.seed,
+        methods=SweepSpec.methods if args.methods is None else args.methods.split(","),
         workers=args.workers,
     )
     t0 = time.perf_counter()

@@ -6,6 +6,10 @@ sweep parallelizes without changing its results. All methods at one
 (S, index) share the same instance, which keeps the method comparison
 paired rather than across different random draws.
 
+`METHODS` names each recovery method, and a sweep runs each at the
+defaults of its signature; its default method list is
+`SweepSpec.methods`.
+
 Sharing the instance also shares its basis-pursuit solve: every method
 starts from the problem's basis-pursuit optimum, which the first method
 of `spec.methods` solves for and records (see `recovery`). That first
@@ -15,10 +19,11 @@ counts, supports and exactness do not depend on method order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import _integer
 from .recovery import (
     RecoveryProblem,
     RecoveryResult,
@@ -39,15 +44,15 @@ __all__ = [
     "summarize",
 ]
 
-# benchmark configurations: list limit 2 for the probing methods, the
-# first-round bulk exit at m - 3 nonzeros for the batch method
+# every recovery method by name, run at the defaults of its signature;
+# the sweep and the CLI both read this table
 METHODS = {
-    "bp": lambda p: basis_pursuit(p),
-    "b": lambda p: method_b(p, k=2),
-    "c": lambda p: method_c(p, k=2),
-    "m": lambda p: method_m(p, k=2),
-    "me1e2": lambda p: method_me1e2(p),
-    "jp": lambda p: jokar_pfetsch(p),
+    "bp": basis_pursuit,
+    "b": method_b,
+    "c": method_c,
+    "m": method_m,
+    "me1e2": method_me1e2,
+    "jp": jokar_pfetsch,
 }
 
 
@@ -62,9 +67,13 @@ class SweepSpec:
     workers: int | None = None
 
     def __post_init__(self):
+        # counts and the seed are integers (numpy ones too, stored as int):
+        # 2.7 and 8.0 are refused
+        for name in ("m", "n", "instances", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        levels = tuple(_integer(s, "sparsity") for s in self.s_levels)
         if self.m < 1 or self.n <= self.m:
             raise ValueError("need 1 <= m < n")
-        levels = tuple(int(s) for s in self.s_levels)
         if not levels:
             raise ValueError("at least one sparsity level required")
         for s in levels:
@@ -78,7 +87,7 @@ class SweepSpec:
             raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
         if not methods:
             raise ValueError("at least one method required")
-        if self.workers is not None and self.workers < 1:
+        if self.workers is not None and _integer(self.workers, "workers") < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "s_levels", levels)
         object.__setattr__(self, "methods", methods)
@@ -113,17 +122,7 @@ class BenchRecord:
     seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "m": self.m,
-            "n": self.n,
-            "S": self.S,
-            "instance": self.instance,
-            "T": self.T,
-            "correct": self.correct,
-            "lp_count": self.lp_count,
-            "seconds": round(self.seconds, 6),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 6)}
 
 
 def _exact(res: RecoveryResult, x: np.ndarray) -> bool:

@@ -48,7 +48,7 @@ def first_mean_change(scores, beta: float = 1.0) -> int:
         raise ValueError("score series must be finite")
     if np.any(np.diff(s) > 1e-9):
         raise ValueError("score series must be sorted in descending order")
-    if beta < 0:
+    if not beta >= 0:  # written so that NaN fails too
         raise ValueError("beta must be nonnegative")
     # a flat series up to floating-point jitter has no change to find;
     # a descending series has its largest magnitude at one of its ends

@@ -3,9 +3,12 @@
 Four subcommands: `maxfs` repairs an infeasible system file, `classify`
 fits a hyperplane to a labeled CSV, `recover` finds a sparse solution
 of A y = b from matrix/vector files, and `sweep` runs the seeded
-recovery benchmark. Results go to stdout as JSON lines (keys sorted, so
-reruns with the same seed compare byte-for-byte except the timing
-fields); `--out FILE.csv` additionally writes the records as CSV.
+recovery benchmark. `recover` and `sweep` name their methods from
+`bench.METHODS`; `recover` passes `--k` and `--ell` only when given, to
+the methods whose signature takes them. Results go to stdout as JSON
+lines (keys sorted, so reruns with the same seed compare byte-for-byte
+except the timing fields); `--out FILE.csv` additionally writes the
+records as CSV, a list space-joined in one cell.
 
 Exit codes: 0 success, 2 bad input, 3 solver failure or iteration cap.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -27,18 +31,22 @@ from .systems import lift_bounds, read_matrix, read_system, read_vector
 SCHEMA_VERSION = 1
 
 
-def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    cols = sorted({k for row in rows for k in row})
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        w.writerows(rows)
+def _output(out: str | None, records: list[dict], rows: list[dict] | None = None) -> int:
+    """Print each record as one JSON line, keys sorted, with the schema
+    version; given a path `out`, also write `rows` (by default the
+    records) there as CSV, columns sorted and a list space-joined in one
+    cell."""
+    records = [{**rec, "schema_version": SCHEMA_VERSION} for rec in records]
+    for rec in records:
+        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
+    if out:
+        rows = records if rows is None else rows
+        with open(out, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=sorted({k for row in rows for k in row}))
+            w.writeheader()
+            w.writerows({k: " ".join(map(str, v)) if isinstance(v, list) else v
+                         for k, v in row.items()} for row in rows)
+    return 0
 
 
 def _cmd_maxfs(args) -> int:
@@ -51,7 +59,6 @@ def _cmd_maxfs(args) -> int:
     )
     res = solve_maxfs(lift_bounds(sys_) if args.full_elastic else sys_, cfg)
     rec = {
-        "schema_version": SCHEMA_VERSION,
         "command": "maxfs",
         "system": os.path.basename(args.system),
         "m": sys_.m,
@@ -69,20 +76,13 @@ def _cmd_maxfs(args) -> int:
         "exit_reason": res.exit_reason.value,
         "seconds": round(res.seconds, 6),
     }
-    _emit(rec)
-    if args.out:
-        flat = dict(rec)
-        flat["removed_rows"] = " ".join(map(str, rec["removed_rows"]))
-        flat["removal_sizes"] = " ".join(map(str, rec["removal_sizes"]))
-        _write_csv(args.out, [flat])
-    return 0
+    return _output(args.out, [rec])
 
 
 def _cmd_classify(args) -> int:
     ds = load_csv(args.csv, args.label_col, args.positive_label)
     rep = run_classify(ds, args.algorithm, args.epsilon)
     rec = {
-        "schema_version": SCHEMA_VERSION,
         "command": "classify",
         "dataset": os.path.basename(args.csv),
         "algorithm": args.algorithm,
@@ -98,46 +98,28 @@ def _cmd_classify(args) -> int:
         "iterations": rep.iterations,
         "seconds": round(rep.seconds, 6),
     }
-    _emit(rec)
-    if args.out:
-        _write_csv(
-            args.out,
-            [
-                {
-                    "dataset": rec["dataset"],
-                    "algorithm": rec["algorithm"],
-                    "accuracy": rec["accuracy"],
-                    "lp_count": rec["lp_count"],
-                    "seconds": rec["seconds"],
-                }
-            ],
-        )
-    return 0
-
-
-_RECOVER_FNS = {
-    "bp": lambda p, a: recovery.basis_pursuit(p),
-    "b": lambda p, a: recovery.method_b(p, k=a.k),
-    "c": lambda p, a: recovery.method_c(p, k=a.k),
-    "m": lambda p, a: recovery.method_m(p, k=a.k),
-    "me1e2": lambda p, a: recovery.method_me1e2(p, ell=a.ell),
-}
+    cols = ("dataset", "algorithm", "accuracy", "lp_count", "seconds")
+    return _output(args.out, [rec], [{k: rec[k] for k in cols}])
 
 
 def _cmd_recover(args) -> int:
     A = read_matrix(args.A)
     b = read_vector(args.b)
     prob = recovery.RecoveryProblem(A, b)
-    res = _RECOVER_FNS[args.method](prob, args)
-    support = sorted(res.support)
+    method = bench.METHODS[args.method]
+    # an option the user left out, or one the method does not take, is
+    # not passed: the method runs at its own default
+    params = inspect.signature(method).parameters
+    given = {name: value for name, value in (("k", args.k), ("ell", args.ell))
+             if value is not None and name in params}
+    res = method(prob, **given)
     rec = {
-        "schema_version": SCHEMA_VERSION,
         "command": "recover",
         "method": args.method,
         "m": prob.m,
         "n": prob.n,
         "T": res.T,
-        "support": support,
+        "support": sorted(res.support),
         "lp_count": res.lp_count,
         "iterations": res.iterations,
         "removal_sizes": list(res.removal_sizes),
@@ -148,42 +130,23 @@ def _cmd_recover(args) -> int:
         pruned = recovery.postprocess(prob, res.support)
         rec["post_support"] = sorted(pruned)
         rec["post_T"] = len(pruned)
-    _emit(rec)
-    if args.out:
-        flat = dict(rec)
-        flat["support"] = " ".join(map(str, support))
-        flat["removal_sizes"] = " ".join(map(str, rec["removal_sizes"]))
-        if "post_support" in flat:
-            flat["post_support"] = " ".join(map(str, flat["post_support"]))
-        _write_csv(args.out, [flat])
-    return 0
+    return _output(args.out, [rec])
 
 
 def _cmd_sweep(args) -> int:
     spec = bench.SweepSpec(
         m=args.m,
         n=args.n,
-        s_levels=tuple(args.s_levels),
+        s_levels=args.s_levels,
         instances=args.instances,
         seed=args.seed,
-        methods=tuple(args.methods),
+        methods=bench.SweepSpec.methods if args.methods is None else args.methods,
         workers=args.workers,
     )
     records = bench.run_sweep(spec)
-    rows = []
-    for r in records:
-        d = r.as_dict()
-        d["schema_version"] = SCHEMA_VERSION
-        d["kind"] = "record"
-        _emit(d)
-        rows.append(r.as_dict())
-    summary = bench.summarize(spec, records)
-    summary["schema_version"] = SCHEMA_VERSION
-    summary["kind"] = "summary"
-    _emit(summary)
-    if args.out:
-        _write_csv(args.out, rows)
-    return 0
+    rows = [r.as_dict() for r in records]
+    summary = {**bench.summarize(spec, records), "kind": "summary"}
+    return _output(args.out, [{**row, "kind": "record"} for row in rows] + [summary], rows)
 
 
 def _int_list(text: str) -> list[int]:
@@ -223,9 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("recover", help="sparse solution of A y = b")
     pr.add_argument("A", help="matrix text file")
     pr.add_argument("b", help="vector text file")
-    pr.add_argument("--method", choices=sorted(_RECOVER_FNS), required=True)
-    pr.add_argument("--k", type=int, default=2, help="candidate list limit per round")
-    pr.add_argument("--ell", type=int, default=None, help="first-round bulk-exit size (default m-3)")
+    pr.add_argument("--method", choices=sorted(bench.METHODS), required=True)
+    pr.add_argument("--k", type=int, default=None,
+                    help="candidate list limit per round, for b, c, m and jp (default: the method's)")
+    pr.add_argument("--ell", type=int, default=None,
+                    help="first-round bulk-exit size, for me1e2 (default: the method's, m-3)")
     pr.add_argument("--postprocess", action="store_true", help="prune redundant support entries")
     pr.add_argument("--out", default=None, help="CSV output path")
     pr.set_defaults(func=_cmd_recover)
@@ -236,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--s-levels", type=_int_list, required=True, metavar="LIST")
     ps.add_argument("--instances", type=int, required=True)
     ps.add_argument("--seed", type=int, required=True)
-    ps.add_argument("--methods", type=lambda t: t.replace(",", " ").split(),
-                    default=["bp", "b", "c", "m", "me1e2"], metavar="LIST")
+    ps.add_argument("--methods", type=lambda t: t.replace(",", " ").split(), default=None,
+                    metavar="LIST", help=f"default: {','.join(bench.SweepSpec.methods)}")
     ps.add_argument("--workers", type=int, default=None)
     ps.add_argument("--out", default=None, help="CSV output path")
     ps.set_defaults(func=_cmd_sweep)

@@ -335,9 +335,12 @@ def postprocess(prob: RecoveryProblem, support) -> frozenset:
 
     Variables are tested in ascending order; each drop is kept before
     testing the next, so the result is a (possibly non-unique) minimal
-    subset under sequential pruning.
+    subset under sequential pruning. Raises ValueError unless every
+    entry of `support` is an integer column index in [0, n).
     """
-    keep = sorted(int(j) for j in support)
+    keep = sorted(_integer(j, "support entry") for j in support)
+    if keep and (keep[0] < 0 or keep[-1] >= prob.n):
+        raise ValueError(f"support entries must lie in [0, {prob.n}), got {keep}")
     tol = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(prob.b))))
     for j in list(keep):
         trial = [c for c in keep if c != j]

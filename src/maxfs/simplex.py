@@ -217,11 +217,20 @@ class LpProblem:
     """Objective vector plus a shared structure reference.
 
     Problems that share a structure object differ only in costs; the
-    solver exploits that to re-solve from the incumbent basis.
+    solver exploits that to re-solve from the incumbent basis. The costs
+    must be finite, one per column of the structure.
     """
 
     c: np.ndarray
     structure: LpStructure
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != (self.n,):
+            raise ValueError(f"cost vector has shape {c.shape}, expected ({self.n},)")
+        if not np.isfinite(c).all():
+            raise ValueError("costs must be finite")
+        object.__setattr__(self, "c", c)
 
     @property
     def A(self) -> np.ndarray:
@@ -253,9 +262,6 @@ class LpProblem:
         return self.structure.n
 
     def with_costs(self, c) -> "LpProblem":
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.n,):
-            raise ValueError(f"cost vector has shape {c.shape}, expected ({self.n},)")
         return LpProblem(c=c, structure=self.structure)
 
 
@@ -317,11 +323,7 @@ def make_problem(c, A, senses, b, lower=None, upper=None) -> LpProblem:
     """The LP min c.x over `checked_rows(A, senses, b, lower, upper)`;
     `c` must be finite, one cost per column of `A`. Every column of `A`
     is dense to the engine, even one with a single nonzero."""
-    structure = checked_rows(A, senses, b, lower, upper)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (structure.n,) or not np.all(np.isfinite(c)):
-        raise ValueError(f"c must be finite with shape ({structure.n},), got {c.shape}")
-    return LpProblem(c=c, structure=structure)
+    return LpProblem(c=c, structure=checked_rows(A, senses, b, lower, upper))
 
 
 @dataclass

@@ -39,6 +39,28 @@ def test_spec_validation():
         small_spec(workers=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s_levels", (2.7,)), ("instances", 1.5), ("m", 8.0), ("n", 16.0), ("seed", 7.5),
+    ("workers", 1.5),
+])
+def test_spec_refuses_fractional_counts(field, value):
+    # a fractional level used to run truncated, and the other fields
+    # passed validation and then raised TypeError in the sweep
+    with pytest.raises(ValueError, match="integer"):
+        small_spec(**{field: value})
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = small_spec(m=np.int64(8), n=np.int32(16), s_levels=(np.int64(1),),
+                      instances=np.int64(2), seed=np.int64(7), workers=np.int64(1))
+    assert all(type(v) is int for v in (spec.m, spec.n, spec.instances, spec.seed,
+                                        *spec.s_levels))
+    def untimed(records):
+        return [{**r.as_dict(), "seconds": None} for r in records]
+
+    assert untimed(run_sweep(spec)) == untimed(run_sweep(small_spec(s_levels=(1,))))
+
+
 def test_import_loads_no_process_pool():
     # the pool is imported where a parallel sweep starts it, so a plain
     # `import maxfs` loads neither it nor multiprocessing

@@ -79,6 +79,8 @@ def test_validation():
     with pytest.raises(ValueError):
         first_mean_change([1.0, 2.0], beta=-0.5)
     with pytest.raises(ValueError):
+        first_mean_change([5.0, 5.0, 1.0, 1.0], beta=np.nan)  # NaN fails `beta < 0`
+    with pytest.raises(ValueError):
         first_mean_change([1.0, np.nan])
     with pytest.raises(ValueError):
         first_mean_change([1.0, 2.0, 1.5])  # not descending

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from maxfs.bench import METHODS, SweepSpec
 from maxfs.cli import main
-from maxfs.systems import write_matrix, write_system, write_vector, system
+from maxfs.recovery import RecoveryProblem, method_b
+from maxfs.systems import read_matrix, read_vector, write_matrix, write_system, write_vector, system
 
 from conftest import bounded_system, planted_instance, random_infeasible_system
 
@@ -174,6 +177,60 @@ def test_sweep_subcommand(capsys, tmp_path):
     assert "critical_sparsity" in summaries[0]
     with open(out, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == len(records)
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    """A 12x24 instance at S = 6, as files and as read back from them."""
+    d = tmp_path_factory.mktemp("table")
+    A, _, b = planted_instance(3, 12, 24, 6)
+    pa, pb = d / "A.txt", d / "b.txt"
+    write_matrix(A, pa)
+    write_vector(b, pb)
+    A, b = read_matrix(pa), read_vector(pb)
+    # the instance tells method_b's default limit from no limit, so a
+    # front end that passed k=None would be caught
+    assert method_b(RecoveryProblem(A, b)).lp_count != method_b(RecoveryProblem(A, b),
+                                                                 k=None).lp_count
+    return str(pa), str(pb), A, b
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_recover_reports_what_the_table_method_returns(capsys, table_files, name):
+    pa, pb, A, b = table_files
+
+    def expected(**options):
+        res = METHODS[name](RecoveryProblem(A, b), **options)
+        return sorted(res.support), res.T, res.lp_count
+
+    def reported(*argv):
+        code, (rec,) = run_cli(capsys, "recover", pa, pb, "--method", name, *argv)
+        assert code == 0 and rec["method"] == name
+        return rec["support"], rec["T"], rec["lp_count"]
+
+    assert reported() == expected()
+    if name in ("b", "c", "m", "jp"):
+        assert reported("--k", "1") == expected(k=1)
+    if name == "me1e2":
+        assert reported("--ell", "2") == expected(ell=2)
+    # an option the method does not take is ignored
+    other = "--ell" if "k" in inspect.signature(METHODS[name]).parameters else "--k"
+    assert reported(other, "1") == expected()
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_sweep_accepts_every_table_method(capsys, name):
+    code, recs = run_cli(capsys, "sweep", "--m", "6", "--n", "12", "--s-levels", "1",
+                         "--instances", "1", "--seed", "3", "--methods", name)
+    assert code == 0
+    assert [r["method"] for r in recs if r["kind"] == "record"] == [name]
+
+
+def test_sweep_defaults_to_the_spec_methods(capsys):
+    code, recs = run_cli(capsys, "sweep", "--m", "6", "--n", "12", "--s-levels", "1",
+                         "--instances", "1", "--seed", "3")
+    assert code == 0
+    assert [r["method"] for r in recs if r["kind"] == "record"] == list(SweepSpec.methods)
 
 
 def test_output_is_deterministic_excluding_timing(capsys, infeasible_file, recovery_files, points_csv):

@@ -332,6 +332,16 @@ def test_postprocess_keeps_minimal_support():
     assert postprocess(prob, true_support) == true_support
 
 
+def test_postprocess_refuses_indices_outside_the_problem():
+    # these used to come back unchanged, as if they were columns
+    prob, x = planted_problem(10, 4, 8, 2)
+    for support in ([-1, 1], [99], [8], [1.5]):
+        with pytest.raises(ValueError):
+            postprocess(prob, support)
+    support = {int(j) for j in np.flatnonzero(x)}
+    assert postprocess(prob, [np.int64(j) for j in support]) == support
+
+
 def test_postprocess_empty_support_only_for_zero_rhs():
     prob, _ = planted_problem(9, 6, 12, 0)
     assert postprocess(prob, set()) == frozenset()

@@ -1,15 +1,22 @@
 """The command-line scripts under scripts/ run and repeat themselves, and
-the README's library examples run as written."""
+the README's library and command-line examples run as written."""
 
 from __future__ import annotations
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from maxfs.cli import main
+from maxfs.systems import write_matrix, write_system, write_vector
+
+from conftest import planted_instance, random_infeasible_system
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -62,3 +69,23 @@ def test_readme_library_examples_give_what_their_comments_say():
     assert library_scope["res"].removed_rows == [0]
     assert library_scope["res"].z_history[-1] == 0.0  # "ends at 0"
     assert lifted_scope["res"].removed_rows == [0]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # the block under "Command line", run from a directory holding small
+    # files under the names it uses
+    section = (ROOT / "README.md").read_text().split("## Command line")[1].split("\n## ")[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["maxfs", sub] for sub in ("maxfs", "classify", "recover", "sweep")]
+    monkeypatch.chdir(tmp_path)
+    write_system(random_infeasible_system(np.random.default_rng(5), m_extra=4), "system.txt")
+    (tmp_path / "points.csv").write_text("f1,f2,cls\n0,0,0\n1,0,0\n0.5,0.2,1\n4,4,1\n5,4,1\n")
+    A, _, b = planted_instance(1, 8, 16, 2)
+    write_matrix(A, "A.txt")
+    write_vector(b, "b.txt")
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(isinstance(json.loads(line), dict) for line in lines), argv

@@ -237,6 +237,20 @@ def test_make_problem_validation():
     assert SimplexSolver().solve(prob).z == 1.0
 
 
+def test_every_problem_checks_its_costs():
+    # one check for `make_problem` and `with_costs`: a NaN cost used to
+    # reach the pricing step, and an infinite one solved to z = nan
+    prob = make_problem([1, 1], [[1, 1]], [">="], [1], lower=[0, 0])
+    for bad in ([np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="costs must be finite"):
+            prob.with_costs(bad)
+        with pytest.raises(ValueError, match="costs must be finite"):
+            make_problem(bad, [[1, 1]], [">="], [1], lower=[0, 0])
+    with pytest.raises(ValueError, match="shape"):
+        prob.with_costs([1.0, 1.0, 1.0])
+    assert SimplexSolver().solve(prob.with_costs([2, 1])).z == 1.0
+
+
 def test_make_problem_senses():
     A, b = [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]
     for senses in ([1, 0, -1], [Sense.GE, Sense.EQ, Sense.LE], [">=", "=", "<="],
