@@ -50,7 +50,6 @@ from .systems import (
     read_matrix,
     read_system,
     read_vector,
-    system,
     write_matrix,
     write_system,
     write_vector,
@@ -100,7 +99,6 @@ __all__ = [
     "run_sweep",
     "solve_maxfs",
     "summarize",
-    "system",
     "write_matrix",
     "write_system",
     "write_vector",

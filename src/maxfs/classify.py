@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MaxFsResult, StrategyConfig, solve_maxfs
-from .systems import LinearSystem, system
+from .systems import LinearSystem
 
 __all__ = [
     "ClassificationReport",
@@ -137,12 +137,12 @@ def _label_key(v: str):
 
 def build_constraints(ds: Dataset, epsilon: float = 1.0) -> LinearSystem:
     """One margin row per point over the J+1 free variables (w, w_0)."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:  # written so that NaN fails too
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     coeffs = np.hstack([ds.features, -np.ones((ds.I, 1))])
     senses = np.where(ds.labels == 1, ">=", "<=")
     rhs = np.where(ds.labels == 1, epsilon, -epsilon)
-    return system(coeffs, senses, rhs)
+    return LinearSystem(coeffs, senses, rhs)
 
 
 @dataclass(frozen=True)

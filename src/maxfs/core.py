@@ -55,7 +55,7 @@ from typing import AbstractSet, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .changepoint import first_mean_change
+from .changepoint import TIE_TOL, first_mean_change
 from .simplex import Basis, LpProblem, LpSolution, LpStatus, SimplexSolver, SolverError
 from .systems import ElasticModel, LinearSystem, elasticize
 
@@ -81,11 +81,6 @@ DUAL_TOL = 1e-8
 # Z at or below ZTOL certifies feasibility: the row search and the
 # recovery searches stop there
 ZTOL = 1e-6
-
-# each list ranks its scores rounded to a multiple of TIE_TOL * (1 + the
-# largest |score| it ranks): scores that only rounding noise tells apart
-# tie, and ties go to the lower index
-TIE_TOL = 1e-9
 
 # (pool, candidates, scores), see `rank_candidates`
 Ranked = tuple[list[int], list[int], np.ndarray]
@@ -195,9 +190,8 @@ class StrategyConfig:
                 keeps them all
     use_e1      batch removal instead of per-candidate probing: the head
                 of the ranked list is cut at its first mean change
-                (`changepoint.first_mean_change` at its default beta = 1,
-                which cuts every series that is not flat); not with
-                algorithm 3
+                (`changepoint.first_mean_change`, which cuts every
+                series that is not flat); not with algorithm 3
     e2_ell      bulk exit when the candidate pool, counted before the
                 `k` cut, has at most this many rows; None disables it
 

@@ -226,40 +226,11 @@ class LpProblem:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.n,):
-            raise ValueError(f"cost vector has shape {c.shape}, expected ({self.n},)")
+        if c.shape != (self.structure.n,):
+            raise ValueError(f"cost vector has shape {c.shape}, expected ({self.structure.n},)")
         if not np.isfinite(c).all():
             raise ValueError("costs must be finite")
         object.__setattr__(self, "c", c)
-
-    @property
-    def A(self) -> np.ndarray:
-        """The dense block; the structure's unit columns follow it."""
-        return self.structure.A
-
-    @property
-    def senses(self) -> np.ndarray:
-        return self.structure.senses
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.structure.b
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.structure.lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.structure.upper
-
-    @property
-    def m(self) -> int:
-        return self.structure.m
-
-    @property
-    def n(self) -> int:
-        return self.structure.n
 
     def with_costs(self, c) -> "LpProblem":
         return LpProblem(c=c, structure=self.structure)

@@ -70,11 +70,6 @@ class LinearSystem:
         return self.coeffs.shape[1]
 
 
-def system(coeffs, senses, rhs, lower=None, upper=None) -> LinearSystem:
-    """Convenience constructor with free default bounds."""
-    return LinearSystem(coeffs, senses, rhs, lower, upper)
-
-
 def lift_bounds(base: LinearSystem) -> LinearSystem:
     """The system with each finite variable bound written as a row and
     the variables freed. The bound rows follow the system's rows in
@@ -106,14 +101,6 @@ class ElasticModel:
     problem: LpProblem
     row_elastics: tuple            # per base row: tuple of LP column ids
     removed_rows: frozenset = field(default_factory=frozenset)
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
     def lp_costs(self) -> np.ndarray:
         c = self.problem.c.copy()

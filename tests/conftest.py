@@ -19,7 +19,7 @@ from scipy.stats import norm
 
 from maxfs.classify import Dataset
 from maxfs.simplex import LpProblem, LpStructure, SimplexSolver
-from maxfs.systems import LinearSystem, system
+from maxfs.systems import LinearSystem
 
 # ---------------------------------------------------------------------------
 # scipy-based LP feasibility / reference solves
@@ -108,9 +108,15 @@ def lp_matrix(problem):
     by its unit columns written out, as the oracle needs it."""
     structure = problem.structure
     k = structure.unit_rows.size
-    units = np.zeros((problem.m, k))
+    units = np.zeros((structure.m, k))
     units[structure.unit_rows, np.arange(k)] = structure.unit_vals
-    return np.hstack([problem.A, units])
+    return np.hstack([structure.A, units])
+
+
+def scipy_problem(problem):
+    """`scipy_lp` of a package `LpProblem`, unit columns written out."""
+    rows = problem.structure
+    return scipy_lp(problem.c, lp_matrix(problem), rows.senses, rows.b, rows.lower, rows.upper)
 
 
 def zeroing_lp(A, b, weights=None):
@@ -170,11 +176,11 @@ def all_iises(sys_: LinearSystem) -> list[frozenset]:
     return out
 
 
-def brute_force_cut(s: np.ndarray, beta: float = 1.0) -> int:
+def brute_force_cut(s: np.ndarray) -> int:
     """Reference mean-change rule in exact arithmetic: a direct
     two-segment search whose ties take the smallest cut, the best cut
-    kept when its error is below beta times the one-segment error of the
-    whole series, and the flat guard relative to the largest magnitude.
+    kept when its error is below the one-segment error of the whole
+    series, and the flat guard relative to the largest magnitude.
     Every float is an integer times a power of two, so one common power
     of two turns the series into integers; that scales every error by
     the same factor and changes no comparison."""
@@ -189,7 +195,7 @@ def brute_force_cut(s: np.ndarray, beta: float = 1.0) -> int:
 
     errors = [sse(v[:p]) + sse(v[p:]) for p in range(1, len(v))]
     best = min(errors)
-    if best < Fraction(beta) * sse(v):
+    if best < sse(v):
         return errors.index(best) + 1
     return 1
 
@@ -210,7 +216,7 @@ def random_feasible_system(rng, m=None, n=None) -> LinearSystem:
     b = A @ x0
     b = np.where(senses == ">=", b - slack, b)
     b = np.where(senses == "<=", b + slack, b)
-    return system(A, senses, b)
+    return LinearSystem(A, senses, b)
 
 
 def bounded_system() -> LinearSystem:
@@ -218,8 +224,8 @@ def bounded_system() -> LinearSystem:
     of bound: [-1, 1], (-inf, 2] and [0, inf)."""
     rng = np.random.default_rng(43)
     A = np.round(rng.uniform(-5, 5, size=(15, 3)), 3)
-    return system(A, [">=", "<=", "="] * 5, np.round(rng.uniform(-6, 6, size=15), 3),
-                  lower=[-1.0, -np.inf, 0.0], upper=[1.0, 2.0, np.inf])
+    return LinearSystem(A, [">=", "<=", "="] * 5, np.round(rng.uniform(-6, 6, size=15), 3),
+                        lower=[-1.0, -np.inf, 0.0], upper=[1.0, 2.0, np.inf])
 
 
 def random_infeasible_system(rng, m_extra=3, n=None) -> LinearSystem:
@@ -238,7 +244,7 @@ def random_infeasible_system(rng, m_extra=3, n=None) -> LinearSystem:
         coeffs.extend([a, a])
         sens.extend([">=", "<="])
         b.extend([c + t, c - t])
-    return system(np.array(coeffs), sens, np.array(b))
+    return LinearSystem(np.array(coeffs), sens, np.array(b))
 
 
 def planted_instance(rng_or_seed, m, n, S):

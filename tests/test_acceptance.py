@@ -22,7 +22,7 @@ from maxfs.cli import main
 from maxfs.core import StrategyConfig, solve_maxfs
 from maxfs.recovery import method_me1e2
 from maxfs.simplex import LpStatus, SimplexSolver
-from maxfs.systems import elasticize, system, write_matrix, write_system, write_vector
+from maxfs.systems import LinearSystem, elasticize, write_matrix, write_system, write_vector
 
 from conftest import (
     brute_force_cut,
@@ -72,7 +72,7 @@ def paired_infeasible(rng, max_rows=8):
             rows.append(a), senses.append(">="), b.append(float(a @ x0) - slack)
         else:
             rows.append(a), senses.append("<="), b.append(float(a @ x0) + slack)
-    return system(np.array(rows), senses, np.array(b))
+    return LinearSystem(np.array(rows), senses, np.array(b))
 
 
 def organic_infeasible(rng, max_rows=8):
@@ -85,7 +85,7 @@ def organic_infeasible(rng, max_rows=8):
             A = rng.uniform(-3, 3, size=(m, n))
         senses = rng.choice([">=", "<=", "="], size=m, p=[0.45, 0.45, 0.1])
         b = rng.uniform(-2, 2, size=m)
-        s = system(A, senses, b)
+        s = LinearSystem(A, senses, b)
         if not scipy_feasible(s):
             return s
     raise RuntimeError("no infeasible system found")
@@ -163,7 +163,7 @@ def test_criterion_3_feasibility_postcondition():
             if not survivors:
                 continue
             # independent re-verification: fresh model, fresh engine
-            sub = system(
+            sub = LinearSystem(
                 sys_.coeffs[survivors],
                 sys_.senses[survivors],
                 sys_.rhs[survivors],
@@ -287,7 +287,7 @@ def test_criterion_8_changepoint_oracle():
 
 
 def test_criterion_9_cli_determinism(tmp_path, capsys):
-    sys_ = system(
+    sys_ = LinearSystem(
         [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
         [">=", "<=", ">=", "<="],
         [2.0, 1.0, 5.0, 1.0],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfs.changepoint import best_cut, first_mean_change
+from maxfs.changepoint import TIE_TOL, best_cut, first_mean_change
 
 from conftest import brute_force_cut
 
@@ -77,26 +77,27 @@ def test_validation():
     with pytest.raises(ValueError):
         first_mean_change([])
     with pytest.raises(ValueError):
-        first_mean_change([1.0, 2.0], beta=-0.5)
-    with pytest.raises(ValueError):
-        first_mean_change([5.0, 5.0, 1.0, 1.0], beta=np.nan)  # NaN fails `beta < 0`
-    with pytest.raises(ValueError):
         first_mean_change([1.0, np.nan])
     with pytest.raises(ValueError):
         first_mean_change([1.0, 2.0, 1.5])  # not descending
 
 
+def test_descending_check_is_relative_to_the_largest_magnitude():
+    # a one-ulp rise at 1e6 is rounding noise on the ranking's tie grid
+    assert first_mean_change([1e6, 1e6 * (1 + 1e-15), 5.0]) == 2
+    # a rise above TIE_TOL * (1 + max|s|) is not
+    top = 1e6 * (1 + 1e-15)
+    with pytest.raises(ValueError, match="descending"):
+        first_mean_change([1e6, 1e6 + 2 * TIE_TOL * (1 + top), 5.0])
+
+
 def test_beta_controls_sensitivity():
+    # the cut has no sensitivity setting: every series that is not flat
+    # is cut at its best split
     s = [10.0, 10.0, 1.0, 1.0]
-    assert first_mean_change(s, beta=1.0) == 2
-    # beta = 0 refuses every cut
-    assert first_mean_change(s, beta=0.0) == 1
-    # the decay's best cut at 3 leaves SSE2 = 4 of SST = 17.5
+    assert first_mean_change(s) == 2
     decay = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
-    assert first_mean_change(decay, beta=0.25) == 3
-    assert first_mean_change(decay, beta=0.2) == 1
-    for beta in (0.0, 0.2, 0.25, 0.5, 1.0, 2.0):
-        assert first_mean_change(decay, beta=beta) == brute_force_cut(decay, beta)
+    assert first_mean_change(decay) == brute_force_cut(decay) == 3
 
 
 def test_flat_guard_is_relative_to_the_largest_magnitude():

@@ -59,6 +59,9 @@ def test_build_constraints_requires_positive_margin():
         build_constraints(SEPARABLE, epsilon=0.0)
     with pytest.raises(ValueError):
         build_constraints(SEPARABLE, epsilon=-1.0)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            classify(SEPARABLE, "2e1", epsilon=eps)
 
 
 def test_separable_dataset_fits_perfectly_in_one_lp():

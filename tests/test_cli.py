@@ -12,14 +12,16 @@ import pytest
 from maxfs.bench import METHODS, SweepSpec
 from maxfs.cli import main
 from maxfs.recovery import RecoveryProblem, method_b
-from maxfs.systems import read_matrix, read_vector, write_matrix, write_system, write_vector, system
+from maxfs.systems import (
+    LinearSystem, read_matrix, read_vector, write_matrix, write_system, write_vector,
+)
 
 from conftest import bounded_system, planted_instance, random_infeasible_system
 
 
 @pytest.fixture
 def infeasible_file(tmp_path):
-    sys_ = system(
+    sys_ = LinearSystem(
         [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
         [">=", "<=", ">=", "<="],
         [2.0, 1.0, 5.0, 1.0],
@@ -299,6 +301,13 @@ def test_exit_code_2_on_k_below_one(capsys, recovery_files, method, k):
     pa, pb, _ = recovery_files
     assert main(["recover", pa, pb, "--method", method, "--k", k]) == 2
     assert "k must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_exit_code_2_on_nonfinite_epsilon(capsys, points_csv, eps):
+    assert main(["classify", points_csv, "--label-col", "cls", "--epsilon", eps]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "input error: epsilon must be positive and finite" in out.err
 
 
 def test_exit_code_2_on_bad_label_column(capsys, points_csv):

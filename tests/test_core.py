@@ -31,7 +31,7 @@ from maxfs.recovery import (
     method_me1e2,
 )
 from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
-from maxfs.systems import elasticize, lift_bounds, system
+from maxfs.systems import LinearSystem, elasticize, lift_bounds
 
 from conftest import (
     min_cover_size,
@@ -47,7 +47,7 @@ from conftest import (
 
 
 def _handmade():
-    sys_ = system(
+    sys_ = LinearSystem(
         [[1.0], [1.0], [1.0], [1.0]], [">=", "<=", "=", ">="], [2.0, 1.0, 1.5, 0.0]
     )
     model = elasticize(sys_)
@@ -107,7 +107,7 @@ def test_builders_skip_removed_rows():
 
 
 def test_equal_scores_rank_by_row_index():
-    sys_ = system([[1.0], [1.0]], [">=", ">="], [1.0, 1.0])
+    sys_ = LinearSystem([[1.0], [1.0]], [">=", ">="], [1.0, 1.0])
     model = elasticize(sys_)
     sol = LpSolution(
         status=LpStatus.OPTIMAL,
@@ -401,18 +401,18 @@ def test_probes_of_a_round_share_one_snapshot(monkeypatch):
     monkeypatch.setattr(SimplexSolver, "save_state", lambda eng: saves.append(1) or save(eng))
     base = env.solve_current()
     best, beat, states = None, np.inf, 0
-    for entity in range(model.m):
+    for entity in range(model.base.m):
         probed, state = env.probe(entity, beat)
         assert (state is not None) == (probed.z < beat)
         if state is not None:
             best, beat, end, states = entity, probed.z, state, states + 1
-    assert len(saves) == 1 + states and states < model.m
+    assert len(saves) == 1 + states and states < model.base.m
     assert env.probe(0, -np.inf)[1] is None and len(saves) == 1 + states
     assert env.solve_current().iterations <= 1  # the last probe put the incumbent back
     env.adopt(best, end)
     after = env.solve_current()
     assert after.iterations <= 1 and abs(after.z - beat) <= 1e-12 and beat < base.z
-    env.probe((best + 1) % model.m, np.inf)
+    env.probe((best + 1) % model.base.m, np.inf)
     assert len(saves) == 3 + states  # a new round takes a new snapshot
 
 
@@ -528,7 +528,7 @@ def test_strategy_config_limits_are_integers(field, value):
 
 
 def test_feasible_system_is_left_alone():
-    sys_ = system([[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [1.0, 3.0])
+    sys_ = LinearSystem([[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [1.0, 3.0])
     res = solve_maxfs(sys_)
     assert res.exit_reason is ExitReason.FEASIBLE
     assert res.removed_rows == []
@@ -537,7 +537,7 @@ def test_feasible_system_is_left_alone():
 
 
 def test_contradiction_pair_loses_one_row():
-    sys_ = system([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
+    sys_ = LinearSystem([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
     res = solve_maxfs(sys_)
     assert len(res.removed_rows) == 1
     assert res.final_z <= 1e-6
@@ -551,7 +551,7 @@ def test_disjoint_contradictions_need_one_removal_each():
     for j in range(3):
         coeffs[2 * j, j] = 1.0
         coeffs[2 * j + 1, j] = 1.0
-    sys_ = system(coeffs, [">=", "<="] * 3, [2.0, 1.0] * 3)
+    sys_ = LinearSystem(coeffs, [">=", "<="] * 3, [2.0, 1.0] * 3)
     for cfg in (
         StrategyConfig(algorithm=2),
         StrategyConfig(algorithm=2, use_e1=True),
@@ -644,7 +644,7 @@ def test_determinism():
 
 
 def test_accepts_prebuilt_model_with_prior_removals():
-    sys_ = system([[1.0], [1.0], [1.0]], [">=", "<=", "<="], [2.0, 1.0, 0.5])
+    sys_ = LinearSystem([[1.0], [1.0], [1.0]], [">=", "<=", "<="], [2.0, 1.0, 0.5])
     model = elasticize(sys_).remove_row(2)
     res = solve_maxfs(model)
     # row 2 was gone before the search; the record lists new work only
@@ -655,7 +655,7 @@ def test_accepts_prebuilt_model_with_prior_removals():
 
 
 def test_full_elastic_model_runs():
-    sys_ = system([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
+    sys_ = LinearSystem([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
     # rows: x >= 5, then the lifted x >= 0 and x <= 2; the bound rows are
     # deletable like the base row, and deleting x >= 5 or x <= 2 is a cover
     res = solve_maxfs(lift_bounds(sys_))
@@ -676,7 +676,7 @@ def lifted_corpus():
         upper = np.where(rng.random(2) < 0.7, rng.integers(0, 4, 2), np.inf)
         if not A.any(axis=1).all():
             continue
-        lifted = lift_bounds(system(A, senses, b, lower=lower, upper=upper))
+        lifted = lift_bounds(LinearSystem(A, senses, b, lower=lower, upper=upper))
         if lifted.m <= 8 and not scipy_feasible(lifted):
             yield lifted
 
@@ -717,7 +717,7 @@ def test_e2_bulk_exit_end_to_end():
     coeffs = np.zeros((4, 2))
     coeffs[0, 0] = coeffs[1, 0] = 1.0
     coeffs[2, 1] = coeffs[3, 1] = 1.0
-    sys_ = system(coeffs, [">=", "<=", ">=", "<="], [2.0, 1.0, 2.0, 1.0])
+    sys_ = LinearSystem(coeffs, [">=", "<=", ">=", "<="], [2.0, 1.0, 2.0, 1.0])
     res = solve_maxfs(sys_, StrategyConfig(algorithm=2, e2_ell=5))
     assert res.exit_reason is ExitReason.BULK_E2
     assert res.lp_count == 2  # initial solve + finishing solve
@@ -745,7 +745,7 @@ def test_e2_bulk_exit_with_k_deletes_the_whole_pool():
 def test_alg1_can_delete_satisfied_rows():
     # an equality pins x where the inequalities clash; the dual ranking
     # may pick the binding equality even though it is not violated
-    sys_ = system([[1.0], [1.0], [1.0]], ["=", ">=", "<="], [1.5, 2.0, 1.0])
+    sys_ = LinearSystem([[1.0], [1.0], [1.0]], ["=", ">=", "<="], [1.5, 2.0, 1.0])
     res = solve_maxfs(sys_, StrategyConfig(algorithm=1))
     assert res.final_z <= 1e-6
     survivors = [i for i in range(3) if i not in res.removed_rows]

@@ -12,6 +12,7 @@ import pytest
 from maxfs.recovery import (
     RESIDUAL_TOL,
     RecoveryProblem,
+    _finish,
     _split_env,
     basis_pursuit,
     jokar_pfetsch,
@@ -23,7 +24,7 @@ from maxfs.recovery import (
 )
 from maxfs.simplex import SimplexSolver, SolverError
 
-from conftest import lp_matrix, planted_instance, scipy_lp, zeroing_lp
+from conftest import planted_instance, scipy_problem, zeroing_lp
 
 ALL_METHODS = [basis_pursuit, method_b, method_c, method_m, method_me1e2, jokar_pfetsch]
 
@@ -146,6 +147,21 @@ def test_bp_is_single_lp():
     assert res.iterations == 0
     sol = SimplexSolver().solve(_split_env(prob, None).problem)
     assert (res.pivots, res.degenerate_pivots) == (sol.pivots, sol.degenerate_pivots)
+
+
+def test_finish_refuses_a_vector_that_misses_b():
+    prob, _ = planted_problem(3, 10, 20, 2)
+    env = _split_env(prob, None)
+    y = basis_pursuit(prob).y
+    # moving y_0 by `shift` moves A y by shift * A[:, 0]
+    step = 1.0 / np.abs(prob.A[:, 0]).max()
+    near = y.copy()
+    near[0] += 0.5 * RESIDUAL_TOL * step
+    assert _finish("bp", prob, near, 0.0, env).support == basis_pursuit(prob).support
+    far = y.copy()
+    far[0] += 2.0 * RESIDUAL_TOL * step
+    with pytest.raises(SolverError, match="bp: recovered vector misses b by 2.0"):
+        _finish("bp", prob, far, 0.0, env)
 
 
 def test_method_m_shortcut_on_bp_recoverable_instance():
@@ -388,7 +404,7 @@ def test_split_form_is_the_zeroing_form():
         w[cands[0]] = 0.0
         sol = env.solve_current()
         zero = zeroing_lp(A, b, w)
-        status, z = scipy_lp(zero.c, lp_matrix(zero), zero.senses, zero.b, zero.lower, zero.upper)
+        status, z = scipy_problem(zero)
         assert status == 0
         assert z > 0.0
         assert abs(sol.z - z) <= 1e-9 * z

@@ -22,9 +22,9 @@ from maxfs.simplex import (
     SolverError,
     make_problem,
 )
-from maxfs.systems import elasticize, lift_bounds, system
+from maxfs.systems import LinearSystem, elasticize, lift_bounds
 
-from conftest import lp_matrix, scipy_lp, zeroing_lp
+from conftest import lp_matrix, scipy_problem, zeroing_lp
 
 STATUS_CODE = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
 
@@ -55,7 +55,7 @@ def random_feasible_lp(rng, m, n):
 
 
 def check_against_scipy(prob, sol):
-    status, z = scipy_lp(prob.c, lp_matrix(prob), prob.senses, prob.b, prob.lower, prob.upper)
+    status, z = scipy_problem(prob)
     assert STATUS_CODE[sol.status] == status, (sol.status, status)
     if status == 0:
         scale = 1.0 + abs(z)
@@ -65,26 +65,27 @@ def check_against_scipy(prob, sol):
 def check_kkt(prob, sol):
     """Primal feasibility, complementary slackness, and the duality
     identity z = y.b + r.x that holds at any complementary basic pair."""
+    rows = prob.structure
     x = sol.x
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(prob.b))) + float(np.max(np.abs(x), initial=0.0)))
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(rows.b))) + float(np.max(np.abs(x), initial=0.0)))
     Ax = lp_matrix(prob) @ x
-    for i in range(prob.m):
-        s = int(prob.senses[i])
+    for i in range(rows.m):
+        s = int(rows.senses[i])
         if s == 0:
-            assert abs(Ax[i] - prob.b[i]) <= tol
+            assert abs(Ax[i] - rows.b[i]) <= tol
         elif s > 0:
-            assert Ax[i] >= prob.b[i] - tol
+            assert Ax[i] >= rows.b[i] - tol
         else:
-            assert Ax[i] <= prob.b[i] + tol
+            assert Ax[i] <= rows.b[i] + tol
         # a priced row must be binding
-        assert abs(sol.duals[i] * (Ax[i] - prob.b[i])) <= tol * (1.0 + abs(sol.duals[i]))
+        assert abs(sol.duals[i] * (Ax[i] - rows.b[i])) <= tol * (1.0 + abs(sol.duals[i]))
         # sign convention for a minimisation
         if s > 0:
             assert sol.duals[i] >= -1e-7
         elif s < 0:
             assert sol.duals[i] <= 1e-7
-    assert np.all(x >= prob.lower - tol) and np.all(x <= prob.upper + tol)
-    gap = sol.z - (sol.duals @ prob.b + sol.reduced_costs @ x)
+    assert np.all(x >= rows.lower - tol) and np.all(x <= rows.upper + tol)
+    gap = sol.z - (sol.duals @ rows.b + sol.reduced_costs @ x)
     assert abs(gap) <= 1e-6 * (1.0 + abs(sol.z))
 
 
@@ -256,7 +257,8 @@ def test_make_problem_senses():
     for senses in ([1, 0, -1], [Sense.GE, Sense.EQ, Sense.LE], [">=", "=", "<="],
                    [1.0, 0.0, -1.0], np.array([1, 0, -1], dtype=np.int8), [Sense.GE, "=", -1]):
         prob = make_problem([0.0], A, senses, b)
-        assert list(prob.senses) == [1, 0, -1] and prob.senses.dtype == np.int8
+        assert list(prob.structure.senses) == [1, 0, -1]
+        assert prob.structure.senses.dtype == np.int8
     for bad, row in (([1, 0.5, -1], 1), ([1, 0, -0.7], 2), ([1, 0, 2], 2), ([1, -2, 0], 1),
                      ([">=", ">", "<="], 1), (["=>", "=", "<="], 0), ([1, 0, np.nan], 2)):
         with pytest.raises(ValueError, match=f"row {row}"):
@@ -407,7 +409,7 @@ def passed_rows(kinds, problem, m):
     """The kind of row of each kink passed: its sense, or "bound" for
     a row that `lift_bounds` wrote from a variable bound (index >= m)."""
     name = {Sense.GE: "GE", Sense.LE: "LE", Sense.EQ: "EQ"}
-    return {"bound" if r >= m else name[Sense(int(problem.senses[r]))]
+    return {"bound" if r >= m else name[Sense(int(problem.structure.senses[r]))]
             for r, _, _ in kinds["kinks"]}
 
 
@@ -416,7 +418,7 @@ def test_standard_mode_with_equality_rows(kinds):
     rng = np.random.default_rng(23)
     A = np.round(rng.uniform(-5, 5, size=(18, 3)), 3)
     senses = np.array([">=", "<=", "="] * 6)
-    base = system(A, senses, np.round(rng.uniform(-4, 4, size=18), 3))
+    base = LinearSystem(A, senses, np.round(rng.uniform(-4, 4, size=18), 3))
     model = elasticize(base)
     assert any(len(cols) == 2 for cols in model.row_elastics)
     run_cost_sequence(model.problem, removal_costs(model, 6))
@@ -431,10 +433,10 @@ def test_full_mode_with_bound_rows(kinds):
     rng = np.random.default_rng(29)
     A = np.round(rng.uniform(-5, 5, size=(14, 4)), 3)
     senses = rng.choice([">=", "<="], size=14)
-    base = system(A, senses, np.round(rng.uniform(-6, 6, size=14), 3),
-                  lower=np.full(4, -1.0), upper=np.full(4, 1.0))
+    base = LinearSystem(A, senses, np.round(rng.uniform(-6, 6, size=14), 3),
+                        lower=np.full(4, -1.0), upper=np.full(4, 1.0))
     model = elasticize(lift_bounds(base))
-    assert model.m == 14 + 8
+    assert model.base.m == 14 + 8
     run_cost_sequence(model.problem, removal_costs(model, 5))
     assert kinds["_grow"] > 0 and kinds["_swap_row"] > 0
     assert "bound" in passed_rows(kinds, model.problem, 14)
@@ -471,7 +473,7 @@ def test_recovery_forms(kinds, form):
         # the fixed EQ slacks leave no kink pair
         assert not eng._kinks and kinds["kinks"] == []
     else:
-        assert eng._k < problem.m and eng._kinks
+        assert eng._k < problem.structure.m and eng._kinks
 
 
 def test_unit_columns_solve_like_their_dense_copy():
@@ -481,15 +483,15 @@ def test_unit_columns_solve_like_their_dense_copy():
     # HiGHS's optimum at the same point
     prob = planted_recovery(np.random.default_rng(31), 12, 24, 5)
     units = zeroing_lp(prob.A, prob.b)
-    dense = make_problem(units.c, lp_matrix(units), units.senses, units.b, units.lower,
-                         units.upper)
+    rows = units.structure
+    dense = make_problem(units.c, lp_matrix(units), rows.senses, rows.b, rows.lower, rows.upper)
     x = []
     for problem in (units, dense):
         eng = SimplexSolver()
         sol = eng.solve(problem)
         check_against_scipy(problem, sol)
         x.append(sol.x)
-    assert np.all(eng._colrow[: dense.n] == -1)
+    assert np.all(eng._colrow[: dense.structure.n] == -1)
     assert np.abs(x[0] - x[1]).max() <= 1e-9
 
 
@@ -518,7 +520,7 @@ def test_snapshot_of_a_large_elastic_lp_is_small():
     eng = SimplexSolver()
     assert eng.solve(model.lp_problem()).status is LpStatus.OPTIMAL
     snap = eng.save_state()
-    m = model.problem.m
+    m = model.base.m
     floats = sum(arr.nbytes for arr in snap.arrays.values()) / 8
     assert floats < 0.05 * m * m
     # nor the LP itself: its penalty columns are unit columns
@@ -570,14 +572,14 @@ def test_large_elastic_lp_passes_its_kinks():
     sol = SimplexSolver().solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.pivots <= 100 and sol.kink_passes > 0
-    _, z = scipy_lp(prob.c, lp_matrix(prob), prob.senses, prob.b, prob.lower, prob.upper)
+    _, z = scipy_problem(prob)
     assert abs(sol.z - z) <= 1e-9 * abs(z)
 
 
 def test_long_step_ends_in_a_bound_flip(kinds):
     # x in [0, 0.5] against x >= 0.2, 0.4, 0.6: x enters with slope -3,
     # passes the first two kinks (slope -1) and stops at its own bound
-    base = system([[1.0]] * 3, [">="] * 3, [0.2, 0.4, 0.6], lower=[0.0], upper=[0.5])
+    base = LinearSystem([[1.0]] * 3, [">="] * 3, [0.2, 0.4, 0.6], lower=[0.0], upper=[0.5])
     prob = elasticize(base).lp_problem()
     sol = SimplexSolver().solve(prob)
     check_against_scipy(prob, sol)
@@ -590,7 +592,7 @@ def test_nonconvex_kink_is_not_passed(kinds):
     # a negative elastic cost on the x >= 1.5 row makes its kink
     # non-convex (and the LP unbounded along that row's pair): the step
     # passes the kink at x = 1 and stops at that row
-    base = system([[1.0]] * 4, [">="] * 4, [1.0, 1.5, 2.0, 3.0], lower=[0.0], upper=[np.inf])
+    base = LinearSystem([[1.0]] * 4, [">="] * 4, [1.0, 1.5, 2.0, 3.0], lower=[0.0], upper=[np.inf])
     model = elasticize(base)
     c = model.lp_costs()
     c[model.row_elastics[1][0]] = -1.0
@@ -606,7 +608,7 @@ def test_kink_member_at_zero_is_not_passed(kinds):
     # x >= 0 starts with its slack basic at 0; x falls with slope -2, and
     # passing that kink would leave the slope at -1, but a zero step
     # passes nothing: the first pivot is degenerate
-    base = system([[1.0]] * 3, [">=", "<=", "<="], [0.0, -1.0, -2.0])
+    base = LinearSystem([[1.0]] * 3, [">=", "<=", "<="], [0.0, -1.0, -2.0])
     prob = elasticize(base).lp_problem()
     sol = SimplexSolver().solve(prob)
     check_against_scipy(prob, sol)
@@ -836,8 +838,7 @@ def test_basis_pursuit_cold_solve_pivot_budget(dual_starts, i):
     sol = eng.solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.pivots <= 4 * m
-    _, z = scipy_lp(problem.c, problem.A, problem.senses, problem.b, problem.lower,
-                    problem.upper)
+    _, z = scipy_problem(problem)
     assert abs(sol.z - z) <= 1e-9 * abs(z)
     assert dual_starts == [0]
     assert replaceable_fixed_slacks(eng) == []
@@ -1035,9 +1036,10 @@ def test_unusable_start_basis_starts_cold(cold_starts, case):
         # u_j and v_j, whose column is -a_j, both basic
         problem = split_form()
         basis, vstat = start.basis.copy(), start.vstat.copy()
-        p = int(np.flatnonzero(basis < problem.n)[0])
+        n = problem.structure.n
+        p = int(np.flatnonzero(basis < n)[0])
         q = (p + 1) % basis.size
-        partner = (basis[p] + problem.n // 2) % problem.n
+        partner = (basis[p] + n // 2) % n
         vstat[basis[q]], vstat[partner] = simplex.NB_LOWER, simplex.BASIC
         basis[q] = partner
         start = Basis(basis, vstat, 0, 0)
@@ -1046,6 +1048,37 @@ def test_unusable_start_basis_starts_cold(cold_starts, case):
     assert cold_starts == [1]
     check_against_scipy(problem, sol)
     assert sol.status is LpStatus.OPTIMAL
+
+
+def test_start_basis_whose_refactor_raises_starts_cold(cold_starts, monkeypatch):
+    problem = split_form()
+    eng = SimplexSolver()
+    cold = eng.solve(problem)
+    start = eng.basis()
+    # the first row's slack basic in the first two positions: two
+    # singleton columns share a row, so the refactor raises
+    basis, vstat = start.basis.copy(), start.vstat.copy()
+    slack = problem.structure.n
+    vstat[basis[:2]] = simplex.NB_LOWER
+    basis[:2] = slack
+    vstat[slack] = simplex.BASIC
+    raised = []
+    take = SimplexSolver._take_basis
+
+    def recorded(self, *args):
+        try:
+            take(self, *args)
+        except SolverError as e:
+            raised.append(str(e))
+            raise
+
+    monkeypatch.setattr(SimplexSolver, "_take_basis", recorded)
+    cold_starts.clear()
+    sol = SimplexSolver().solve(problem, Basis(basis, vstat, 0, 0))
+    assert raised == ["singular basis: two singleton columns share a row"]
+    assert cold_starts == [1]
+    assert sol.status is LpStatus.OPTIMAL
+    assert abs(sol.z - cold.z) <= 1e-9 * abs(cold.z)
 
 
 def test_start_basis_must_fit_the_structure():

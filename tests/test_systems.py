@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from maxfs.core import ExitReason, StrategyConfig, solve_maxfs
 from maxfs.simplex import LpStatus, Sense, SimplexSolver, make_problem
 from maxfs.systems import (
+    LinearSystem,
     elasticize,
     format_system,
     lift_bounds,
@@ -19,7 +20,6 @@ from maxfs.systems import (
     read_matrix,
     read_system,
     read_vector,
-    system,
     write_matrix,
     write_system,
     write_vector,
@@ -29,12 +29,12 @@ from conftest import bounded_system, lp_matrix, scipy_feasible
 
 
 def test_system_accepts_token_and_integer_senses():
-    a = system([[1.0, 2.0]], [">="], [3.0])
-    b = system([[1.0, 2.0]], [1], [3.0])
-    c = system([[1.0, 2.0]], [Sense.GE], [3.0])
-    d = system([[1.0, 2.0]], [1.0], [3.0])
+    a = LinearSystem([[1.0, 2.0]], [">="], [3.0])
+    b = LinearSystem([[1.0, 2.0]], [1], [3.0])
+    c = LinearSystem([[1.0, 2.0]], [Sense.GE], [3.0])
+    d = LinearSystem([[1.0, 2.0]], [1.0], [3.0])
     assert int(a.senses[0]) == int(b.senses[0]) == int(c.senses[0]) == int(d.senses[0]) == 1
-    mixed = system([[1.0], [1.0], [1.0]], [Sense.LE, "=", 1], [1.0, 1.0, 1.0])
+    mixed = LinearSystem([[1.0], [1.0], [1.0]], [Sense.LE, "=", 1], [1.0, 1.0, 1.0])
     assert list(mixed.senses) == [-1, 0, 1]
 
 
@@ -47,14 +47,14 @@ def test_system_accepts_token_and_integer_senses():
 ])
 def test_system_rejects_bad_senses(senses, row):
     with pytest.raises(ValueError, match=f"row {row}"):
-        system([[1.0], [2.0]], senses, [1.0, 2.0])
+        LinearSystem([[1.0], [2.0]], senses, [1.0, 2.0])
 
 
 def test_nan_bounds_are_rejected():
     with pytest.raises(ValueError, match="NaN"):
-        system([[1.0]], [">="], [1.0], lower=[np.nan], upper=[5.0])
+        LinearSystem([[1.0]], [">="], [1.0], lower=[np.nan], upper=[5.0])
     with pytest.raises(ValueError, match="NaN"):
-        system([[1.0]], [">="], [1.0], lower=[0.0], upper=[np.nan])
+        LinearSystem([[1.0]], [">="], [1.0], lower=[0.0], upper=[np.nan])
     with pytest.raises(ValueError, match="NaN"):
         parse_system("1 1\n1 >= 1\nnan 5\n")
     # infinite bounds stay legal
@@ -64,23 +64,23 @@ def test_nan_bounds_are_rejected():
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        system(np.empty((0, 2)), [], [])  # no rows
+        LinearSystem(np.empty((0, 2)), [], [])  # no rows
     with pytest.raises(ValueError):
-        system([[0.0, 0.0]], ["="], [1.0])  # all-zero row
+        LinearSystem([[0.0, 0.0]], ["="], [1.0])  # all-zero row
     with pytest.raises(ValueError):
-        system([[1.0]], ["="], [np.inf])  # nonfinite rhs
+        LinearSystem([[1.0]], ["="], [np.inf])  # nonfinite rhs
     with pytest.raises(ValueError):
-        system([[1.0, 1.0]], ["="], [1.0, 2.0])  # rhs length
+        LinearSystem([[1.0, 1.0]], ["="], [1.0, 2.0])  # rhs length
     with pytest.raises(ValueError):
-        system([[1.0]], ["="], [1.0], lower=[2.0], upper=[1.0])  # crossed
+        LinearSystem([[1.0]], ["="], [1.0], lower=[2.0], upper=[1.0])  # crossed
 
 
 def test_elasticize_standard_shapes():
-    sys_ = system([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [">=", "<=", "="], [1.0, 2.0, 3.0])
+    sys_ = LinearSystem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [">=", "<=", "="], [1.0, 2.0, 3.0])
     model = elasticize(sys_)
     # one penalty column per inequality, a pair per equality
-    assert model.problem.n == 2 + 2 + 2
-    assert model.problem.m == 3
+    assert model.problem.structure.n == 2 + 2 + 2
+    assert model.problem.structure.m == 3
     assert model.row_elastics[0] == (2,)
     assert model.row_elastics[1] == (3,)
     assert model.row_elastics[2] == (4, 5)
@@ -92,14 +92,14 @@ def test_elasticize_standard_shapes():
     assert A[2, 4] == 1.0 and A[2, 5] == -1.0
     # the penalty columns are unit columns, stored as a row and a sign each
     structure = model.problem.structure
-    assert model.problem.A.shape == (3, 2)
+    assert structure.A.shape == (3, 2)
     assert list(structure.unit_rows) == [0, 1, 2, 2]
     assert list(structure.unit_vals) == [1.0, -1.0, 1.0, -1.0]
 
 
 def test_elasticize_full_lifts_finite_bounds():
-    base = system([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]], [">=", "="], [5.0, 1.0],
-                  lower=[0.0, -np.inf, -np.inf, -1.0], upper=[2.0, np.inf, 3.0, np.inf])
+    base = LinearSystem([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]], [">=", "="], [5.0, 1.0],
+                        lower=[0.0, -np.inf, -np.inf, -1.0], upper=[2.0, np.inf, 3.0, np.inf])
     lifted = lift_bounds(base)
     # the system's rows first, then x0 >= 0, x0 <= 2, x2 <= 3, x3 >= -1
     assert np.array_equal(lifted.coeffs[:2], base.coeffs)
@@ -110,11 +110,11 @@ def test_elasticize_full_lifts_finite_bounds():
     assert np.all(lifted.lower == -np.inf) and np.all(lifted.upper == np.inf)
     # each bound row has its own penalty column
     model = elasticize(lifted)
-    assert model.problem.m == 6
-    assert model.problem.n == 4 + 2 + 1 + 4
+    assert model.problem.structure.m == 6
+    assert model.problem.structure.n == 4 + 2 + 1 + 4
     assert model.row_elastics[2:] == ((7,), (8,), (9,), (10,))
     # a system without finite bounds is unchanged
-    free = system([[1.0]], ["<="], [1.0])
+    free = LinearSystem([[1.0]], ["<="], [1.0])
     assert np.array_equal(lift_bounds(free).coeffs, free.coeffs)
 
 
@@ -160,9 +160,11 @@ def test_unit_columns_solve_like_the_dense_block(lift, algorithm, use_e1):
     base = bounded_system()
     model = elasticize(lift_bounds(base) if lift else base)
     dense = dense_elastic_problem(base, lift)
-    assert np.array_equal(lp_matrix(model.problem), dense.A)
-    for name in ("c", "senses", "b", "lower", "upper"):
-        assert np.array_equal(getattr(model.problem, name), getattr(dense, name)), name
+    assert np.array_equal(lp_matrix(model.problem), dense.structure.A)
+    assert np.array_equal(model.problem.c, dense.c)
+    for name in ("senses", "b", "lower", "upper"):
+        assert np.array_equal(getattr(model.problem.structure, name),
+                              getattr(dense.structure, name)), name
     cfg = StrategyConfig(algorithm=algorithm, use_e1=use_e1)
     ref = solve_maxfs(replace(model, problem=dense), cfg)
     res = solve_maxfs(model, cfg)
@@ -187,7 +189,7 @@ def test_lifted_bounds_end_the_singleton_exit_feasible():
 def test_full_elastic_objective_counts_bound_violation():
     # x >= 5 with 0 <= x <= 2: the cheapest repair stretches the upper
     # bound by 3, so the minimum penalty is 3
-    sys_ = system([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
+    sys_ = LinearSystem([[1.0]], [">="], [5.0], lower=[0.0], upper=[2.0])
     model = elasticize(lift_bounds(sys_))
     sol = SimplexSolver().solve(model.lp_problem())
     assert sol.status is LpStatus.OPTIMAL
@@ -195,8 +197,8 @@ def test_full_elastic_objective_counts_bound_violation():
 
 
 def test_standard_elastic_z_zero_iff_feasible():
-    feas = system([[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [1.0, 0.5])
-    infeas = system([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
+    feas = LinearSystem([[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [1.0, 0.5])
+    infeas = LinearSystem([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
     eng = SimplexSolver()
     z_f = eng.solve(elasticize(feas).lp_problem()).z
     z_i = SimplexSolver().solve(elasticize(infeas).lp_problem()).z
@@ -205,7 +207,7 @@ def test_standard_elastic_z_zero_iff_feasible():
 
 
 def test_removal_zeroes_costs_without_touching_structure():
-    sys_ = system([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
+    sys_ = LinearSystem([[1.0], [1.0]], [">=", "<="], [2.0, 1.0])
     model = elasticize(sys_)
     removed = model.remove_row(0)
     assert removed.removed_rows == {0}
@@ -226,7 +228,7 @@ def test_removal_zeroes_costs_without_touching_structure():
 
 
 def test_violations_and_costs_match_solution():
-    sys_ = system([[1.0], [1.0], [1.0]], [">=", "<=", "="], [2.0, 1.0, 1.5])
+    sys_ = LinearSystem([[1.0], [1.0], [1.0]], [">=", "<=", "="], [2.0, 1.0, 1.5])
     model = elasticize(sys_)
     eng = SimplexSolver()
     sol = eng.solve(model.lp_problem())
@@ -242,10 +244,10 @@ def test_violations_and_costs_match_solution():
 
 
 def test_removed_rows_track_removals():
-    sys_ = system(np.eye(3), ["=", "=", "="], [1.0, 2.0, 3.0])
+    sys_ = LinearSystem(np.eye(3), ["=", "=", "="], [1.0, 2.0, 3.0])
     model = elasticize(sys_).remove_row(1)
     assert model.removed_rows == {1}
-    assert [i for i in range(model.m) if i not in model.removed_rows] == [0, 2]
+    assert [i for i in range(model.base.m) if i not in model.removed_rows] == [0, 2]
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_removed_rows_track_removals():
 
 
 def test_format_parse_roundtrip_simple():
-    sys_ = system([[1.5, -2.0], [0.25, 4.0]], [">=", "="], [1.0, -3.5])
+    sys_ = LinearSystem([[1.5, -2.0], [0.25, 4.0]], [">=", "="], [1.0, -3.5])
     text = format_system(sys_)
     back = parse_system(text)
     assert np.array_equal(back.coeffs, sys_.coeffs)
@@ -263,7 +265,7 @@ def test_format_parse_roundtrip_simple():
 
 
 def test_format_parse_roundtrip_with_bounds():
-    sys_ = system([[1.0, 1.0]], ["<="], [4.0], lower=[0.0, -np.inf], upper=[np.inf, 3.0])
+    sys_ = LinearSystem([[1.0, 1.0]], ["<="], [4.0], lower=[0.0, -np.inf], upper=[np.inf, 3.0])
     back = parse_system(format_system(sys_))
     assert np.array_equal(back.lower, sys_.lower)
     assert np.array_equal(back.upper, sys_.upper)
@@ -285,7 +287,7 @@ def test_parse_errors():
 
 
 def test_file_roundtrips(tmp_path):
-    sys_ = system([[1.0, 2.0], [3.0, 4.0]], ["<=", ">="], [1.0, 2.0])
+    sys_ = LinearSystem([[1.0, 2.0], [3.0, 4.0]], ["<=", ">="], [1.0, 2.0])
     p = tmp_path / "sys.txt"
     write_system(sys_, p)
     back = read_system(p)
@@ -333,7 +335,7 @@ def test_roundtrip_is_exact_for_random_systems(data):
     lo = np.array(data.draw(st.lists(st.one_of(st.just(-np.inf), finite), min_size=n, max_size=n)))
     hi_raw = data.draw(st.lists(st.one_of(st.just(np.inf), finite), min_size=n, max_size=n))
     hi = np.maximum(np.array(hi_raw), lo)
-    sys_ = system(coeffs, senses, rhs, lo, hi)
+    sys_ = LinearSystem(coeffs, senses, rhs, lo, hi)
     back = parse_system(format_system(sys_))
     # repr-based formatting makes the round trip bit-exact
     assert np.array_equal(back.coeffs, sys_.coeffs)
