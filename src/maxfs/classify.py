@@ -36,7 +36,11 @@ __all__ = [
     "load_csv",
 ]
 
-VARIANTS = ("2e1", "2inf", "2k1")
+VARIANTS = {
+    "2e1": StrategyConfig(algorithm=2, use_e1=True),
+    "2inf": StrategyConfig(algorithm=2, k=None),
+    "2k1": StrategyConfig(algorithm=2, k=1),
+}
 
 
 @dataclass(frozen=True)
@@ -173,22 +177,13 @@ class ClassificationReport:
     seconds: float
 
 
-def _variant_config(variant: str) -> StrategyConfig:
-    if variant == "2e1":
-        return StrategyConfig(algorithm=2, use_e1=True)
-    if variant == "2inf":
-        return StrategyConfig(algorithm=2, k=None)
-    if variant == "2k1":
-        return StrategyConfig(algorithm=2, k=1)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
 def classify(ds: Dataset, variant: str = "2e1", epsilon: float = 1.0) -> ClassificationReport:
     """Fit by deleting as few margin rows as the greedy search needs."""
     t0 = time.perf_counter()
-    cfg = _variant_config(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
     sys_ = build_constraints(ds, epsilon)
-    res: MaxFsResult = solve_maxfs(sys_, cfg)
+    res: MaxFsResult = solve_maxfs(sys_, VARIANTS[variant])
 
     J = ds.J
     w = res.final_solution.x[:J].copy()

@@ -11,9 +11,11 @@ The search is shared with the sparse-recovery module, which runs it over
 variable pairs instead of rows.  Two pieces carry it:
 
 `CostDeletionEnv`
-    One LP whose entities (rows, or variable pairs) each own a few cost
-    columns.  Deleting an entity only resets those costs, so every
-    re-solve restarts warm.  A probe deletes tentatively, re-solves and
+    One LP whose entities (rows, or variable pairs) each own cost
+    columns, given as one (entities, 2) column table: each entity's
+    first and last column, the same one twice when it owns one.
+    Deleting an entity only resets those costs, so every re-solve
+    restarts warm.  A probe deletes tentatively, re-solves and
     puts the engine state back, keeping the end state of the best probe
     so far so that adopting the probed deletion costs no extra LP solve.
 
@@ -135,7 +137,7 @@ def build_candidates_alg1(
     k: int | None = None,
 ) -> Ranked:
     """Rows with a nonzero dual price, ranked by |dual|."""
-    d = np.abs(model.row_duals(sol))
+    d = np.abs(sol.duals)
     return rank_candidates([(d, d > DUAL_TOL)], removed, k)
 
 
@@ -147,7 +149,7 @@ def build_candidates_alg2(
 ) -> Ranked:
     """Violated rows ranked by violation x |dual price|."""
     v = model.violations(sol)
-    d = np.abs(model.row_duals(sol))
+    d = np.abs(sol.duals)
     return rank_candidates([(v * d, v > VIOLATION_TOL)], removed, k)
 
 
@@ -161,7 +163,7 @@ def build_candidates_alg3(
     with a nonzero dual price ranked by |dual|; `k` truncates each list
     separately."""
     v = model.violations(sol)
-    d = np.abs(model.row_duals(sol))
+    d = np.abs(sol.duals)
     vio = v > VIOLATION_TOL
     return rank_candidates([(v * d, vio), (d, ~vio & (d > DUAL_TOL))], removed, k)
 
@@ -246,7 +248,7 @@ class MaxFsResult:
     seconds         wall time of the search
     exit_reason     why the rounds stopped
 
-    The surviving rows are feasible whenever final_z <= ztol at exit.
+    The surviving rows are feasible whenever final_z <= ZTOL at exit.
     """
 
     removed_rows: list[int]
@@ -307,13 +309,14 @@ Ranking = Callable[[LpSolution, AbstractSet[int]], Ranked]
 class CostDeletionEnv:
     """Search environment over one LP whose entities own cost columns.
 
-    Deleting an entity sets the costs of its columns (`columns[entity]`)
-    to `deleted_cost`; the constraints never change, so every re-solve
+    Deleting an entity sets the costs of its columns to `deleted_cost`:
+    `columns` is an (entities, 2) integer array of each entity's first
+    and last column. The constraints never change, so every re-solve
     restarts warm from the engine's incumbent basis. `rank` orders the
     candidates of a solution. Any status but OPTIMAL is a SolverError.
-    When `start` is given, the first solve begins from the basis it
-    returns instead of a cold start, and the pivots that reached that
-    basis count toward that LP.
+    When a `start` basis is given, the first solve begins from it
+    instead of a cold start, and the pivots that reached that basis
+    count toward that LP.
 
     Every probe of a round starts from the same incumbent, so the first
     probe snapshots it and the others reuse that snapshot until a
@@ -323,11 +326,11 @@ class CostDeletionEnv:
     def __init__(
         self,
         problem: LpProblem,
-        columns: Sequence[Sequence[int]],
+        columns: np.ndarray,
         deleted_cost: float | None,
         rank: Ranking,
         engine: SimplexSolver | None = None,
-        start: Callable[[], Basis] | None = None,
+        start: Basis | None = None,
     ):
         self.problem = problem
         self.columns = columns
@@ -341,12 +344,9 @@ class CostDeletionEnv:
         self._start = start
 
     def _solve(self, costs: np.ndarray) -> LpSolution:
-        problem = self.problem.with_costs(costs)
-        if self._start is None:
-            sol = self.engine.solve(problem)
-        else:
-            start, self._start = self._start(), None
-            sol = self.engine.solve(problem, start)
+        start, self._start = self._start, None
+        sol = self.engine.solve(self.problem.with_costs(costs), start)
+        if start is not None:
             # the solve that reached the start basis began this LP
             self.pivots += start.pivots
             self.degenerate_pivots += start.degenerate_pivots
@@ -357,10 +357,6 @@ class CostDeletionEnv:
             raise SolverError(f"search subproblem ended {sol.status.name}")
         return sol
 
-    def _delete(self, costs: np.ndarray, entity: int) -> None:
-        for col in self.columns[entity]:
-            costs[col] = self.deleted_cost
-
     def solve_current(self) -> LpSolution:
         self._incumbent = None
         return self._solve(self.costs.copy())
@@ -370,7 +366,7 @@ class CostDeletionEnv:
 
     def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
         trial = self.costs.copy()
-        self._delete(trial, entity)
+        trial[self.columns[entity]] = self.deleted_cost
         if self._incumbent is None:
             self._incumbent = self.engine.save_state()
         sol = self._solve(trial)
@@ -384,21 +380,19 @@ class CostDeletionEnv:
 
     def remove_batch(self, entities: Sequence[int]) -> None:
         self._incumbent = None
-        for e in entities:
-            self._delete(self.costs, e)
-            self.removed.add(e)
+        self.costs[self.columns[entities]] = self.deleted_cost
+        self.removed.update(entities)
 
 
 def run_removal_loop(
     env: SearchEnv,
     *,
-    ztol: float,
     batch: bool = False,
     exit_on_empty: bool = False,
     e2_ell: int | None = None,
     e2_first_iteration_only: bool = False,
 ) -> MaxFsResult:
-    """Greedy deletion rounds until Z <= ztol.
+    """Greedy deletion rounds until Z <= ZTOL.
 
     Each round ranks the candidates of the current solution and deletes
     some of them. Probing (the default) tries every candidate and keeps
@@ -409,7 +403,7 @@ def run_removal_loop(
 
     With `exit_on_empty` the loop runs until no candidates remain and a
     positive final Z is acceptable; otherwise an empty candidate list
-    while Z > ztol is an error. The rounds are finite: each deletes at
+    while Z > ZTOL is an error. The rounds are finite: each deletes at
     least one entity, and candidates are never entities already deleted,
     so there are at most as many rounds as entities.
     """
@@ -421,7 +415,7 @@ def run_removal_loop(
     sol = env.solve_current()
     z_history = [sol.z]
 
-    while exit_on_empty or sol.z > ztol:
+    while exit_on_empty or sol.z > ZTOL:
         pool, ents, scores = env.candidates(sol)
         if not pool:
             if not exit_on_empty:
@@ -450,7 +444,7 @@ def run_removal_loop(
                 probes += 1
                 if psol.z < beat:
                     best, sol, state, beat = e, psol, pstate, psol.z
-                if not exit_on_empty and sol.z <= ztol:
+                if not exit_on_empty and sol.z <= ZTOL:
                     break  # a feasible probe cannot be beaten
             env.adopt(best, state)
             removed.append(best)
@@ -515,10 +509,10 @@ def solve_maxfs(
     env = CostDeletionEnv(
         model.lp_problem(), model.row_elastics, 0.0, _row_ranking(model, cfg), engine
     )
-    env.remove_batch(model.removed_rows)  # prior removals: already zero-cost
+    env.remove_batch(sorted(model.removed_rows))  # prior removals: already zero-cost
 
     t0 = time.perf_counter()
-    res = run_removal_loop(env, ztol=ZTOL, batch=cfg.use_e1, e2_ell=cfg.e2_ell)
+    res = run_removal_loop(env, batch=cfg.use_e1, e2_ell=cfg.e2_ell)
     if res.exit_reason in (ExitReason.SINGLETON, ExitReason.BULK_E2):
         # those exits delete without solving; one finishing solve yields
         # the surviving system's solution and the definitive Z

@@ -46,13 +46,14 @@ The probing methods (b, c, m, jp) take `k`: each round keeps the first
 not an integer of at least 1 raises ValueError.
 
 Every method's first LP is basis pursuit, and every method starts from
-the problem's basis-pursuit optimum: the first call on a problem solves
-that LP cold and records its optimal basis on the problem (the basis and
-column states only, no factorisation), and every call, the first one
-too, installs that basis and prices it, with no pivot when it is still
-optimal. The pivots of the cold solve count toward each call's first
-LP, so a method's counts and results do not depend on which methods ran
-on the problem before it; only its time does.
+the problem's basis-pursuit optimum: at first use, the problem solves
+that LP cold on an engine of its own and stores the optimal basis (the
+basis and column states only, no factorisation), and every call, the
+first one too, installs that basis and prices it, with no pivot when it
+is still optimal. The pivots of the cold solve count toward each call's
+first LP, so a method's counts and results do not depend on which
+methods ran on the problem before it; only its time does. Entity j of
+the search owns the columns (u_j, v_j), j and n + j of the split LP.
 
 `postprocess` prunes a support set: a variable is dropped when the
 remaining support columns still reproduce b without it.
@@ -61,14 +62,13 @@ remaining support columns still reproduce b without it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     DUAL_TOL,
-    ZTOL,
     CostDeletionEnv,
     MaxFsResult,
     _check_limit,
@@ -110,7 +110,7 @@ class RecoveryProblem:
     """An underdetermined dense system A y = b with m < n.
 
     `A` and `b` are read-only copies of the caller's arrays, since the
-    basis-pursuit optimum recorded on first use (`_bp`) holds only while
+    basis-pursuit optimum stored at first use (`_bp`) holds only while
     they stay as they are; `dataclasses.replace` starts a new record.
     Since each problem holds its own record, problems compare and hash
     by identity: two built from the same data are unequal. An entry
@@ -120,7 +120,6 @@ class RecoveryProblem:
     A: np.ndarray
     b: np.ndarray
     zero_tol: float = ZERO_TOL
-    _bp: Basis | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -142,6 +141,17 @@ class RecoveryProblem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def _bp(self) -> Basis:
+        """The basis-pursuit optimum: the split form at unit costs solved
+        cold on an engine of its own, kept as its basis and column
+        states."""
+        engine = SimplexSolver()
+        # Z >= 0 bounds the split form below: only infeasibility stops it
+        if engine.solve(_split_problem(self)).status is not LpStatus.OPTIMAL:
+            raise ValueError(_RANGE_ERROR)
+        return engine.basis()
 
 
 @dataclass(frozen=True)
@@ -208,23 +218,27 @@ def _finish(
 _RANGE_ERROR = "b is not in the range of A: nothing to recover"
 
 
+def _split_problem(prob: RecoveryProblem) -> LpProblem:
+    """The split form at unit costs: columns (u, v), y = u - v."""
+    n = prob.n
+    A_lp = np.hstack([prob.A, -prob.A])
+    senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
+    return make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=np.zeros(2 * n))
+
+
 def _split_env(
     prob: RecoveryProblem,
     deleted_cost: float | None,
     k: int | None = None,
     dual_list: bool = False,
-):
-    """Split form: columns (u, v), y = u - v, entity j owns (u_j, v_j).
+) -> CostDeletionEnv:
+    """The search over the split form, entity j owning (u_j, v_j).
     Candidates are the undeleted nonzeros ranked by |y_j|; with
     `dual_list`, then those with |a_j^T p| above DUAL_TOL ranked by it,
     p the row duals. `k` truncates each list. The first solve starts
-    from the basis-pursuit optimum (`_bp_optimum`)."""
+    from the basis-pursuit optimum (`prob._bp`)."""
     _check_limit(k)
     n = prob.n
-    A_lp = np.hstack([prob.A, -prob.A])
-    senses = np.full(prob.m, Sense.EQ, dtype=np.int8)
-    problem = make_problem(np.ones(2 * n), A_lp, senses, prob.b, lower=np.zeros(2 * n))
-    engine = SimplexSolver()
 
     def rank(sol: LpSolution, removed):
         y = np.abs(_split_y(sol))
@@ -234,21 +248,8 @@ def _split_env(
             lists.append((d, d > DUAL_TOL))
         return rank_candidates(lists, removed, k)
 
-    columns = [(j, n + j) for j in range(n)]
-    start = partial(_bp_optimum, prob, problem, engine)
-    return CostDeletionEnv(problem, columns, deleted_cost, rank, engine, start)
-
-
-def _bp_optimum(prob: RecoveryProblem, problem: LpProblem, engine: SimplexSolver) -> Basis:
-    """The basis-pursuit optimum recorded on `prob`; the first call
-    fills the record by a cold solve of `problem`, the split form at
-    unit costs, on `engine`."""
-    if prob._bp is None:
-        # Z >= 0 bounds the split form below: only infeasibility stops it
-        if engine.solve(problem).status is not LpStatus.OPTIMAL:
-            raise ValueError(_RANGE_ERROR)
-        object.__setattr__(prob, "_bp", engine.basis())
-    return prob._bp
+    columns = np.arange(2 * n).reshape(2, n).T
+    return CostDeletionEnv(_split_problem(prob), columns, deleted_cost, rank, start=prob._bp)
 
 
 def _split_y(sol: LpSolution) -> np.ndarray:
@@ -265,9 +266,9 @@ def basis_pursuit(prob: RecoveryProblem) -> RecoveryResult:
 
 
 def _search(method: str, prob: RecoveryProblem, env, t0: float, **loop) -> RecoveryResult:
-    """Run the removal loop on `env` with the keywords `loop`, Z <= ZTOL
-    certifying feasibility; y is read from its last solution."""
-    res = run_removal_loop(env, ztol=ZTOL, **loop)
+    """Run the removal loop on `env` with the keywords `loop`; y is read
+    from its last solution."""
+    res = run_removal_loop(env, **loop)
     return _finish(method, prob, _split_y(res.final_solution), t0, env, res)
 
 

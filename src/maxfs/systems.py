@@ -8,7 +8,9 @@ each finite variable bound into a row, penalised and deletable like any
 other. The penalty columns are the LP structure's unit columns (+1 on a
 GE row, -1 on an LE row, +1 then -1 on an equality row), stored as a
 row index and a value each, so the elastic LP holds the system's dense
-block and O(m) numbers more, not an m x m block.
+block and O(m) numbers more, not an m x m block. `row_elastics` is the
+column table of the rows: an (m, 2) array of each row's first and last
+penalty column, the same column twice for an inequality row.
 
 Row removal never rebuilds the LP: a removed row keeps its penalty
 columns but their objective coefficients drop to zero, which makes the
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -99,14 +100,12 @@ class ElasticModel:
 
     base: LinearSystem
     problem: LpProblem
-    row_elastics: tuple            # per base row: tuple of LP column ids
+    row_elastics: np.ndarray       # (m, 2): first and last penalty column per row
     removed_rows: frozenset = field(default_factory=frozenset)
 
     def lp_costs(self) -> np.ndarray:
         c = self.problem.c.copy()
-        for r in self.removed_rows:
-            for col in self.row_elastics[r]:
-                c[col] = 0.0
+        c[self.row_elastics[sorted(self.removed_rows)]] = 0.0
         return c
 
     def lp_problem(self) -> LpProblem:
@@ -119,22 +118,10 @@ class ElasticModel:
             raise ValueError(f"row {row} already removed")
         return replace(self, removed_rows=self.removed_rows | {row})
 
-    @cached_property
-    def _elastic_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        # first and last penalty column of each row (the same column
-        # unless the row is an equality)
-        return (np.array([cols[0] for cols in self.row_elastics], dtype=np.intp),
-                np.array([cols[-1] for cols in self.row_elastics], dtype=np.intp))
-
     def violations(self, sol: LpSolution) -> np.ndarray:
-        """Per-row violation magnitude: the larger of the first and last
-        penalty column value attached to the row (equality rows carry a
-        pair)."""
-        first, last = self._elastic_ends
-        return np.maximum(sol.x[first], sol.x[last])
-
-    def row_duals(self, sol: LpSolution) -> np.ndarray:
-        return sol.duals[: self.base.m]
+        """Per-row violation magnitude: the larger value of the row's
+        first and last penalty column (equality rows carry a pair)."""
+        return sol.x[self.row_elastics].max(axis=1)
 
 
 def elasticize(base: LinearSystem) -> ElasticModel:
@@ -158,10 +145,8 @@ def elasticize(base: LinearSystem) -> ElasticModel:
     structure = LpStructure(A=base.coeffs, senses=base.senses, b=base.rhs, lower=lower,
                             upper=upper, unit_rows=unit_rows, unit_vals=unit_vals)
 
-    row_elastics = tuple((c, c + 1) if pair else (c,)
-                         for c, pair in zip((n + first).tolist(), eq.tolist()))
     return ElasticModel(base=base, problem=LpProblem(c=costs, structure=structure),
-                        row_elastics=row_elastics)
+                        row_elastics=np.column_stack([n + first, n + first + eq]))
 
 
 # ----------------------------------------------------------------------
@@ -194,14 +179,32 @@ def format_system(sys_: LinearSystem) -> str:
     return out.getvalue()
 
 
+def _header(line: str) -> tuple[int, int]:
+    """The 'm n' line that opens a system or matrix file: two integers,
+    each at least 1."""
+    try:
+        m, n = map(int, line.split())
+    except ValueError:
+        m = n = 0
+    if m < 1 or n < 1:
+        raise ValueError(f"header must be 'm n', two integers of at least 1, got {line!r}")
+    return m, n
+
+
+def _numbers(toks: list[str], where: str) -> list[float]:
+    """`toks` as floats; one that is no number raises a ValueError that
+    names `where`, the line it came from."""
+    try:
+        return [float(t) for t in toks]
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad number: {exc}") from None
+
+
 def parse_system(text: str) -> LinearSystem:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty system file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'm n', got {lines[0]!r}")
-    m, n = int(head[0]), int(head[1])
+    m, n = _header(lines[0])
     if len(lines) - 1 not in (m, m + n):
         raise ValueError(f"expected {m} rows plus optional {n} bound lines, "
                          f"found {len(lines) - 1} data lines")
@@ -212,11 +215,8 @@ def parse_system(text: str) -> LinearSystem:
         toks = lines[1 + i].split()
         if len(toks) != n + 2:
             raise ValueError(f"row {i}: expected {n} coefficients, sense and rhs")
-        try:
-            coeffs[i] = [float(t) for t in toks[:n]]
-            rhs[i] = float(toks[n + 1])
-        except ValueError as exc:
-            raise ValueError(f"row {i}: bad number: {exc}") from None
+        vals = _numbers(toks[:n] + toks[n + 1:], f"row {i}")
+        coeffs[i], rhs[i] = vals[:n], vals[n]
         if toks[n] not in TOKEN_SENSES:
             raise ValueError(f"row {i}: unknown sense {toks[n]!r}")
         senses[i] = TOKEN_SENSES[toks[n]]
@@ -228,8 +228,7 @@ def parse_system(text: str) -> LinearSystem:
             toks = lines[1 + m + j].split()
             if len(toks) != 2:
                 raise ValueError(f"bound line {j}: expected 'l u'")
-            lower[j] = float(toks[0])
-            upper[j] = float(toks[1])
+            lower[j], upper[j] = _numbers(toks, f"bound line {j}")
     return LinearSystem(coeffs=coeffs, senses=senses, rhs=rhs, lower=lower, upper=upper)
 
 
@@ -260,7 +259,7 @@ def read_matrix(path) -> np.ndarray:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     if not lines:
         raise ValueError("empty matrix file")
-    m, n = (int(t) for t in lines[0].split())
+    m, n = _header(lines[0])
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     A = np.empty((m, n))
@@ -268,7 +267,7 @@ def read_matrix(path) -> np.ndarray:
         toks = lines[1 + i].split()
         if len(toks) != n:
             raise ValueError(f"matrix row {i}: expected {n} entries")
-        A[i] = [float(t) for t in toks]
+        A[i] = _numbers(toks, f"matrix row {i}")
     return A
 
 
@@ -280,5 +279,5 @@ def write_vector(v: np.ndarray, path) -> None:
 
 def read_vector(path) -> np.ndarray:
     with open(path) as fh:
-        vals = [float(ln.strip()) for ln in fh if ln.strip()]
-    return np.asarray(vals, dtype=float)
+        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    return np.array([_numbers([ln], f"vector entry {i}") for i, ln in enumerate(lines)]).ravel()

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from maxfs.classify import (
+    VARIANTS,
     Dataset,
     Hyperplane,
     build_constraints,
     classify,
     load_csv,
 )
+
+from maxfs.core import StrategyConfig
 
 from conftest import bcw_shaped
 
@@ -71,6 +74,17 @@ def test_separable_dataset_fits_perfectly_in_one_lp():
         assert rep.lp_count == 1
         assert rep.removed_points == ()
         assert rep.misclassified == ()
+
+
+def test_variants_name_their_search_settings():
+    assert VARIANTS == {
+        "2e1": StrategyConfig(algorithm=2, use_e1=True),
+        "2inf": StrategyConfig(algorithm=2),
+        "2k1": StrategyConfig(algorithm=2, k=1),
+    }
+    with pytest.raises(ValueError, match=r"unknown variant '2e2'; expected one of "
+                                         r"\('2e1', '2inf', '2k1'\)"):
+        classify(SEPARABLE, "2e2")
 
 
 def test_xor_caps_at_three_of_four():

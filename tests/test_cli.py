@@ -271,6 +271,31 @@ def test_exit_code_2_on_malformed_input(capsys, tmp_path):
     assert main(["maxfs", str(p)]) == 2
 
 
+HEADER = "header must be 'm n', two integers of at least 1, got "
+NOT_A_FLOAT = "bad number: could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize("command, texts, message", [
+    ("recover", ["3\n1 2 3\n", "1\n2\n"], HEADER + "'3'"),
+    ("recover", ["-1 2\n", "1\n2\n"], HEADER + "'-1 2'"),
+    ("recover", ["2 3\n1 0 0\n0 abc 0\n", "1\n2\n"], "matrix row 1: " + NOT_A_FLOAT),
+    ("recover", ["2 3\n1 0 0\n0 1 0\n", "1\nabc\n"], "vector entry 1: " + NOT_A_FLOAT),
+    ("maxfs", ["1 x\n1 >= 1\n"], HEADER + "'1 x'"),
+    ("maxfs", ["0 2\n"], HEADER + "'0 2'"),
+    ("maxfs", ["1 1\n1 >= 1\nabc 5\n"], "bound line 0: " + NOT_A_FLOAT),
+], ids=["matrix-header-short", "matrix-header-negative", "matrix-row", "vector-entry",
+        "system-header-text", "system-header-zero", "system-bound-line"])
+def test_exit_code_2_names_the_bad_line(capsys, tmp_path, command, texts, message):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"in{i}.txt")
+        paths[-1].write_text(text)
+    method = ["--method", "bp"] if command == "recover" else []
+    assert main([command, *map(str, paths), *method]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"input error: {message}\n" in out.err
+
+
 def test_exit_code_2_on_nan_bound(capsys, tmp_path):
     p = tmp_path / "nan.txt"
     p.write_text("2 1\n1 >= 2\n1 <= 1\nnan 5\n")

@@ -232,7 +232,7 @@ class ToyEnv:
 
 def test_probing_loop_picks_min_probe_and_singleton_exits():
     env = ToyEnv([3.0, 2.0])
-    tel = run_removal_loop(env, ztol=1e-6)
+    tel = run_removal_loop(env)
     # round 1 probes both and deletes the heavier entity; round 2 sees a
     # one-entry pool and deletes without probing
     assert tel.exit_reason is ExitReason.SINGLETON
@@ -246,20 +246,20 @@ def test_probing_loop_picks_min_probe_and_singleton_exits():
 
 
 def test_probing_loop_early_adopts_a_feasible_probe():
-    env = ToyEnv([3.0, 2.0, 0.5])
-    tel = run_removal_loop(env, ztol=2.5)
-    # the first probe already reaches ztol; the other two candidates of
-    # the round are never probed
+    env = ToyEnv([3.0, 5e-7, 4e-7])
+    tel = run_removal_loop(env)
+    # the first probe already reaches ZTOL (1e-6); the other two
+    # candidates of the round are never probed
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removed_rows == [0]
     assert tel.probes == 1
-    assert tel.z_history == [5.5, 2.5]
+    assert tel.z_history == pytest.approx([3.0 + 9e-7, 9e-7], rel=1e-12)
     assert env.lp_count == 2
 
 
 def test_probing_loop_feasible_at_start():
     env = ToyEnv([0.0, 0.0])
-    tel = run_removal_loop(env, ztol=1e-6)
+    tel = run_removal_loop(env)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.iterations == 0
     assert tel.removed_rows == []
@@ -268,7 +268,7 @@ def test_probing_loop_feasible_at_start():
 
 def test_probing_loop_exit_on_empty_keeps_positive_z():
     env = ToyEnv([1.0, 2.0])
-    tel = run_removal_loop(env, ztol=1e-6, exit_on_empty=True)
+    tel = run_removal_loop(env, exit_on_empty=True)
     # exit_on_empty never early-adopts; it drains the pool instead
     assert tel.exit_reason in (ExitReason.EMPTY_CANDIDATES, ExitReason.SINGLETON)
     assert set(tel.removed_rows) == {0, 1}
@@ -280,25 +280,25 @@ def test_probing_loop_raises_on_empty_pool_with_positive_z():
             return [], [], np.zeros(0)
 
     with pytest.raises(SolverError):
-        run_removal_loop(NoCands([1.0]), ztol=1e-6)
+        run_removal_loop(NoCands([1.0]))
 
 
 def test_probing_loop_e2_bulk_exit_first_round_only():
     env = ToyEnv([2.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True)
+    tel = run_removal_loop(env, e2_ell=2, e2_first_iteration_only=True)
     assert tel.exit_reason is ExitReason.BULK_E2
     assert tel.removal_sizes == [2]
     assert env.lp_count == 1  # no probe happened
 
     # pool too large on round one: the bulk exit stays off afterwards
     env2 = ToyEnv([3.0, 2.0, 1.0])
-    tel2 = run_removal_loop(env2, ztol=1e-6, e2_ell=2, e2_first_iteration_only=True)
+    tel2 = run_removal_loop(env2, e2_ell=2, e2_first_iteration_only=True)
     assert tel2.exit_reason is not ExitReason.BULK_E2
 
 
 def test_batch_loop_cuts_score_groups():
     env = ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True)
+    tel = run_removal_loop(env, batch=True)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removal_sizes == [3, 1, 1, 1]
     assert tel.iterations == 4
@@ -321,7 +321,7 @@ def test_batch_loop_cuts_ties_in_ranked_order():
     env = RankedEnv([1.0, 1.0 + 1.5e-9, 0.1, 0.1])
     scores = env.candidates(None)[2]
     assert scores[1] - scores[0] > 1e-9
-    tel = run_removal_loop(env, ztol=1e-6, batch=True)
+    tel = run_removal_loop(env, batch=True)
     assert tel.exit_reason is ExitReason.FEASIBLE
     assert tel.removed_rows == [0, 1, 2, 3]
     assert tel.removal_sizes == [2, 1, 1]
@@ -329,7 +329,7 @@ def test_batch_loop_cuts_ties_in_ranked_order():
 
 def test_batch_loop_has_no_singleton_shortcut_by_default():
     env = ToyEnv([5.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True)
+    tel = run_removal_loop(env, batch=True)
     # the lone candidate goes through the mean-change cut and the next
     # solve certifies feasibility; exit is FEASIBLE, not SINGLETON
     assert tel.exit_reason is ExitReason.FEASIBLE
@@ -339,19 +339,19 @@ def test_batch_loop_has_no_singleton_shortcut_by_default():
 
 def test_batch_loop_e2_gating():
     env = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=True)
+    tel = run_removal_loop(env, batch=True, e2_ell=2, e2_first_iteration_only=True)
     # round 1 pool has 4 entries, too many; the flag keeps E2 off later
     assert tel.exit_reason is ExitReason.FEASIBLE
 
     env2 = ToyEnv([5.0, 5.0, 5.0, 1.0])
-    tel2 = run_removal_loop(env2, ztol=1e-6, batch=True, e2_ell=2, e2_first_iteration_only=False)
+    tel2 = run_removal_loop(env2, batch=True, e2_ell=2, e2_first_iteration_only=False)
     assert tel2.exit_reason is ExitReason.BULK_E2
     assert tel2.removal_sizes[-1] == 1  # the tail entity went out in bulk
 
 
 def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
     env = ToyEnv([3.0, 2.0, 1.0], k=1)
-    tel = run_removal_loop(env, ztol=1e-6, e2_ell=2)
+    tel = run_removal_loop(env, e2_ell=2)
     # round 1: a pool of three is above the threshold, so the one
     # candidate is probed; round 2: the pool of two goes out in bulk
     assert tel.exit_reason is ExitReason.BULK_E2
@@ -362,7 +362,7 @@ def test_e2_bulk_exit_reads_the_pool_not_the_truncated_list():
 
 def test_batch_loop_exit_on_empty():
     env = ToyEnv([2.0, 1.0])
-    tel = run_removal_loop(env, ztol=1e-6, batch=True, exit_on_empty=True)
+    tel = run_removal_loop(env, batch=True, exit_on_empty=True)
     assert tel.exit_reason is ExitReason.EMPTY_CANDIDATES
     assert set(tel.removed_rows) == {0, 1}
     assert tel.final_z == 0.0
@@ -388,6 +388,16 @@ def test_probe_restores_engine_state():
             assert abs(after.z - base.z) <= 1e-12
         assert pivoted  # some probe moved the basis
         assert env.removed == set()
+
+
+def test_remove_batch_zeroes_every_penalty_column_of_its_rows():
+    # row 0 is an equality (two penalty columns), row 1 a GE row (one)
+    model = elasticize(LinearSystem([[1.0]] * 3, ["=", ">=", "<="], [1.0, 2.0, 0.0]))
+    env = CostDeletionEnv(model.lp_problem(), model.row_elastics, 0.0, rank=None)
+    env.remove_batch([0, 1])
+    # columns: x, e0+, e0-, e1, e2
+    assert env.costs.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert env.removed == {0, 1}
 
 
 def test_probes_of_a_round_share_one_snapshot(monkeypatch):
@@ -429,12 +439,12 @@ def check_record(res):
 def test_search_record_invariants():
     runs = {
         ExitReason.FEASIBLE: run_removal_loop(
-            ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0]), ztol=1e-6, batch=True
+            ToyEnv([10.0, 10.0, 10.0, 1.0, 1.0, 1.0]), batch=True
         ),
-        ExitReason.SINGLETON: run_removal_loop(ToyEnv([3.0, 2.0, 1.0]), ztol=1e-6),
-        ExitReason.BULK_E2: run_removal_loop(ToyEnv([3.0, 2.0, 1.0], k=1), ztol=1e-6, e2_ell=2),
+        ExitReason.SINGLETON: run_removal_loop(ToyEnv([3.0, 2.0, 1.0])),
+        ExitReason.BULK_E2: run_removal_loop(ToyEnv([3.0, 2.0, 1.0], k=1), e2_ell=2),
         ExitReason.EMPTY_CANDIDATES: run_removal_loop(
-            ToyEnv([2.0, 1.0]), ztol=1e-6, batch=True, exit_on_empty=True
+            ToyEnv([2.0, 1.0]), batch=True, exit_on_empty=True
         ),
     }
     for reason, res in runs.items():
@@ -461,7 +471,7 @@ def test_rounds_never_outnumber_entities(
     # each round deletes at least one entity not deleted before, which
     # bounds the rounds without a cap
     res = run_removal_loop(
-        ToyEnv(weights, k=k), ztol=1e-6, batch=batch, exit_on_empty=exit_on_empty,
+        ToyEnv(weights, k=k), batch=batch, exit_on_empty=exit_on_empty,
         e2_ell=e2_ell, e2_first_iteration_only=e2_first_iteration_only,
     )
     assert res.iterations <= len(weights)
@@ -579,8 +589,8 @@ def test_lp_count_formula_for_probing():
 def test_pivot_counts_cover_every_lp():
     # probing, batch and bulk exits (with their finishing solve) alike
     class Recording(SimplexSolver):
-        def solve(self, problem):
-            sol = super().solve(problem)
+        def solve(self, problem, start=None):
+            sol = super().solve(problem, start)
             self.solutions.append(sol)
             return sol
 

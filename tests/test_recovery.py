@@ -14,6 +14,7 @@ from maxfs.recovery import (
     RecoveryProblem,
     _finish,
     _split_env,
+    _split_problem,
     basis_pursuit,
     jokar_pfetsch,
     method_b,
@@ -145,7 +146,7 @@ def test_bp_is_single_lp():
     res = basis_pursuit(prob)
     assert res.lp_count == 1
     assert res.iterations == 0
-    sol = SimplexSolver().solve(_split_env(prob, None).problem)
+    sol = SimplexSolver().solve(_split_problem(prob))
     assert (res.pivots, res.degenerate_pivots) == (sol.pivots, sol.degenerate_pivots)
 
 
@@ -298,10 +299,12 @@ def test_problem_data_are_read_only_copies():
     A[0, 0] += 1.0
     b[0] += 1.0
     assert prob.A[0, 0] != A[0, 0] and prob.b[0] != b[0]
+    # the basis-pursuit optimum is stored at first use, on this record only
+    assert "_bp" not in vars(prob)
     basis_pursuit(prob)
-    assert prob._bp is not None
-    assert dataclasses.replace(prob)._bp is None
-    assert dataclasses.replace(prob, b=-prob.b)._bp is None
+    assert "_bp" in vars(prob)
+    assert "_bp" not in vars(dataclasses.replace(prob))
+    assert "_bp" not in vars(dataclasses.replace(prob, b=-prob.b))
 
 
 def noisy_recovery_problems(count):

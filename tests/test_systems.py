@@ -81,9 +81,10 @@ def test_elasticize_standard_shapes():
     # one penalty column per inequality, a pair per equality
     assert model.problem.structure.n == 2 + 2 + 2
     assert model.problem.structure.m == 3
-    assert model.row_elastics[0] == (2,)
-    assert model.row_elastics[1] == (3,)
-    assert model.row_elastics[2] == (4, 5)
+    # each row's first and last penalty column: an inequality row's one
+    # column twice, an equality row's two distinct columns
+    assert model.row_elastics.dtype.kind == "i"
+    assert model.row_elastics.tolist() == [[2, 2], [3, 3], [4, 5]]
     # penalty columns priced at one, structurals at zero
     assert list(model.problem.c) == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
     # sign pattern: GE adds, LE subtracts, EQ carries both
@@ -112,7 +113,7 @@ def test_elasticize_full_lifts_finite_bounds():
     model = elasticize(lifted)
     assert model.problem.structure.m == 6
     assert model.problem.structure.n == 4 + 2 + 1 + 4
-    assert model.row_elastics[2:] == ((7,), (8,), (9,), (10,))
+    assert model.row_elastics[2:].tolist() == [[7, 7], [8, 8], [9, 9], [10, 10]]
     # a system without finite bounds is unchanged
     free = LinearSystem([[1.0]], ["<="], [1.0])
     assert np.array_equal(lift_bounds(free).coeffs, free.coeffs)
