@@ -25,8 +25,10 @@ Design notes:
   (singleton for singleton on another row). The fourth kind, a
   singleton for a dense column, is rare enough to rebuild K^-1 instead.
   An elastic LP keeps k near its structural count n; a fully dense
-  basis is the case k = m of the same formulas. K^-1 is rebuilt every
-  REFACTOR_EVERY pivots.
+  basis is the case k = m of the same formulas. A bordering that would
+  fill the kernel refactors instead, since a refactor puts a full
+  kernel in position and row order and its solves then need no
+  gathers. K^-1 is rebuilt every REFACTOR_EVERY pivots.
 * Cold starts. A crash step assigns each row's residual to its slack
   when the slack's bounds allow, else to a unit column of that row
   that can absorb it, and otherwise leaves it to the slack anyway,
@@ -330,9 +332,9 @@ class Basis:
 
 
 # the engine arrays a snapshot copies: basis, values, entering
-# eligibility and factorisation (and the used rows of `_ct`)
+# eligibility and factorisation
 _STATE = ("_basis", "_vstat", "_x", "_price", "_free_nb", "_prow", "_pval", "_rowpos",
-          "_slot", "_dpos", "_krow", "_kinv")
+          "_slot", "_dpos", "_krow", "_kinv", "_ct")
 
 
 @dataclass
@@ -352,9 +354,10 @@ class SimplexSolver:
     when the column is dense (`_pval[p]` is then 1); `_rowpos` inverts
     `_prow`. The k dense positions sit in kernel slots: slot s holds
     position `_dpos[s]` (`_slot` maps back, -1 for a singleton), its
-    kernel row `_krow[s] = _prow[_dpos[s]]`, its column `_ct[s]` (C
-    transposed, rows beyond k are spare capacity) and row s of
-    `_kinv`, the inverse of K[s, t] = C[_krow[s], t].
+    kernel row `_krow[s] = _prow[_dpos[s]]`, its column `_ct[s]` (`_ct`
+    is C transposed, k x m) and row s of `_kinv`, the inverse of
+    K[s, t] = C[_krow[s], t]. A pivot that fills the kernel (k = m)
+    refactors, which leaves slot i at position i and row i.
 
     Column states and eligibility: `_vstat[j]` is NB_LOWER, NB_UPPER,
     NB_FREE or BASIC and `_x[j]` the value. `_price[j]` is the sign of
@@ -403,8 +406,7 @@ class SimplexSolver:
             raise SolverError("no solved state to save")
         return _Snapshot(
             structure=self._structure,
-            arrays={name: getattr(self, name).copy() for name in _STATE}
-            | {"_ct": self._ct[: self._k].copy()},
+            arrays={name: getattr(self, name).copy() for name in _STATE},
             pivots_since_refactor=self._pivots_since_refactor,
         )
 
@@ -484,19 +486,6 @@ class SimplexSolver:
         self._side = side
         self._kinks = j.size > 0
 
-    def _install(self, prow: np.ndarray, pval: np.ndarray, dpos: np.ndarray) -> None:
-        """Set the position maps and gather C; `_kinv` is the caller's."""
-        m = self._m
-        k = dpos.size
-        self._prow, self._pval, self._dpos = prow, pval, dpos
-        self._rowpos = np.empty(m, dtype=np.intp)
-        self._rowpos[prow] = np.arange(m)
-        self._slot = np.full(m, -1, dtype=np.intp)
-        self._slot[dpos] = np.arange(k)
-        self._krow = prow[dpos]
-        self._ct = np.empty((min(m, max(2 * k, 8)), m))
-        self._ct[:k] = self._A[:, self._basis[dpos]].T
-
     def _col(self, j: int) -> np.ndarray:
         if j < self._nd:
             return self._A[:, j]
@@ -521,8 +510,7 @@ class SimplexSolver:
             self._take_basis(basis, vstat, x)
         except SolverError:
             return False
-        k = self._k
-        knorm = np.abs(self._ct[:k, self._krow]).sum(axis=1).max(initial=0.0)
+        knorm = np.abs(self._ct[:, self._krow]).sum(axis=1).max(initial=0.0)
         if knorm * np.abs(self._kinv).sum(axis=0).max(initial=0.0) > START_COND:
             return False
         xb = self._x[basis]
@@ -718,10 +706,15 @@ class SimplexSolver:
             raise SolverError("singular basis: two singleton columns share a row")
         prow = rows.copy()
         prow[dpos] = krow
-        pval = np.where(single, self._colval[self._basis], 1.0)
-        self._install(prow, pval, dpos)
+        self._prow, self._dpos, self._krow = prow, dpos, krow
+        self._pval = np.where(single, self._colval[self._basis], 1.0)
+        self._rowpos = np.empty(m, dtype=np.intp)
+        self._rowpos[prow] = np.arange(m)
+        self._slot = np.full(m, -1, dtype=np.intp)
+        self._slot[dpos] = np.arange(dpos.size)
+        self._ct = self._At[self._basis[dpos]]
         try:
-            self._kinv = np.linalg.inv(self._ct[: dpos.size, krow].T)
+            self._kinv = np.linalg.inv(self._ct[:, krow].T)
         except np.linalg.LinAlgError:
             raise SolverError("singular basis") from None
         self._pivots_since_refactor = 0
@@ -732,11 +725,11 @@ class SimplexSolver:
         """w with B w = a, by basis position."""
         k = self._k
         if k == self._m:
-            return self._kinv.dot(a)   # a full kernel is in position and row order
+            return self._kinv.dot(a)   # a full kernel is in position and row order (`_grow`)
         if k == 0:
             return a[self._prow] / self._pval
         wd = self._kinv.dot(a[self._krow])
-        w = (a - self._ct[:k].T.dot(wd))[self._prow] / self._pval
+        w = (a - self._ct.T.dot(wd))[self._prow] / self._pval
         w[self._dpos] = wd
         return w
 
@@ -750,7 +743,7 @@ class SimplexSolver:
         if k:
             krow = self._krow
             y[krow] = 0.0
-            y[krow] = self._kinv.T.dot(cb[self._dpos] - self._ct[:k].dot(y))
+            y[krow] = self._kinv.T.dot(cb[self._dpos] - self._ct.dot(y))
         return y
 
     @property
@@ -800,7 +793,7 @@ class SimplexSolver:
         feasible basis. Returns (status, y, d): the duals and reduced
         costs of the last pricing pass."""
         iters = stall = 0
-        bland = just_refactored = False
+        bland = False
         while True:
             iters += 1
             if iters > MAX_ITERATIONS:
@@ -827,13 +820,6 @@ class SimplexSolver:
             if step is None:
                 self._total_iterations += iters
                 return LpStatus.UNBOUNDED, y, d
-            if blocker >= 0 and abs(w[blocker]) < 1e-11:
-                # pivot too small to trust; refresh the factorisation once
-                if just_refactored:
-                    raise SolverError("numerically singular pivot")
-                self._refactor()
-                just_refactored = True
-                continue
             degenerate = step <= 1e-11
             if passed is not None:
                 self._pass_kinks(passed, w)
@@ -850,7 +836,6 @@ class SimplexSolver:
                     self._x[t] += sigma * step
                 self._to_bound(self._basis[blocker], to_upper)
                 self._apply_pivot(t, blocker, w)
-            just_refactored = False
             stall = stall + 1 if degenerate else 0
             bland = stall >= BLAND_AFTER
 
@@ -860,7 +845,9 @@ class SimplexSolver:
         -1 means the entering variable's own bound flip binds; step None
         means the ray is unbounded. `passed` holds the positions whose
         kink the step passes (None: none); `slope` is the objective's
-        rate of change per unit step, sigma * d_t."""
+        rate of change per unit step, sigma * d_t. Every blocker
+        returned has |w| > PIVOT_TOL, since only those have a finite
+        ratio, so the pivot on it needs no size check."""
         ptol = PIVOT_TOL
         basis = self._basis
         delta = -sigma * w  # basic change per unit of entering movement
@@ -1001,37 +988,28 @@ class SimplexSolver:
 
     def _grow(self, pos: int, a: np.ndarray, w: np.ndarray) -> None:
         """Dense for the singleton at `pos`: its row joins the kernel and
-        K is bordered by that row and the new column."""
+        K is bordered by that row and the new column. A kernel this
+        fills (k = m) is built by a refactor instead, which leaves slot i
+        at position i and row i."""
         k = self._k
+        if k + 1 == self._m:
+            self._refactor()
+            return
         r = self._prow[pos]
-        ct = self._ct
         sigma = self._pval[pos] * w[pos]   # a[r] - C[r] . (K^-1 a_K)
         u = w[self._dpos] / sigma
-        v = self._kinv.T.dot(ct[:k, r])
+        v = self._kinv.T.dot(self._ct[:, r])
         kinv = np.empty((k + 1, k + 1))
         np.add(self._kinv, u[:, None] * v, out=kinv[:k, :k])
         kinv[:k, k] = -u
         kinv[k, :k] = v / -sigma
         kinv[k, k] = 1.0 / sigma
         self._kinv = kinv
-        if k == ct.shape[0]:
-            self._ct = np.empty((min(self._m, max(2 * k, 8)), self._m))
-            self._ct[:k] = ct[:k]
-        self._ct[k] = a
+        self._ct = np.vstack((self._ct, a))
         self._dpos = np.concatenate((self._dpos, (pos,)))
         self._krow = np.concatenate((self._krow, (r,)))
         self._slot[pos] = k
         self._pval[pos] = 1.0
-        if k + 1 == self._m:
-            self._sort_kernel()
-
-    def _sort_kernel(self) -> None:
-        """Put a full kernel in position and row order: slot i holds
-        position i and row i, so solves with B need no gathers."""
-        m = self._m
-        by_pos, by_row = np.argsort(self._dpos), np.argsort(self._krow)
-        self._kinv = self._kinv[by_pos][:, by_row]
-        self._install(np.arange(m), self._pval, np.arange(m))
 
     def _swap_row(self, pos: int, q: int, rt: int) -> None:
         """A singleton on kernel row rt (paired with dense q) for the
@@ -1040,7 +1018,7 @@ class SimplexSolver:
         j = self._slot[q]
         r = self._prow[pos]
         kinv = self._kinv
-        v = kinv.T.dot(self._ct[: self._k, r])
+        v = kinv.T.dot(self._ct[:, r])
         col = kinv[:, j] / v[j]
         v[j] -= 1.0
         kinv -= col[:, None] * v

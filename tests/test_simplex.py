@@ -476,6 +476,23 @@ def test_recovery_forms(kinds, form):
         assert eng._k < problem.structure.m and eng._kinks
 
 
+def test_full_kernel_is_in_position_and_row_order():
+    # the split form's cold solve ends with every basic column dense; the
+    # refactor at the pivot that filled the kernel put slot i at position
+    # i and row i, which the solves with B on a full kernel assume
+    problem = split_form()
+    m = problem.structure.m
+    eng = SimplexSolver()
+    assert eng.solve(problem).status is LpStatus.OPTIMAL
+    assert eng._k == m
+    for name in ("_dpos", "_krow", "_prow"):
+        assert np.array_equal(getattr(eng, name), np.arange(m)), name
+    B = np.column_stack([eng._col(j) for j in eng._basis])
+    for a in np.random.default_rng(5).standard_normal((3, m)):
+        ref = np.linalg.solve(B, a)
+        assert np.abs(eng._ftran(a) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_unit_columns_solve_like_their_dense_copy():
     # the zeroing LP with its e+/e- identity blocks written densely
     # through make_problem: every column of A is dense to the engine, so
@@ -799,6 +816,32 @@ def test_elastic_cold_start_runs_no_dual_simplex(dual_starts):
     assert dual_starts == []
 
 
+@pytest.mark.parametrize("calls", [1, 2])
+def test_dual_loop_refreshes_a_small_pivot_once(monkeypatch, calls):
+    # w[r] comes from the entering column by FTRAN, but that column was
+    # chosen from row r of B^-1 A by BTRAN; when the two disagree the
+    # dual loop refactors and tries again, and a second small pivot
+    # right after the refactor raises. Here the first `calls` columns
+    # the engine reads come back times 1e-14
+    problem = _split_problem(planted_recovery(np.random.default_rng([41, 1]), 16, 32, 5))
+    ref = SimplexSolver().solve(problem)
+    col, count = SimplexSolver._col, [0]
+
+    def shrunk(self, j):
+        count[0] += 1
+        return col(self, j) * (1e-14 if count[0] <= calls else 1.0)
+
+    monkeypatch.setattr(SimplexSolver, "_col", shrunk)
+    if calls == 2:
+        with pytest.raises(SolverError, match="numerically singular pivot"):
+            SimplexSolver().solve(problem)
+        return
+    sol = SimplexSolver().solve(problem)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.refactors == ref.refactors + 1
+    assert abs(sol.z - ref.z) <= 1e-9
+
+
 def planted_recovery(rng, m, n, s):
     """A uniform(-10, 10) in R^{m x n}, b = A y for a y with s Gaussian
     nonzeros at random positions (the benchmark's generator)."""
@@ -953,6 +996,44 @@ def test_bland_rule_in_the_dual_loop(bland_pivots):
     assert bland_pivots["dual"] > 0
 
 
+@pytest.mark.parametrize("bland", [False, True])
+def test_every_blocker_has_a_pivot_above_the_tolerance(monkeypatch, bland):
+    # only a basic column with |w| > PIVOT_TOL has a finite ratio, so the
+    # primal loop pivots on the blocker the ratio test returns, or on the
+    # one a long step over kinks ends at, with no size check. With
+    # BLAND_AFTER = 0 every pivot after the first is Bland's
+    blockers = {"plain": 0, "long step": 0}
+    test = SimplexSolver._ratio_test
+
+    def checked(self, t, sigma, w, *args):
+        out = test(self, t, sigma, w, *args)
+        _, blocker, _, passed = out
+        if blocker is not None and blocker >= 0:
+            assert abs(w[blocker]) > simplex.PIVOT_TOL
+            blockers["plain" if passed is None else "long step"] += 1
+        return out
+
+    monkeypatch.setattr(SimplexSolver, "_ratio_test", checked)
+    if bland:
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    for family in ("mixed", "equality", "scaled", "near-duplicate", "inequality",
+                   "integer-degenerate"):
+        rng = np.random.default_rng([43, sum(map(ord, family))])
+        for _ in range(30):
+            prob = cold_start_lp(rng, family)
+            check_against_scipy(prob, SimplexSolver().solve(prob))
+    check_against_scipy(beale_lp(), SimplexSolver().solve(beale_lp()))
+    # an elastic LP of overlapping classes, whose long steps pass kinks
+    rng = np.random.default_rng(47)
+    X = np.vstack([rng.normal(0.0, 1.0, size=(60, 2)), rng.normal(1.0, 1.0, size=(60, 2))])
+    prob = elasticize(build_constraints(Dataset(X, np.repeat([0, 1], 60)))).lp_problem()
+    sol = SimplexSolver().solve(prob)
+    check_against_scipy(prob, sol)
+    assert blockers["plain"] > 0
+    if not bland:
+        assert sol.kink_passes > 0 and blockers["long step"] > 0
+
+
 def snapshot_case(case):
     """An LP, detour costs and final costs for a save/detour/restore."""
     if case == "free column":
@@ -995,6 +1076,33 @@ def test_restored_state_solves_like_the_state_it_saved(case):
     # the same arithmetic on copied arrays: a BLAS product may round
     # differently at another memory alignment, so x agrees to rounding
     assert np.allclose(back.x, ref.x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("saved_k", [0, 1])
+def test_restored_state_grows_its_kernel(kinds, saved_k):
+    # x >= 0 under positive LE rows: at costs >= 0 the optimum is x = 0
+    # with every slack basic (k = 0), and one negative cost brings one
+    # dense column in (k = 1). After a detour and a restore, all-negative
+    # costs make dense columns enter, each bordering the restored C, and
+    # `kinds` checks the solves with B after every pivot
+    rng = np.random.default_rng(53)
+    m, n = 8, 5
+    c = rng.uniform(0.5, 1.0, n)
+    c[:saved_k] *= -1.0
+    prob = make_problem(c, rng.uniform(0.5, 2.0, size=(m, n)), np.full(m, -1),
+                        rng.uniform(1.0, 2.0, m), np.zeros(n))
+    eng = SimplexSolver()
+    eng.solve(prob)
+    assert eng._k == saved_k
+    snap = eng.save_state()
+    eng.solve(prob.with_costs(-rng.uniform(0.5, 1.0, n)))
+    eng.load_state(snap)
+    final = prob.with_costs(-rng.uniform(0.5, 1.0, n))
+    sol, ref = eng.solve(final), SimplexSolver().solve(final)
+    assert saved_k + 1 < eng._k < m
+    assert sol.status is ref.status is LpStatus.OPTIMAL
+    assert abs(sol.z - ref.z) <= 1e-12 * abs(ref.z)
+    assert np.allclose(sol.x, ref.x, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
