@@ -172,6 +172,8 @@ class ClassificationReport:
     lp_count: int
     pivots: int
     degenerate_pivots: int
+    probes: int
+    batched_probes: int
     iterations: int
     removal_sizes: tuple
     seconds: float
@@ -201,6 +203,8 @@ def classify(ds: Dataset, variant: str = "2e1", epsilon: float = 1.0) -> Classif
         lp_count=res.lp_count,
         pivots=res.pivots,
         degenerate_pivots=res.degenerate_pivots,
+        probes=res.probes,
+        batched_probes=res.batched_probes,
         iterations=res.iterations,
         removal_sizes=tuple(res.removal_sizes),
         seconds=time.perf_counter() - t0,

@@ -72,6 +72,8 @@ def _cmd_maxfs(args) -> int:
         "removal_sizes": list(res.removal_sizes),
         "final_z": res.final_z,
         "lp_count": res.lp_count,
+        "probes": res.probes,
+        "batched_probes": res.batched_probes,
         "iterations": res.iterations,
         "exit_reason": res.exit_reason.value,
         "seconds": round(res.seconds, 6),
@@ -95,6 +97,8 @@ def _cmd_classify(args) -> int:
         "weights": [float(w) for w in rep.hyperplane.weights],
         "offset": rep.hyperplane.offset,
         "lp_count": rep.lp_count,
+        "probes": rep.probes,
+        "batched_probes": rep.batched_probes,
         "iterations": rep.iterations,
         "seconds": round(rep.seconds, 6),
     }

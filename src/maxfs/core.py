@@ -84,6 +84,10 @@ DUAL_TOL = 1e-8
 # recovery searches stop there
 ZTOL = 1e-6
 
+# a round batches the probes after its head when at least BATCH_MIN
+# remain; below that the engine is cheaper (see the `simplex` notes)
+BATCH_MIN = 8
+
 # (pool, candidates, scores), see `rank_candidates`
 Ranked = tuple[list[int], list[int], np.ndarray]
 
@@ -245,6 +249,8 @@ class MaxFsResult:
     pivots          basis changes over those LPs
     degenerate_pivots  the basis changes among them with a zero step
     probes          tentative deletions tried
+    batched_probes  the probes among them that a batch settled
+                    (`CostDeletionEnv.probe_round`)
     seconds         wall time of the search
     exit_reason     why the rounds stopped
 
@@ -259,6 +265,7 @@ class MaxFsResult:
     pivots: int
     degenerate_pivots: int
     probes: int
+    batched_probes: int
     seconds: float
     exit_reason: ExitReason
 
@@ -290,13 +297,12 @@ class SearchEnv(Protocol):
         """(pool, candidates, scores), as `rank_candidates` returns them,
         with no entity already deleted."""
 
-    def probe(self, entity: int, beat: float) -> tuple[LpSolution, object | None]:
-        """Tentatively delete `entity`: re-solve warm, put the engine
-        back, and return (solution, end-state for adoption); the end
-        state is None unless the solution's Z is below `beat`."""
-
-    def adopt(self, entity: int, state: object) -> None:
-        """Delete `entity` for real and install the probe end-state."""
+    def probe_round(self, candidates: Sequence[int],
+                    stop: float) -> tuple[int, LpSolution, int, int]:
+        """Tentatively delete each candidate in ranked order and delete
+        for real the first with the lowest Z; a probe with Z at or
+        below `stop` ends the round. Returns (winner, its solution,
+        probes made, probes a batch settled)."""
 
     def remove_batch(self, entities: Sequence[int]) -> None:
         """Delete entities without solving."""
@@ -320,7 +326,10 @@ class CostDeletionEnv:
 
     Every probe of a round starts from the same incumbent, so the first
     probe snapshots it and the others reuse that snapshot until a
-    deletion or a solve moves the engine on.
+    deletion or a solve moves the engine on. `probe_round` probes the
+    head on the engine, so that a feasible head ends the round after one
+    LP, and the rest, when at least BATCH_MIN, in one batch
+    (`SimplexSolver.probe_costs`); a probe that leaves it runs alone.
     """
 
     def __init__(
@@ -378,6 +387,40 @@ class CostDeletionEnv:
         self.remove_batch([entity])
         self.engine.load_state(state)
 
+    def probe_round(self, candidates: Sequence[int],
+                    stop: float) -> tuple[int, LpSolution, int, int]:
+        # end: the winner's (solution, end state), or its index in the batch
+        best, beat, end, batch = None, math.inf, None, None
+        for i, e in enumerate(candidates):
+            if batch is not None and settled[i - 1]:
+                if zs[i - 1] < beat:
+                    best, beat, end = e, zs[i - 1], i - 1
+            else:
+                sol, state = self.probe(e, beat)
+                if sol.z < beat:
+                    best, beat, end = e, sol.z, (sol, state)
+            if beat <= stop:
+                break
+            if i == 0 and len(candidates) > BATCH_MIN:
+                # the head put the incumbent back: the rest start there
+                batch = self.engine.probe_costs(self.problem.with_costs(self.costs),
+                                                self.columns[candidates[1:]], self.deleted_cost)
+                settled, zs = batch.settled.tolist(), batch.z.tolist()
+        batched = 0
+        if batch is not None:   # count the batched probes the walk reached
+            reached = batch.settled[:i]
+            batched = int(reached.sum())
+            self.lp_count += batched
+            self.pivots += int(batch.pivots[:i][reached].sum())
+            self.degenerate_pivots += int(batch.degenerate_pivots[:i][reached].sum())
+        if isinstance(end, tuple):
+            sol, state = end
+            self.adopt(best, state)
+        else:
+            self.remove_batch([best])
+            sol = self.engine.solve(self.problem.with_costs(self.costs), batch.end_basis(end))
+        return best, sol, i + 1, batched
+
     def remove_batch(self, entities: Sequence[int]) -> None:
         self._incumbent = None
         self.costs[self.columns[entities]] = self.deleted_cost
@@ -410,7 +453,7 @@ def run_removal_loop(
     t0 = time.perf_counter()
     removed: list[int] = []
     removal_sizes: list[int] = []
-    probes = 0
+    probes = batched_probes = 0
     exit_reason: ExitReason | None = None
     sol = env.solve_current()
     z_history = [sol.z]
@@ -438,15 +481,10 @@ def run_removal_loop(
             exit_reason = ExitReason.BULK_E2
             ents = pool
         elif not batch:
-            best, beat = None, math.inf
-            for e in ents:
-                psol, pstate = env.probe(e, beat)
-                probes += 1
-                if psol.z < beat:
-                    best, sol, state, beat = e, psol, pstate, psol.z
-                if not exit_on_empty and sol.z <= ZTOL:
-                    break  # a feasible probe cannot be beaten
-            env.adopt(best, state)
+            # a feasible probe cannot be beaten, unless the loop drains the pool
+            best, sol, tried, settled = env.probe_round(ents, -math.inf if exit_on_empty else ZTOL)
+            probes += tried
+            batched_probes += settled
             removed.append(best)
             removal_sizes.append(1)
             z_history.append(sol.z)
@@ -475,6 +513,7 @@ def run_removal_loop(
         pivots=env.pivots,
         degenerate_pivots=env.degenerate_pivots,
         probes=probes,
+        batched_probes=batched_probes,
         seconds=time.perf_counter() - t0,
         exit_reason=exit_reason,
     )

@@ -82,6 +82,27 @@ Design notes:
   a quarter, most of them degenerate). Bland's rule never passes a kink.
   A structure with no pairs, such as the split form with its fixed
   equality slacks, skips the walk on one flag.
+* Batched probes (`probe_costs`). A search round re-solves one LP from
+  one basis many times, each with one entity's costs changed, so the
+  engine runs those probes as one array program: stacked solves with
+  B^T and B, one product with [A | U | I] for all reduced costs, and
+  `_ratio_test`'s rules column by column. A probe still running holds
+  its basic columns, basic values, int8 entering signs and one
+  product-form eta per pivot on the incumbent factor, and chunks of
+  PROBE_WORK // (n + m) probes bound the working set (on 200-row sets,
+  60 probes held 1.1 MB of peak RSS against 1.7 MB for 120, at 5 to 10%
+  more time). A probe leaves, for `_optimize` to re-solve from the
+  incumbent, before a step past a kink, a bound flip or a ray, or a
+  pivot past PROBE_CAP; a free nonbasic column at the incumbent leaves
+  them all. A winner's solve starts from `ProbeBatch.end_basis`.
+  Rounding differs from `_optimize`'s and can break an exact tie the
+  other way. Why 32 and 8: `jokar_pfetsch`'s probes walk long
+  degenerate paths, and batching them took its 40 benchmark instances
+  from 3.9 s to 4.1 s at a cap of 3 but to 2.7 s at 32, while the row
+  searches' batched probes take at most 6 pivots; a chunk's pivot
+  costs about two hundred numpy calls at any width, so batching rounds
+  of 2 to 4 probes slowed `recovery` from 1.1 to 2.1-2.7 s
+  (`core.BATCH_MIN`).
 * Anti-cycling: Dantzig pricing, and Bland's rule (finite but slow) as
   a last resort after BLAND_AFTER consecutive degenerate pivots, dual
   steps in the dual simplex, back on progress. Held off, Dantzig
@@ -152,6 +173,12 @@ BLAND_AFTER = 200
 # iterations of the dual or the primal simplex before the solve raises
 # SolverError
 MAX_ITERATIONS = 500_000
+# pivots a batched probe (`SimplexSolver.probe_costs`) may take; one
+# that needs more leaves the batch (see the module notes)
+PROBE_CAP = 32
+# a batch runs its probes in chunks whose working arrays, one column of
+# m or n + m numbers per probe, hold at most about PROBE_WORK numbers
+PROBE_WORK = 24_576
 
 # Nonbasic/basic variable states.
 NB_LOWER = 0
@@ -331,6 +358,35 @@ class Basis:
     degenerate_pivots: int
 
 
+@dataclass
+class ProbeBatch:
+    """The probes of `SimplexSolver.probe_costs`. A settled probe has
+    its re-solve's `z` and pivot counts; `steps` holds, per pivot level,
+    the probes that pivoted (ascending) with their entering column,
+    position and leaving bound, from the incumbent basis `start`."""
+
+    start: Basis
+    settled: np.ndarray
+    z: np.ndarray
+    pivots: np.ndarray
+    degenerate_pivots: np.ndarray
+    steps: list = field(default_factory=list)
+
+    def end_basis(self, i: int) -> Basis:
+        """Settled probe i's optimal basis, to start a solve at its costs
+        from (one refactor and one pricing pass, no pivot)."""
+        if not self.settled[i]:
+            raise ValueError(f"probe {i} left the batch: it has no end basis")
+        basis, vstat = self.start.basis.copy(), self.start.vstat.copy()
+        for ids, t, pos, upper in self.steps:
+            at = np.searchsorted(ids, i)
+            if at < ids.size and ids[at] == i:
+                vstat[basis[pos[at]]] = NB_UPPER if upper[at] else NB_LOWER
+                vstat[t[at]] = BASIC
+                basis[pos[at]] = t[at]
+        return Basis(basis, vstat, 0, 0)
+
+
 # the engine arrays a snapshot copies: basis, values, entering
 # eligibility and factorisation
 _STATE = ("_basis", "_vstat", "_x", "_price", "_free_nb", "_prow", "_pval", "_rowpos",
@@ -419,6 +475,132 @@ class SimplexSolver:
             setattr(self, name, arr.copy())
         self._pivots_since_refactor = snap.pivots_since_refactor
         self._have_state = True
+
+    def probe_costs(self, problem: LpProblem, columns: np.ndarray, value: float) -> ProbeBatch:
+        """Re-solve together, from this engine's state on problem's
+        structure and without changing it, the LPs that `problem` becomes
+        when the costs of each row of `columns` are set to `value`, each
+        by `_optimize`'s pivots, until it ends or leaves the batch (see
+        the module notes)."""
+        if not self._have_state or problem.structure is not self._structure:
+            raise SolverError("no solved state on this structure to probe from")
+        size = len(columns)
+        self._costs[: self._n] = problem.c
+        batch = ProbeBatch(self.basis(), np.zeros(size, dtype=bool), np.full(size, np.nan),
+                           np.zeros(size, dtype=int), np.zeros(size, dtype=int))
+        if self._free_nb.size:
+            return batch
+        chunk = max(1, PROBE_WORK // self._ncols)
+        for first in range(0, size, chunk):
+            self._settle(batch, columns, value, np.arange(first, min(first + chunk, size)))
+        return batch
+
+    def _settle(self, batch: ProbeBatch, columns: np.ndarray, value: float,
+                ids: np.ndarray) -> None:
+        """Run the probes `ids` of `batch` to their end or their exit.
+        The working arrays hold one column per probe still running; they
+        are views of the incumbent's until the first pivot."""
+        m, n, lo, hi = self._m, self._n, self._lo, self._hi
+        c, x0 = self._costs, self._x
+        j0, j1 = columns[ids, 0], columns[ids, 1]
+        z = (float(c[:n] @ x0[:n]) + (value - c[j0]) * x0[j0]
+             + np.where(j1 != j0, (value - c[j1]) * x0[j1], 0.0))
+        degenerate = np.zeros(ids.size, dtype=int)
+        basis = np.broadcast_to(self._basis[:, None], (m, ids.size))
+        xb = np.broadcast_to(x0[self._basis][:, None], (m, ids.size))
+        price = np.broadcast_to(self._price.astype(np.int8)[:, None], (self._ncols, ids.size))
+        etas = []   # (position, w) of each pivot
+
+        def cost_of(j, cols):
+            """Each probe's cost of its column j."""
+            return np.where((j == cols[:, 0]) | (j == cols[:, 1]), value, c[j])
+
+        for level in range(PROBE_CAP + 1):
+            cols = columns[ids]
+            ar = np.arange(ids.size)
+            # Dantzig pricing on the duals of the probes' basic costs
+            y = c[basis]
+            y[(basis == cols[:, 0]) | (basis == cols[:, 1])] = value
+            for pos, w in reversed(etas):
+                _eta_solve_t(y, pos, w)
+            y = self._btran(y)
+            score = self._row_products(y)
+            del y
+            r0, r1 = score[cols[:, 0], ar], score[cols[:, 1], ar]
+            np.subtract(c[:, None], score, out=score)
+            score[cols[:, 0], ar], score[cols[:, 1], ar] = value - r0, value - r1
+            np.multiply(score, price, out=score)
+            t = score.argmax(axis=0)
+            top = score[t, ar]
+            del score
+            done = top <= DUAL_TOL
+            ended = ids[done]
+            batch.settled[ended] = True
+            batch.z[ended] = z[done]
+            batch.pivots[ended] = level
+            batch.degenerate_pivots[ended] = degenerate[done]
+            if level == PROBE_CAP or done.all():
+                break
+            # the entering columns through the etas, and `_ratio_test`'s
+            # blocker and tie rules, column by column
+            sigma = -price[t, ar].astype(float)
+            a = np.zeros((m, ids.size))
+            dense = t < self._nd
+            a[:, dense] = self._A[:, t[dense]]
+            single = np.flatnonzero(~dense)
+            a[self._colrow[t[single]], single] = self._colval[t[single]]
+            delta = self._ftran(a)
+            del a
+            for pos, e in etas:
+                _eta_solve(delta, pos, e)
+            delta *= -sigma   # from w = B^-1 a_t to the basics' change per unit step
+            up = delta > PIVOT_TOL
+            blocks = up | (delta < -PIVOT_TOL)
+            ratios = lo[basis]
+            np.copyto(ratios, hi[basis], where=up)
+            ratios -= xb
+            np.divide(ratios, delta, out=ratios, where=blocks)
+            ratios[~blocks] = np.inf
+            np.maximum(ratios, 0.0, out=ratios)
+            best = ratios.min(axis=0)
+            ties = ratios <= best + 1e-9 * (1.0 + best)
+            np.abs(delta, out=ratios)
+            ratios[~ties] = -1.0
+            pos = ratios.argmax(axis=0)
+            del ratios, ties, blocks, up
+            # a probe that is done, or whose step would flip a bound or
+            # meet a ray, stops here
+            stay = ~done & (hi[t] - lo[t] >= best - 1e-12) & (best < np.inf)
+            out = basis[pos, ar]
+            slope = -top
+            if self._kinks:
+                # `_long_step`'s test of whether a walk past kinks starts
+                jp = self._partner[out]
+                rho = cost_of(out, cols) * self._side[out] + cost_of(jp, cols) * self._side[jp]
+                stay &= ~((best > 1e-11) & (jp >= 0) & (jp != t) & (rho >= 0.0)
+                          & (slope + np.abs(delta[pos, ar]) * rho < -DUAL_TOL))
+            keep = np.flatnonzero(stay)
+            upper = delta[pos, ar][keep] > 0.0
+            w = delta[:, keep]
+            del delta
+            w *= -sigma[keep]   # w again: a sign flip is exact
+            basis = basis[:, keep]
+            xb = xb[:, keep]
+            price = price[:, keep]
+            etas = [(p[keep], e[:, keep]) for p, e in etas]
+            ids, z, degenerate = ids[keep], z[keep], degenerate[keep]
+            step, t, pos, sigma, out = best[keep], t[keep], pos[keep], sigma[keep], out[keep]
+            ar = np.arange(keep.size)
+            z += step * slope[keep]
+            degenerate += step <= 1e-11
+            xt = np.where(price[t, ar] < 0, lo[t], hi[t]) + sigma * step
+            xb -= (step * sigma) * w
+            xb[pos, ar] = xt
+            price[out, ar] = np.where(upper, self._movable[out], -self._movable[out])
+            price[t, ar] = 0
+            basis[pos, ar] = t
+            etas.append((pos, w))
+            batch.steps.append((ids, t, pos, upper))
 
     # ------------------------------------------------------------------
     # workspace
@@ -722,24 +904,27 @@ class SimplexSolver:
         self._recompute_basics()
 
     def _ftran(self, a: np.ndarray) -> np.ndarray:
-        """w with B w = a, by basis position."""
+        """w with B w = a, by basis position; `a` may be a stack of
+        columns (m x C), solved at once."""
         k = self._k
         if k == self._m:
             return self._kinv.dot(a)   # a full kernel is in position and row order (`_grow`)
+        g = self._pval if a.ndim == 1 else self._pval[:, None]
         if k == 0:
-            return a[self._prow] / self._pval
+            return a[self._prow] / g
         wd = self._kinv.dot(a[self._krow])
-        w = (a - self._ct.T.dot(wd))[self._prow] / self._pval
+        w = (a - self._ct.T.dot(wd))[self._prow] / g
         w[self._dpos] = wd
         return w
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
-        """y with B^T y = cb, where cb is given by basis position."""
+        """y with B^T y = cb, where cb is given by basis position; `cb`
+        may be a stack of columns (m x C)."""
         k = self._k
         if k == self._m:
             return self._kinv.T.dot(cb)
-        y = np.empty(self._m)
-        y[self._prow] = cb / self._pval
+        y = np.empty(cb.shape)
+        y[self._prow] = cb / (self._pval if cb.ndim == 1 else self._pval[:, None])
         if k:
             krow = self._krow
             y[krow] = 0.0
@@ -779,12 +964,14 @@ class SimplexSolver:
         return self._row_products(self._btran(unit))
 
     def _row_products(self, v: np.ndarray) -> np.ndarray:
-        """a_j . v for every column j."""
-        out = np.empty(self._ncols)
+        """a_j . v for every column j; for a stack of vectors v (m x C),
+        one row of products per column."""
+        out = np.empty((self._ncols,) + v.shape[1:])
         nd, n = self._nd, self._n
         out[:nd] = self._At.dot(v)
         if n > nd:   # the split form of sparse recovery has no unit columns
-            out[nd:n] = self._unit_vals * v[self._unit_rows]
+            vals = self._unit_vals if v.ndim == 1 else self._unit_vals[:, None]
+            np.multiply(vals, v[self._unit_rows], out=out[nd:n])
         out[n:] = v   # slacks: one unit block
         return out
 
@@ -1048,6 +1235,22 @@ class SimplexSolver:
             refactors=self._refactors,
             kink_passes=self._kink_passes,
         )
+
+
+def _eta_solve(v: np.ndarray, pos: np.ndarray, w: np.ndarray) -> None:
+    """v := E^-1 v in place, column by column, E the identity with
+    column pos[i] replaced by w[:, i]: a pivot's product-form eta."""
+    ar = np.arange(v.shape[1])
+    vp = v[pos, ar] / w[pos, ar]
+    v -= w * vp
+    v[pos, ar] = vp
+
+
+def _eta_solve_t(v: np.ndarray, pos: np.ndarray, w: np.ndarray) -> None:
+    """v := E^-T v in place, column by column, for the etas of `_eta_solve`."""
+    ar = np.arange(v.shape[1])
+    vp, wp = v[pos, ar], w[pos, ar]
+    v[pos, ar] = (vp - (np.einsum("ij,ij->j", w, v) - wp * vp)) / wp
 
 
 def _largest_pivot(ratios: np.ndarray, best: float, w: np.ndarray) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from maxfs.bench import METHODS, SweepSpec
+from maxfs.classify import Dataset, build_constraints
 from maxfs.cli import main
 from maxfs.recovery import RecoveryProblem, method_b
 from maxfs.systems import (
@@ -129,6 +130,28 @@ def test_classify_subcommand(capsys, points_csv):
     assert rec["accuracy"] == 1.0
     assert rec["points"] == 4 and rec["features"] == 2
     assert len(rec["weights"]) == 2
+
+
+def test_2inf_records_count_probes_and_batched_probes(capsys, tmp_path):
+    # 60 overlapping points: 2inf probes every violated row, and rounds
+    # of more than BATCH_MIN candidates are settled by the batch; the
+    # maxfs subcommand runs the same search on the same rows
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((60, 2))
+    z[30:, 0] += 1.0
+    labels = np.repeat([0, 1], 30)
+    csv_path = tmp_path / "pts.csv"
+    lines = [f"{float(a)!r},{float(b)!r},{c}" for (a, b), c in zip(z, labels)]
+    csv_path.write_text("\n".join(["f1,f2,cls", *lines]) + "\n")
+    sys_path = tmp_path / "rows.txt"
+    write_system(build_constraints(Dataset(z, labels)), sys_path)
+    _, (cls,) = run_cli(capsys, "classify", str(csv_path), "--label-col", "cls",
+                        "--algorithm", "2inf")
+    _, (rows,) = run_cli(capsys, "maxfs", str(sys_path))
+    for rec in (cls, rows):
+        assert 0 < rec["batched_probes"] < rec["probes"] < rec["lp_count"]
+    assert (cls["probes"], cls["batched_probes"]) == (rows["probes"], rows["batched_probes"])
+    assert cls["removed_points"] == len(rows["removed_rows"])
 
 
 def test_classify_csv_projection(capsys, tmp_path, points_csv):

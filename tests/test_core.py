@@ -3,6 +3,7 @@ row-deletion search."""
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,8 @@ from maxfs.core import (
     run_removal_loop,
     solve_maxfs,
 )
-from maxfs import recovery
+from maxfs import core, recovery, simplex
+from maxfs.classify import Dataset, build_constraints
 from maxfs.recovery import (
     RecoveryProblem,
     _split_env,
@@ -34,6 +36,7 @@ from maxfs.simplex import LpSolution, LpStatus, SimplexSolver, SolverError
 from maxfs.systems import LinearSystem, elasticize, lift_bounds
 
 from conftest import (
+    bounded_system,
     min_cover_size,
     planted_instance,
     random_feasible_system,
@@ -218,13 +221,18 @@ class ToyEnv:
         cands = pool[: self.k]
         return pool, cands, np.array([self.w[e] for e in cands])
 
-    def probe(self, entity, beat):
-        self.lp_count += 1
-        z = self._z() - self.w[entity]
-        return self._sol(z), entity if z < beat else None
-
-    def adopt(self, entity, state):
-        self.active.discard(entity)
+    def probe_round(self, candidates, stop):
+        best, beat, probes = None, math.inf, 0
+        for e in candidates:
+            self.lp_count += 1
+            probes += 1
+            z = self._z() - self.w[e]
+            if z < beat:
+                best, beat = e, z
+            if beat <= stop:
+                break
+        self.active.discard(best)
+        return best, self._sol(beat), probes, 0
 
     def remove_batch(self, entities):
         self.active -= set(entities)
@@ -760,3 +768,110 @@ def test_alg1_can_delete_satisfied_rows():
     assert res.final_z <= 1e-6
     survivors = [i for i in range(3) if i not in res.removed_rows]
     assert scipy_feasible(sys_, survivors)
+
+
+# ---------------------------------------------------------------------------
+# batched probe rounds against rounds probed on the engine alone
+
+
+def lockstep_rounds(mp, make_env, stop=core.ZTOL, batch_min=1):
+    """Search two copies of one environment round by round: one batches
+    the probes after each round's head once more than `batch_min`
+    candidates are left, the other probes every candidate on the engine
+    (BATCH_MIN past the candidate count). Every round must pick the same
+    winner with the same Z and make the same probes, LPs, pivots and
+    degenerate pivots, and the winner's state must re-solve at its costs
+    with no pivot and the same Z. Returns the probes the batch settled."""
+    envs = (make_env(), make_env())
+    sols = [env.solve_current() for env in envs]
+    settled = 0
+    while True:
+        ranked = [env.candidates(sol)[1] for env, sol in zip(envs, sols)]
+        assert ranked[0] == ranked[1]
+        if not ranked[0] or sols[0].z <= stop:
+            return settled
+        rounds = []
+        for env, least in zip(envs, (batch_min, len(ranked[0]))):
+            mp.setattr(core, "BATCH_MIN", least)
+            rounds.append(env.probe_round(ranked[0], stop))
+        (win, sol, probes, batched), (ref_win, ref, ref_probes, ref_batched) = rounds
+        assert (win, probes, ref_batched) == (ref_win, ref_probes, 0)
+        tol = 1e-12 * max(1.0, abs(ref.z))
+        assert abs(sol.z - ref.z) <= tol
+        assert len({(env.lp_count, env.pivots, env.degenerate_pivots) for env in envs}) == 1
+        settled += batched
+        for env, end in zip(envs, (sol, ref)):
+            again = env.solve_current()
+            assert again.pivots == 0 and abs(again.z - end.z) <= tol
+        sols = [sol, ref]
+
+
+def row_env(model, algorithm=3):
+    rank = core._row_ranking(model, StrategyConfig(algorithm=algorithm))
+    return lambda: CostDeletionEnv(model.lp_problem(), model.row_elastics, 0.0, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_rounds_match_engine_rounds_on_drawn_systems(data):
+    # the entries are drawn from a seed, not by hypothesis, so that no
+    # two reduced costs or pivots tie exactly: the batch's rounding
+    # differs from the engine's, and an exact tie may then break the
+    # other way (test_batched_probes_reach_the_engine_optimum_on_tied_data)
+    m = data.draw(st.integers(6, 14))
+    n = data.draw(st.integers(1, 3))
+    senses = data.draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = elasticize(LinearSystem(rng.uniform(-3, 3, (m, n)), senses, rng.uniform(-4, 4, m)))
+    with pytest.MonkeyPatch.context() as mp:
+        lockstep_rounds(mp, row_env(model))
+
+
+def test_batched_rounds_match_engine_rounds(monkeypatch):
+    # lifted bounds, rows of both sides and equalities, and the split
+    # form of a planted instance, drained as method_b drains it too;
+    # default BATCH_MIN on the wide Gaussian rounds
+    rng = np.random.default_rng(21)
+    boxed = random_infeasible_system(rng, m_extra=6)
+    boxed = LinearSystem(boxed.coeffs, boxed.senses, boxed.rhs,
+                         np.full(boxed.n, -0.5), np.full(boxed.n, 0.5))
+    z = rng.standard_normal((50, 2))
+    z[25:, 0] += 1.0
+    gauss = elasticize(build_constraints(Dataset(z, np.repeat([0, 1], 25))))
+    A, _, b = planted_instance(12, 10, 20, 6)
+    prob = RecoveryProblem(A, b)
+    settled = [
+        lockstep_rounds(monkeypatch, row_env(elasticize(lift_bounds(bounded_system())))),
+        lockstep_rounds(monkeypatch, row_env(elasticize(lift_bounds(boxed)), algorithm=1)),
+        lockstep_rounds(monkeypatch, row_env(elasticize(random_infeasible_system(rng, m_extra=8)))),
+        lockstep_rounds(monkeypatch, row_env(gauss, algorithm=2), batch_min=core.BATCH_MIN),
+        lockstep_rounds(monkeypatch, lambda: _split_env(prob, 0.0)),
+        lockstep_rounds(monkeypatch, lambda: _split_env(prob, 0.1), stop=-np.inf),
+    ]
+    assert min(settled) > 0
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_batched_rounds_stay_exact_under_a_tighter_pivot_cap(monkeypatch, cap):
+    monkeypatch.setattr(simplex, "PROBE_CAP", cap)
+    model = elasticize(random_infeasible_system(np.random.default_rng(4), m_extra=8))
+    assert lockstep_rounds(monkeypatch, row_env(model)) > 0
+
+
+def test_batched_search_records_match_the_engine_search(monkeypatch):
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((80, 2))
+    z[40:, 0] += 1.2
+    rows = build_constraints(Dataset(z, np.repeat([0, 1], 40)))
+    A, _, b = planted_instance(13, 16, 32, 8)
+    runs = []
+    for least in (core.BATCH_MIN, 10**9):
+        monkeypatch.setattr(core, "BATCH_MIN", least)
+        res = solve_maxfs(rows, StrategyConfig(algorithm=2))
+        jp = jokar_pfetsch(RecoveryProblem(A, b))
+        runs.append((res.removed_rows, res.lp_count, res.pivots, res.degenerate_pivots,
+                     res.probes, res.batched_probes > 0,
+                     sorted(jp.support), jp.lp_count, jp.pivots, jp.degenerate_pivots))
+    batched, alone = runs
+    assert batched[:5] == alone[:5] and batched[6:] == alone[6:]
+    assert batched[5] and not alone[5]

@@ -24,7 +24,7 @@ from maxfs.simplex import (
 )
 from maxfs.systems import LinearSystem, elasticize, lift_bounds
 
-from conftest import lp_matrix, scipy_problem, zeroing_lp
+from conftest import bounded_system, lp_matrix, random_infeasible_system, scipy_problem, zeroing_lp
 
 STATUS_CODE = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
 
@@ -1194,3 +1194,158 @@ def test_start_basis_must_fit_the_structure():
     problem = _split_problem(planted_recovery(np.random.default_rng([41, 4]), 8, 16, 2))
     with pytest.raises(ValueError, match="does not fit"):
         SimplexSolver().solve(problem, eng.basis())
+
+
+# ---------------------------------------------------------------------------
+# batched cost-only re-solves (`probe_costs`): stacked solves, and every
+# probe against the engine's own re-solve
+
+
+def slack_basis_engine():
+    """An engine whose optimal basis is all slacks: k = 0."""
+    rng = np.random.default_rng(3)
+    problem = make_problem(np.ones(4), rng.uniform(-5, 5, (6, 4)), np.full(6, -1),
+                           rng.uniform(1, 5, 6), np.zeros(4))
+    eng = SimplexSolver()
+    eng.solve(problem)
+    return eng
+
+
+@pytest.mark.parametrize("case", ["k=0", "0<k<m", "k=m"])
+def test_stacked_solves_match_one_solve_per_vector(case):
+    if case == "k=0":
+        eng = slack_basis_engine()
+    else:
+        eng = SimplexSolver()
+        rows = elasticize(random_infeasible_system(np.random.default_rng(9), m_extra=6))
+        split = _split_problem(planted_recovery(np.random.default_rng([41, 1]), 12, 24, 4))
+        eng.solve(rows.lp_problem() if case == "0<k<m" else split)
+    assert {"k=0": eng._k == 0, "0<k<m": 0 < eng._k < eng._m, "k=m": eng._k == eng._m}[case]
+    v = np.random.default_rng(1).standard_normal((eng._m, 5))
+    for solve in (eng._ftran, eng._btran, eng._row_products):
+        stacked = solve(v)
+        one_by_one = np.column_stack([solve(v[:, i]) for i in range(v.shape[1])])
+        # a product of a stack may sum in another order than one of a vector
+        tol = 64 * np.finfo(float).eps * (1.0 + np.abs(one_by_one).max())
+        np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=tol)
+
+
+def batch_against_engine(problem, columns, value, engine=None, ties=False):
+    """Batch the probes that set the costs of each row of `columns` to
+    `value`, from the optimum of `problem`, and re-solve each on the
+    engine from a snapshot of that optimum. A settled probe must match
+    its re-solve in Z, pivots and degenerate pivots (with `ties`, where
+    exact ties may send it along another path, in Z only), and a solve
+    from its end basis must reach that Z with no pivot. Returns
+    (settled, re-solve) per probe."""
+    eng = engine or SimplexSolver()
+    eng.solve(problem)
+    snap = eng.save_state()
+    batch = eng.probe_costs(problem, columns, value)
+    out = []
+    for i, cols in enumerate(columns):
+        costs = problem.c.copy()
+        costs[cols] = value
+        eng.load_state(snap)
+        ref = eng.solve(problem.with_costs(costs))
+        if batch.settled[i]:
+            scale = 1e-12 * max(1.0, abs(ref.z))
+            assert abs(batch.z[i] - ref.z) <= scale
+            sol = eng.solve(problem.with_costs(costs), batch.end_basis(i))
+            assert sol.status is LpStatus.OPTIMAL and abs(sol.z - ref.z) <= scale
+            assert sol.pivots == sol.bound_flips == 0 and sol.refactors == 1
+            if not ties:
+                assert batch.pivots[i] == ref.pivots
+                assert batch.degenerate_pivots[i] == ref.degenerate_pivots
+                atol = 1e-9 * (1 + np.abs(ref.x).max())
+                np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=atol)
+        out.append((bool(batch.settled[i]), ref))
+    eng.load_state(snap)
+    return out
+
+
+def why_left(ref) -> str:
+    """Why the engine's re-solve cannot be batched."""
+    if ref.status is LpStatus.UNBOUNDED:
+        return "ray"
+    if ref.kink_passes:
+        return "kink"
+    if ref.bound_flips:
+        return "flip"
+    return "cap" if ref.pivots > simplex.PROBE_CAP else "none"
+
+
+def gaussian_rows(points=60, seed=5):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((points, 2))
+    z[points // 2:, 0] += 1.0
+    labels = np.repeat([0, 1], [points // 2, points - points // 2])
+    return elasticize(build_constraints(Dataset(z, labels)))
+
+
+@pytest.mark.parametrize("cap", [0, 1, simplex.PROBE_CAP])
+def test_batched_probes_leave_only_for_kinks_or_the_cap(monkeypatch, cap):
+    # elastic rows of both sides (GE and LE kinks) and an equality system
+    monkeypatch.setattr(simplex, "PROBE_CAP", cap)
+    reasons = []
+    rows = elasticize(random_infeasible_system(np.random.default_rng(3), m_extra=6))
+    for model in (gaussian_rows(), rows):
+        for settled, ref in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0):
+            why = why_left(ref)
+            assert settled == (why == "none"), why
+            assert settled or why in ("kink", "cap")
+            reasons.append(why)
+    assert "kink" in reasons and "none" in reasons
+    assert ("cap" in reasons) == (cap < 2)
+
+
+def test_batched_probes_run_in_chunks(monkeypatch):
+    # one probe per chunk: the steps of every chunk rebuild their own
+    # probe's end basis
+    model = gaussian_rows(40)
+    whole = [s for s, _ in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)]
+    monkeypatch.setattr(simplex, "PROBE_WORK", 1)
+    chunked = [s for s, _ in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)]
+    assert chunked == whole and sum(whole) > 1
+
+
+def test_batched_probe_leaves_before_a_bound_flip_or_a_ray():
+    # min x1 + x2 over x1 + x2 <= 10 with x in [0, 1]: costing x1 at -1
+    # flips it to its upper bound; over x1 - x2 <= 10, x >= 0, costing
+    # x2 at -1 meets a ray
+    flip = make_problem([1.0, 1.0], [[1.0, 1.0]], [-1], [10.0], [0.0, 0.0], [1.0, 1.0])
+    ray = make_problem([1.0, 1.0], [[1.0, -1.0]], [-1], [10.0], [0.0, 0.0])
+    for problem, kind in ((flip, "flip"), (ray, "ray")):
+        probes = batch_against_engine(problem, np.array([[0, 0], [1, 1]]), -1.0)
+        reasons = ["flip", "flip"] if kind == "flip" else ["none", "ray"]
+        assert [why_left(ref) for _, ref in probes] == reasons
+        assert [s for s, _ in probes] == [why == "none" for why in reasons]
+
+
+def test_free_nonbasic_column_leaves_every_probe_out():
+    # x2 is free with a zero column, so it stays nonbasic at the optimum
+    problem = make_problem([1.0, 0.0, 2.0], [[1.0, 0.0, 1.0]], [-1], [5.0], [0.0, -np.inf, 0.0])
+    eng = SimplexSolver()
+    assert list(eng.solve(problem).x) == [0.0, 0.0, 0.0] and eng._free_nb.size == 1
+    probes = batch_against_engine(problem, np.array([[0, 0], [2, 2]]), -1.0, eng)
+    assert [s for s, _ in probes] == [False, False]
+    assert [ref.pivots for _, ref in probes] == [1, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_probes_reach_the_engine_optimum_on_tied_data(data):
+    # small integers tie reduced costs and pivot sizes exactly, and the
+    # batch, which rounds differently, may then pivot on another of the
+    # tied columns than the engine: its probes must still reach the
+    # engine's Z, at an optimum that re-solves with no pivot
+    m = data.draw(st.integers(4, 12))
+    n = data.draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+    rows = st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)
+    A = np.array(data.draw(rows), dtype=float)
+    A[~A.any(axis=1), 0] = 1.0
+    senses = data.draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    b = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), dtype=float)
+    model = elasticize(LinearSystem(A, senses, b))
+    batch_against_engine(model.lp_problem(), model.row_elastics, 0.0, ties=True)
