@@ -172,6 +172,7 @@ class ClassificationReport:
     lp_count: int
     pivots: int
     degenerate_pivots: int
+    kink_passes: int
     probes: int
     batched_probes: int
     iterations: int
@@ -203,6 +204,7 @@ def classify(ds: Dataset, variant: str = "2e1", epsilon: float = 1.0) -> Classif
         lp_count=res.lp_count,
         pivots=res.pivots,
         degenerate_pivots=res.degenerate_pivots,
+        kink_passes=res.kink_passes,
         probes=res.probes,
         batched_probes=res.batched_probes,
         iterations=res.iterations,

@@ -74,6 +74,7 @@ def _cmd_maxfs(args) -> int:
         "lp_count": res.lp_count,
         "probes": res.probes,
         "batched_probes": res.batched_probes,
+        "kink_passes": res.kink_passes,
         "iterations": res.iterations,
         "exit_reason": res.exit_reason.value,
         "seconds": round(res.seconds, 6),
@@ -99,6 +100,7 @@ def _cmd_classify(args) -> int:
         "lp_count": rep.lp_count,
         "probes": rep.probes,
         "batched_probes": rep.batched_probes,
+        "kink_passes": rep.kink_passes,
         "iterations": rep.iterations,
         "seconds": round(rep.seconds, 6),
     }

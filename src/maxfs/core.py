@@ -248,6 +248,7 @@ class MaxFsResult:
     lp_count        LPs solved, probes and a finishing solve included
     pivots          basis changes over those LPs
     degenerate_pivots  the basis changes among them with a zero step
+    kink_passes     kinks their steps passed without a pivot
     probes          tentative deletions tried
     batched_probes  the probes among them that a batch settled
                     (`CostDeletionEnv.probe_round`)
@@ -264,6 +265,7 @@ class MaxFsResult:
     lp_count: int
     pivots: int
     degenerate_pivots: int
+    kink_passes: int
     probes: int
     batched_probes: int
     seconds: float
@@ -290,6 +292,7 @@ class SearchEnv(Protocol):
     lp_count: int
     pivots: int
     degenerate_pivots: int
+    kink_passes: int
 
     def solve_current(self) -> LpSolution: ...
 
@@ -348,7 +351,7 @@ class CostDeletionEnv:
         self.engine = engine if engine is not None else SimplexSolver()
         self.costs = problem.c.copy()
         self.removed: set[int] = set()
-        self.lp_count = self.pivots = self.degenerate_pivots = 0
+        self.lp_count = self.pivots = self.degenerate_pivots = self.kink_passes = 0
         self._incumbent = None
         self._start = start
 
@@ -362,6 +365,7 @@ class CostDeletionEnv:
         self.lp_count += 1
         self.pivots += sol.pivots
         self.degenerate_pivots += sol.degenerate_pivots
+        self.kink_passes += sol.kink_passes
         if sol.status is not LpStatus.OPTIMAL:
             raise SolverError(f"search subproblem ended {sol.status.name}")
         return sol
@@ -413,6 +417,7 @@ class CostDeletionEnv:
             self.lp_count += batched
             self.pivots += int(batch.pivots[:i][reached].sum())
             self.degenerate_pivots += int(batch.degenerate_pivots[:i][reached].sum())
+            self.kink_passes += int(batch.kink_passes[:i][reached].sum())
         if isinstance(end, tuple):
             sol, state = end
             self.adopt(best, state)
@@ -512,6 +517,7 @@ def run_removal_loop(
         lp_count=env.lp_count,
         pivots=env.pivots,
         degenerate_pivots=env.degenerate_pivots,
+        kink_passes=env.kink_passes,
         probes=probes,
         batched_probes=batched_probes,
         seconds=time.perf_counter() - t0,
@@ -558,7 +564,7 @@ def solve_maxfs(
         res.final_solution = env.solve_current()
         res.z_history.append(res.final_z)
         res.lp_count, res.pivots = env.lp_count, env.pivots
-        res.degenerate_pivots = env.degenerate_pivots
+        res.degenerate_pivots, res.kink_passes = env.degenerate_pivots, env.kink_passes
     res.seconds = time.perf_counter() - t0
 
     if res.exit_reason is not ExitReason.BULK_E2 and res.final_z > ZTOL:

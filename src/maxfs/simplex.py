@@ -81,7 +81,8 @@ Design notes:
   would flip a kernel column (it raised basis-pursuit pivots by about
   a quarter, most of them degenerate). Bland's rule never passes a kink.
   A structure with no pairs, such as the split form with its fixed
-  equality slacks, skips the walk on one flag.
+  equality slacks, skips the walk on one flag. Batched probes take the
+  same long steps, each under its own costs (`_long_steps`).
 * Batched probes (`probe_costs`). A search round re-solves one LP from
   one basis many times, each with one entity's costs changed, so the
   engine runs those probes as one array program: stacked solves with
@@ -91,10 +92,12 @@ Design notes:
   product-form eta per pivot on the incumbent factor, and chunks of
   PROBE_WORK // (n + m) probes bound the working set (on 200-row sets,
   60 probes held 1.1 MB of peak RSS against 1.7 MB for 120, at 5 to 10%
-  more time). A probe leaves, for `_optimize` to re-solve from the
-  incumbent, before a step past a kink, a bound flip or a ray, or a
-  pivot past PROBE_CAP; a free nonbasic column at the incumbent leaves
-  them all. A winner's solve starts from `ProbeBatch.end_basis`.
+  more time). A pass over kinks scales basic columns by lam = +-1, so
+  a probe carries the factor of each position it passed after its etas
+  and needs no refactor. A probe leaves, for `_optimize` to re-solve
+  from the incumbent, before a bound flip or a ray, or a pivot past
+  PROBE_CAP; a free nonbasic column at the incumbent leaves them all.
+  A winner's solve starts from `ProbeBatch.end_basis`.
   Rounding differs from `_optimize`'s and can break an exact tie the
   other way. Why 32 and 8: `jokar_pfetsch`'s probes walk long
   degenerate paths, and batching them took its 40 benchmark instances
@@ -102,7 +105,9 @@ Design notes:
   searches' batched probes take at most 6 pivots; a chunk's pivot
   costs about two hundred numpy calls at any width, so batching rounds
   of 2 to 4 probes slowed `recovery` from 1.1 to 2.1-2.7 s
-  (`core.BATCH_MIN`).
+  (`core.BATCH_MIN`). With kinks passed in the batch, BATCH_MIN = 4, 8
+  and 16 ran a `classify-probe` round in 0.346, 0.343 and 0.345 s,
+  within noise of each other.
 * Anti-cycling: Dantzig pricing, and Bland's rule (finite but slow) as
   a last resort after BLAND_AFTER consecutive degenerate pivots, dual
   steps in the dual simplex, back on progress. Held off, Dantzig
@@ -361,15 +366,19 @@ class Basis:
 @dataclass
 class ProbeBatch:
     """The probes of `SimplexSolver.probe_costs`. A settled probe has
-    its re-solve's `z` and pivot counts; `steps` holds, per pivot level,
-    the probes that pivoted (ascending) with their entering column,
-    position and leaving bound, from the incumbent basis `start`."""
+    its re-solve's `z`, pivot and kink-pass counts. `steps` holds, from
+    the incumbent basis `start`, the basis changes in order: per pivot
+    level its kink passes, one entry per pass a probe makes in that
+    step, then its pivots. An entry lists the probes (ascending) with
+    the column each puts in, its position and whether the column leaving
+    it goes to its upper bound."""
 
     start: Basis
     settled: np.ndarray
     z: np.ndarray
     pivots: np.ndarray
     degenerate_pivots: np.ndarray
+    kink_passes: np.ndarray
     steps: list = field(default_factory=list)
 
     def end_basis(self, i: int) -> Basis:
@@ -487,33 +496,41 @@ class SimplexSolver:
         size = len(columns)
         self._costs[: self._n] = problem.c
         batch = ProbeBatch(self.basis(), np.zeros(size, dtype=bool), np.full(size, np.nan),
-                           np.zeros(size, dtype=int), np.zeros(size, dtype=int))
+                           np.zeros(size, dtype=int), np.zeros(size, dtype=int),
+                           np.zeros(size, dtype=int))
         if self._free_nb.size:
             return batch
         chunk = max(1, PROBE_WORK // self._ncols)
+        # every level of every chunk prices into one buffer: a fresh
+        # (n + m) x chunk array per level churned the heap, and its page
+        # faults cost up to 8% of a `classify-probe` round (2-core host)
+        work = np.empty(self._ncols * min(chunk, size))
         for first in range(0, size, chunk):
-            self._settle(batch, columns, value, np.arange(first, min(first + chunk, size)))
+            self._settle(batch, columns, value, np.arange(first, min(first + chunk, size)), work)
         return batch
 
     def _settle(self, batch: ProbeBatch, columns: np.ndarray, value: float,
-                ids: np.ndarray) -> None:
-        """Run the probes `ids` of `batch` to their end or their exit.
-        The working arrays hold one column per probe still running; they
-        are views of the incumbent's until the first pivot."""
+                ids: np.ndarray, work: np.ndarray) -> None:
+        """Run the probes `ids` of `batch` to their end or their exit,
+        passing kinks as `_long_step` does. The working arrays hold one
+        column per probe still running; they are views of the
+        incumbent's until the first pivot. A probe's basis is the
+        incumbent factor, its etas and then `sign`, the factor lam of
+        each position whose kink it passed (None until one does): a pass
+        scales a basic column by lam, which commutes past the later etas
+        once they take the factor of their own position."""
         m, n, lo, hi = self._m, self._n, self._lo, self._hi
         c, x0 = self._costs, self._x
         j0, j1 = columns[ids, 0], columns[ids, 1]
         z = (float(c[:n] @ x0[:n]) + (value - c[j0]) * x0[j0]
              + np.where(j1 != j0, (value - c[j1]) * x0[j1], 0.0))
         degenerate = np.zeros(ids.size, dtype=int)
+        passes = np.zeros(ids.size, dtype=int)
         basis = np.broadcast_to(self._basis[:, None], (m, ids.size))
         xb = np.broadcast_to(x0[self._basis][:, None], (m, ids.size))
         price = np.broadcast_to(self._price.astype(np.int8)[:, None], (self._ncols, ids.size))
         etas = []   # (position, w) of each pivot
-
-        def cost_of(j, cols):
-            """Each probe's cost of its column j."""
-            return np.where((j == cols[:, 0]) | (j == cols[:, 1]), value, c[j])
+        sign = None
 
         for level in range(PROBE_CAP + 1):
             cols = columns[ids]
@@ -521,10 +538,13 @@ class SimplexSolver:
             # Dantzig pricing on the duals of the probes' basic costs
             y = c[basis]
             y[(basis == cols[:, 0]) | (basis == cols[:, 1])] = value
+            if sign is not None:
+                y *= sign
             for pos, w in reversed(etas):
                 _eta_solve_t(y, pos, w)
             y = self._btran(y)
-            score = self._row_products(y)
+            score = work[: self._ncols * ids.size].reshape(self._ncols, ids.size)
+            self._row_products(y, score)
             del y
             r0, r1 = score[cols[:, 0], ar], score[cols[:, 1], ar]
             np.subtract(c[:, None], score, out=score)
@@ -539,6 +559,7 @@ class SimplexSolver:
             batch.z[ended] = z[done]
             batch.pivots[ended] = level
             batch.degenerate_pivots[ended] = degenerate[done]
+            batch.kink_passes[ended] = passes[done]
             if level == PROBE_CAP or done.all():
                 break
             # the entering columns through the etas, and `_ratio_test`'s
@@ -553,32 +574,26 @@ class SimplexSolver:
             del a
             for pos, e in etas:
                 _eta_solve(delta, pos, e)
+            if sign is not None:
+                delta *= sign
             delta *= -sigma   # from w = B^-1 a_t to the basics' change per unit step
-            up = delta > PIVOT_TOL
-            blocks = up | (delta < -PIVOT_TOL)
-            ratios = lo[basis]
-            np.copyto(ratios, hi[basis], where=up)
+            ratios = np.where(delta > PIVOT_TOL, hi[basis], lo[basis])
             ratios -= xb
-            np.divide(ratios, delta, out=ratios, where=blocks)
-            ratios[~blocks] = np.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios /= delta
+            ratios[np.abs(delta) <= PIVOT_TOL] = np.inf   # no blocker
             np.maximum(ratios, 0.0, out=ratios)
-            best = ratios.min(axis=0)
-            ties = ratios <= best + 1e-9 * (1.0 + best)
-            np.abs(delta, out=ratios)
-            ratios[~ties] = -1.0
-            pos = ratios.argmax(axis=0)
-            del ratios, ties, blocks, up
+            step = ratios.min(axis=0)
+            pos = _largest_pivots(ratios, step, delta)
             # a probe that is done, or whose step would flip a bound or
             # meet a ray, stops here
-            stay = ~done & (hi[t] - lo[t] >= best - 1e-12) & (best < np.inf)
-            out = basis[pos, ar]
+            stay = ~done & (hi[t] - lo[t] >= step - 1e-12) & (step < np.inf)
             slope = -top
+            crossed = None
             if self._kinks:
-                # `_long_step`'s test of whether a walk past kinks starts
-                jp = self._partner[out]
-                rho = cost_of(out, cols) * self._side[out] + cost_of(jp, cols) * self._side[jp]
-                stay &= ~((best > 1e-11) & (jp >= 0) & (jp != t) & (rho >= 0.0)
-                          & (slope + np.abs(delta[pos, ar]) * rho < -DUAL_TOL))
+                crossed, step, pos, rise = self._long_steps(stay, ratios, delta, basis, cols,
+                                                            t, pos, step, slope, value)
+            del ratios
             keep = np.flatnonzero(stay)
             upper = delta[pos, ar][keep] > 0.0
             w = delta[:, keep]
@@ -588,19 +603,103 @@ class SimplexSolver:
             xb = xb[:, keep]
             price = price[:, keep]
             etas = [(p[keep], e[:, keep]) for p, e in etas]
-            ids, z, degenerate = ids[keep], z[keep], degenerate[keep]
-            step, t, pos, sigma, out = best[keep], t[keep], pos[keep], sigma[keep], out[keep]
+            ids, z, degenerate, passes = ids[keep], z[keep], degenerate[keep], passes[keep]
+            step, t, pos, sigma = step[keep], t[keep], pos[keep], sigma[keep]
             ar = np.arange(keep.size)
             z += step * slope[keep]
+            if sign is not None:
+                sign = sign[:, keep]
+            if crossed is not None:
+                z += rise[keep]
+                # `_pass_kinks` on each probe's passed positions, recorded
+                # as steps in the order of their positions
+                q, p = np.nonzero(crossed[:, keep].T)
+                if q.size:
+                    j = basis[p, q]
+                    jp, lam = self._partner[j], self._lam[j]
+                    xb[p, q] *= lam
+                    w[p, q] *= lam
+                    if sign is None:
+                        sign = np.ones((m, keep.size))
+                    sign[p, q] *= lam
+                    price[j, q] = -self._side[j]
+                    price[jp, q] = 0
+                    basis[p, q] = jp
+                    passes += np.bincount(q, minlength=keep.size)
+                    rank = np.arange(q.size) - np.searchsorted(q, q)
+                    for r in range(rank.max() + 1):
+                        at = rank == r
+                        batch.steps.append((ids[q[at]], jp[at], p[at], self._side[j[at]] < 0.0))
             degenerate += step <= 1e-11
+            out = basis[pos, ar]
             xt = np.where(price[t, ar] < 0, lo[t], hi[t]) + sigma * step
             xb -= (step * sigma) * w
             xb[pos, ar] = xt
             price[out, ar] = np.where(upper, self._movable[out], -self._movable[out])
             price[t, ar] = 0
             basis[pos, ar] = t
+            if sign is not None:
+                w *= sign * sign[pos, ar]
             etas.append((pos, w))
             batch.steps.append((ids, t, pos, upper))
+
+    def _long_steps(self, stay, ratios, delta, basis, cols, t, pos, best, slope, value):
+        """`_long_step` for the probes of `_settle`, column by column and
+        under each probe's own costs: a probe whose step of more than
+        1e-11 stops at a convex kink goes on past the kinks below its
+        first other blocker and its entering bound, in ratio order,
+        while its slope stays below -DUAL_TOL. Returns (crossed, step,
+        pos, rise): the positions each probe passes (m x probes, None
+        when none does), its step and pivot position, and its objective's
+        change beyond slope x step. A walk that ends in a bound flip or a
+        ray clears the probe's `stay`."""
+        hi, lo, partner, side, c = self._hi, self._lo, self._partner, self._side, self._costs
+        ar = np.arange(stay.size)
+
+        def rho_of(j, k):
+            """c_j side_j + c_j' side_j' of basic columns j under probes k's costs."""
+            jp, own = partner[j], (j == cols[k, 0]) | (j == cols[k, 1])
+            mate = (jp == cols[k, 0]) | (jp == cols[k, 1])
+            return (np.where(own, value, c[j]) * side[j]
+                    + np.where(mate, value, c[jp]) * side[jp])
+
+        out = basis[pos, ar]
+        jp, rho = partner[out], rho_of(out, ar)
+        walk = np.flatnonzero(stay & (best > 1e-11) & (jp >= 0) & (jp != t) & (rho >= 0.0)
+                              & (slope + np.abs(delta[pos, ar]) * rho < -DUAL_TOL))
+        rise = np.zeros(stay.size)
+        if walk.size == 0:
+            return None, best, pos, rise
+        b, r, d, tw = basis[:, walk], ratios[:, walk], delta[:, walk], t[walk]
+        rho = rho_of(b, walk)
+        kink = (partner[b] >= 0) & (partner[b] != tw) & (r < np.inf) & (rho >= 0.0)
+        other = np.where(kink, np.inf, r)
+        wall = other.min(axis=0)
+        own = hi[tw] - lo[tw]
+        below = kink & (r < np.minimum(own, wall))
+        order = np.where(below, r, np.inf).argsort(axis=0, kind="stable")
+        gain = np.where(below, np.abs(d) * rho, 0.0)
+        slopes = slope[walk] + np.take_along_axis(gain, order, axis=0).cumsum(axis=0)
+        n_below = below.sum(axis=0)
+        count = np.minimum((slopes < -DUAL_TOL).sum(axis=0), n_below)
+        # the walk pivots on the first kink it does not pass, or past them
+        # all on the largest pivot of the other blockers at the wall
+        at_kink = count < n_below
+        stop = order[np.minimum(count, self._m - 1), np.arange(walk.size)]
+        wpos = stop if at_kink.all() else np.where(at_kink, stop, _largest_pivots(other, wall, d))
+        wstep = np.where(at_kink, r[stop, np.arange(walk.size)], wall)
+        go = count > 0
+        leave = go & ~at_kink & ((own < wall - 1e-12) | (wall == np.inf))
+        stay[walk[leave]] = False
+        wstep[leave | ~go] = 0.0   # no walk: they leave or take the ordinary step
+        passed = np.zeros(b.shape, dtype=bool)
+        np.put_along_axis(passed, order, np.arange(self._m)[:, None] < count, axis=0)
+        crossed = np.zeros(basis.shape, dtype=bool)
+        crossed[:, walk] = passed
+        step, pos = best.copy(), pos.copy()
+        step[walk[go]], pos[walk[go]] = wstep[go], wpos[go]
+        rise[walk] = (gain * (wstep - np.where(passed, r, wstep))).sum(axis=0)
+        return crossed, step, pos, rise
 
     # ------------------------------------------------------------------
     # workspace
@@ -963,10 +1062,11 @@ class SimplexSolver:
         unit[pos] = 1.0
         return self._row_products(self._btran(unit))
 
-    def _row_products(self, v: np.ndarray) -> np.ndarray:
+    def _row_products(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """a_j . v for every column j; for a stack of vectors v (m x C),
-        one row of products per column."""
-        out = np.empty((self._ncols,) + v.shape[1:])
+        one row of products per column, into `out` when given."""
+        if out is None:
+            out = np.empty((self._ncols,) + v.shape[1:])
         nd, n = self._nd, self._n
         out[:nd] = self._At.dot(v)
         if n > nd:   # the split form of sparse recovery has no unit columns
@@ -1251,6 +1351,12 @@ def _eta_solve_t(v: np.ndarray, pos: np.ndarray, w: np.ndarray) -> None:
     ar = np.arange(v.shape[1])
     vp, wp = v[pos, ar], w[pos, ar]
     v[pos, ar] = (vp - (np.einsum("ij,ij->j", w, v) - wp * vp)) / wp
+
+
+def _largest_pivots(ratios: np.ndarray, best: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """`_largest_pivot` column by column."""
+    size = np.where(ratios <= best + 1e-9 * (1.0 + best), np.abs(delta), -1.0)
+    return size.argmax(axis=0)
 
 
 def _largest_pivot(ratios: np.ndarray, best: float, w: np.ndarray) -> int:

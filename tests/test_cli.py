@@ -150,7 +150,9 @@ def test_2inf_records_count_probes_and_batched_probes(capsys, tmp_path):
     _, (rows,) = run_cli(capsys, "maxfs", str(sys_path))
     for rec in (cls, rows):
         assert 0 < rec["batched_probes"] < rec["probes"] < rec["lp_count"]
-    assert (cls["probes"], cls["batched_probes"]) == (rows["probes"], rows["batched_probes"])
+        assert rec["kink_passes"] > 0
+    counts = ("probes", "batched_probes", "kink_passes")
+    assert [cls[k] for k in counts] == [rows[k] for k in counts]
     assert cls["removed_points"] == len(rows["removed_rows"])
 
 

@@ -202,7 +202,7 @@ class ToyEnv:
         self.w = dict(enumerate(map(float, weights)))
         self.active = set(self.w)
         self.k = k
-        self.lp_count = self.pivots = self.degenerate_pivots = 0
+        self.lp_count = self.pivots = self.degenerate_pivots = self.kink_passes = 0
 
     def _z(self):
         return sum(self.w[e] for e in self.active)
@@ -849,6 +849,9 @@ def test_batched_rounds_match_engine_rounds(monkeypatch):
         lockstep_rounds(monkeypatch, lambda: _split_env(prob, 0.1), stop=-np.inf),
     ]
     assert min(settled) > 0
+    # the batch settled 158 of the Gaussian probes while it sent every
+    # probe that passes a kink back to the engine
+    assert settled[3] > 158
 
 
 @pytest.mark.parametrize("cap", [0, 1])
@@ -870,8 +873,8 @@ def test_batched_search_records_match_the_engine_search(monkeypatch):
         res = solve_maxfs(rows, StrategyConfig(algorithm=2))
         jp = jokar_pfetsch(RecoveryProblem(A, b))
         runs.append((res.removed_rows, res.lp_count, res.pivots, res.degenerate_pivots,
-                     res.probes, res.batched_probes > 0,
+                     res.kink_passes, res.probes, res.batched_probes > 0,
                      sorted(jp.support), jp.lp_count, jp.pivots, jp.degenerate_pivots))
     batched, alone = runs
-    assert batched[:5] == alone[:5] and batched[6:] == alone[6:]
-    assert batched[5] and not alone[5]
+    assert batched[:6] == alone[:6] and batched[7:] == alone[7:]
+    assert batched[6] and not alone[6] and batched[4] > 0

@@ -1234,10 +1234,10 @@ def batch_against_engine(problem, columns, value, engine=None, ties=False):
     """Batch the probes that set the costs of each row of `columns` to
     `value`, from the optimum of `problem`, and re-solve each on the
     engine from a snapshot of that optimum. A settled probe must match
-    its re-solve in Z, pivots and degenerate pivots (with `ties`, where
-    exact ties may send it along another path, in Z only), and a solve
-    from its end basis must reach that Z with no pivot. Returns
-    (settled, re-solve) per probe."""
+    its re-solve in Z, pivots, degenerate pivots and kink passes (with
+    `ties`, where exact ties may send it along another path, in Z only),
+    and a solve from its end basis must reach that Z with no pivot.
+    Returns (settled, re-solve) per probe."""
     eng = engine or SimplexSolver()
     eng.solve(problem)
     snap = eng.save_state()
@@ -1257,6 +1257,7 @@ def batch_against_engine(problem, columns, value, engine=None, ties=False):
             if not ties:
                 assert batch.pivots[i] == ref.pivots
                 assert batch.degenerate_pivots[i] == ref.degenerate_pivots
+                assert batch.kink_passes[i] == ref.kink_passes
                 atol = 1e-9 * (1 + np.abs(ref.x).max())
                 np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=atol)
         out.append((bool(batch.settled[i]), ref))
@@ -1268,8 +1269,6 @@ def why_left(ref) -> str:
     """Why the engine's re-solve cannot be batched."""
     if ref.status is LpStatus.UNBOUNDED:
         return "ray"
-    if ref.kink_passes:
-        return "kink"
     if ref.bound_flips:
         return "flip"
     return "cap" if ref.pivots > simplex.PROBE_CAP else "none"
@@ -1284,29 +1283,108 @@ def gaussian_rows(points=60, seed=5):
 
 
 @pytest.mark.parametrize("cap", [0, 1, simplex.PROBE_CAP])
-def test_batched_probes_leave_only_for_kinks_or_the_cap(monkeypatch, cap):
-    # elastic rows of both sides (GE and LE kinks) and an equality system
+def test_batched_probes_leave_only_for_the_cap(monkeypatch, cap):
+    # elastic rows of both sides (GE and LE kinks) and an equality system:
+    # a probe whose steps pass kinks settles in the batch too
     monkeypatch.setattr(simplex, "PROBE_CAP", cap)
-    reasons = []
+    reasons, kinked = [], 0
     rows = elasticize(random_infeasible_system(np.random.default_rng(3), m_extra=6))
     for model in (gaussian_rows(), rows):
         for settled, ref in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0):
             why = why_left(ref)
             assert settled == (why == "none"), why
-            assert settled or why in ("kink", "cap")
+            assert settled or why == "cap"
             reasons.append(why)
-    assert "kink" in reasons and "none" in reasons
+            kinked += settled and ref.kink_passes > 0
+    assert "none" in reasons
     assert ("cap" in reasons) == (cap < 2)
+    assert (kinked > 0) == (cap > 1)
 
 
 def test_batched_probes_run_in_chunks(monkeypatch):
-    # one probe per chunk: the steps of every chunk rebuild their own
-    # probe's end basis
+    # one probe per chunk: the steps of every chunk, kink passes
+    # included, rebuild their own probe's end basis
     model = gaussian_rows(40)
-    whole = [s for s, _ in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)]
+    whole = batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)
     monkeypatch.setattr(simplex, "PROBE_WORK", 1)
-    chunked = [s for s, _ in batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)]
-    assert chunked == whole and sum(whole) > 1
+    chunked = batch_against_engine(model.lp_problem(), model.row_elastics, 0.0)
+    assert [s for s, _ in chunked] == [s for s, _ in whole] and sum(s for s, _ in whole) > 1
+    assert any(s and ref.kink_passes for s, ref in whole)
+
+
+def kink_rows(upper=np.inf, rhs=(1.0, 1.5, 2.0, 3.0)):
+    """x >= each of `rhs` with x in [0, upper] and costing 10, which
+    holds it at 0 at the optimum."""
+    base = LinearSystem([[1.0]] * len(rhs), [">="] * len(rhs), rhs, lower=[0.0], upper=[upper])
+    model = elasticize(base)
+    c = model.problem.c.copy()
+    c[0] = 10.0
+    return model, model.problem.with_costs(c)
+
+
+def test_batched_probe_passes_several_kinks_in_one_step():
+    # a probe that frees x raises it with slope -4 past the kinks at 1,
+    # 1.5 and 2 and pivots at 3, where the slope would reach 0; with
+    # x <= 2.5 the walk ends in x's own bound flip, and that probe leaves
+    for upper, settles in ((np.inf, True), (2.5, False)):
+        _, problem = kink_rows(upper)
+        ((settled, ref),) = batch_against_engine(problem, np.array([[0, 0]]), 0.0)
+        assert settled == settles and ref.kink_passes == 3
+        assert (ref.pivots, ref.bound_flips) == ((1, 0) if settles else (0, 1))
+
+
+def test_batched_walk_that_passes_no_kink_takes_the_ordinary_step():
+    # two rows x >= 1 block together at x = 1, just past x's own bound
+    # 1 - 5e-13, which the ratio test lets the step reach: no kink lies
+    # below that bound, so the walk passes none, and the probe pivots
+    _, problem = kink_rows(1.0 - 5e-13, (1.0, 1.0))
+    ((settled, ref),) = batch_against_engine(problem, np.array([[0, 0]]), 0.0)
+    assert settled and (ref.pivots, ref.bound_flips, ref.kink_passes) == (2, 0, 0)
+
+
+def steps_of(batch, i):
+    """The (entering column, position) of probe i's recorded steps,
+    kink passes included, in order."""
+    return [(int(t[ids == i][0]), int(pos[ids == i][0]))
+            for ids, t, pos, _ in batch.steps if i in ids]
+
+
+def test_batched_probe_does_not_pass_a_nonconvex_kink():
+    # the twin of test_nonconvex_kink_is_not_passed: costing x and row
+    # 1's elastic at -1 makes row 1's kink non-convex, so the step
+    # passes the kink at x = 1 (row 0's slack takes its elastic's
+    # position) and pivots x in at row 1's; the LP is then unbounded,
+    # and the probe leaves
+    model, problem = kink_rows()
+    (e0, e1), slack0 = model.row_elastics[:2, 0], problem.structure.n
+    eng = SimplexSolver()
+    eng.solve(problem)
+    snap = eng.save_state()
+    batch = eng.probe_costs(problem, np.array([[0, e1]]), -1.0)
+    at = {int(j): p for p, j in enumerate(batch.start.basis)}
+    assert not batch.settled[0]
+    assert steps_of(batch, 0) == [(slack0, at[e0]), (0, at[e1])]
+    costs = problem.c.copy()
+    costs[[0, e1]] = -1.0
+    eng.load_state(snap)
+    ref = eng.solve(problem.with_costs(costs))
+    assert ref.status is LpStatus.UNBOUNDED and (ref.pivots, ref.kink_passes) == (1, 1)
+
+
+def test_batched_probe_does_not_pass_a_kink_member_at_zero():
+    # the twin of test_kink_member_at_zero_is_not_passed: x sits at 0
+    # with the x <= 0 row's slack basic at 0. Costing x at -2 raises it,
+    # and that slack blocks at once: passing its kink would leave the
+    # slope at -1, but a zero step passes nothing. The degenerate pivot
+    # is followed by one at x = 3, whose kink would lift the slope to 0
+    base = LinearSystem([[1.0]] * 5, [">=", "<=", "<=", "<=", "<="],
+                        [0.0, 0.0, -1.0, -2.0, 3.0], lower=[-5.0])
+    model = elasticize(base)
+    c = model.problem.c.copy()
+    c[model.row_elastics[2:4, 0]] = 0.0
+    ((settled, ref),) = batch_against_engine(model.problem.with_costs(c), np.array([[0, 0]]), -2.0)
+    assert settled and abs(ref.z + 3.0) <= 1e-12
+    assert (ref.pivots, ref.degenerate_pivots, ref.kink_passes) == (2, 1, 0)
 
 
 def test_batched_probe_leaves_before_a_bound_flip_or_a_ray():
